@@ -314,6 +314,15 @@ def cmd_sft(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- main
 
 
+def _at_least(low: int):
+    """argparse type for an integer flag; a value below ``low`` exits with code 2."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starshift",
@@ -322,26 +331,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table1", help="relator survival table for circular words")
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--p-max", type=int, default=50)
-    p.add_argument("--t", type=int, default=6)
+    p.add_argument("--n-max", type=_at_least(1), default=6)
+    p.add_argument("--p-max", type=_at_least(1), default=50)
+    p.add_argument("--t", type=_at_least(0), default=6)
     p.add_argument("--paper-layout", action="store_true",
                    help="group columns 10..p-max into one")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("verify", help="run the invariant checks")
-    p.add_argument("--max-n", type=int, default=10)
+    p.add_argument("--max-n", type=_at_least(1), default=10)
     p.add_argument("--inject-alpha-bug", action="store_true",
                    help=argparse.SUPPRESS)  # negative control for tests
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("schreier", help="export an orbit graph")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_at_least(1), default=3)
     p.add_argument("--circular", action="store_true")
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--t", type=int, default=6)
+    p.add_argument("--p", type=_at_least(1), default=1)
+    p.add_argument("--t", type=_at_least(0), default=6)
     p.add_argument("--require-action", action="store_true",
                    help="fail unless the relators fix every circular starring")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
@@ -349,21 +358,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_schreier)
 
     p = sub.add_parser("pseudo-orbit", help="periodic pseudo-point checks")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--t", type=int, default=6)
+    p.add_argument("--n", type=_at_least(1), default=2)
+    p.add_argument("--t", type=_at_least(0), default=6)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pseudo_orbit)
 
     p = sub.add_parser("stabilizer", help="reconstruct a hidden window from its stabilizer")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=32)
-    p.add_argument("--source-n", type=int, default=14)
+    p.add_argument("--budget", type=_at_least(1), default=32)
+    p.add_argument("--source-n", type=_at_least(1), default=14)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stabilizer)
 
     p = sub.add_parser("sft", help="union and comb construction demos")
     p.add_argument("demo", choices=("union-demo", "comb-demo"))
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_at_least(2), default=2)
     p.add_argument("--points-out", default=None,
                    help="also write a periodic-point report as JSON lines")
     p.add_argument("--out", default=None)

@@ -20,15 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .core_words import LETTERS, free_reduce, language_contains, lex_key
+from .core_words import GENERATORS, LETTERS, free_reduce, language_contains, lex_key
 from .errors import ClosureError, MarginExhaustedError, ReconstructionError
-from .jump_action import (
-    JUMP_SETS,
-    CircularStarredWord,
-    StarredWord,
-    jump_circular,
-    jump_generator,
-)
+from .jump_action import STAR, CircularStarredWord, StarredWord, star_step
 
 # Letter at the origin -> generator realizing one step of the shift.
 SHIFT_GENERATOR = {"a": "a", "B": "c", "C": "d", "D": "b"}
@@ -95,19 +89,22 @@ class CocyclePiece:
 
 @lru_cache(maxsize=None)
 def generator_cocycle(g: str) -> tuple[CocyclePiece, ...]:
-    """The three-piece cocycle of a generator.
+    """The three-piece cocycle of a generator: the level sets of the origin
+    displacement by :func:`star_step` over the 16 two-letter neighborhoods.
 
     The +1 piece is the letter cylinder U_g at the origin, the -1 piece
     is its shift, and the rest is fixed; U_g and its shift are disjoint
     on alternating words, as required for these swap-style elements.
     """
-    jumps = frozenset(JUMP_SETS[g])
-    rest = frozenset(LETTERS) - jumps
-    return (
-        CocyclePiece(left=None, right=jumps, shift=+1),
-        CocyclePiece(left=jumps, right=rest, shift=-1),
-        CocyclePiece(left=rest, right=rest, shift=0),
-    )
+    every = frozenset(LETTERS)
+    shifts = {(l, r): star_step(l + r, 1, g) - 1 for l in LETTERS for r in LETTERS}
+    pieces = []
+    for shift in (+1, -1, 0):
+        # the level set is a cylinder: its left letters times its right letters
+        cells = [cell for cell, d in shifts.items() if d == shift]
+        left, right = (None if s == every else s for s in map(frozenset, zip(*cells)))
+        pieces.append(CocyclePiece(left, right, shift))
+    return tuple(pieces)
 
 
 def evaluate_cocycle(pieces: Sequence[CocyclePiece], left: str, right: str) -> int:
@@ -124,13 +121,8 @@ def evaluate_cocycle(pieces: Sequence[CocyclePiece], left: str, right: str) -> i
 def apply_generator(g: str, x: Window) -> Window:
     """Move the origin of a window by one generator's jump rule."""
     if x.margin < 1:
-        raise MarginExhaustedError(
-            f"margin {x.margin} too small to apply a generator"
-        )
-    shift = evaluate_cocycle(
-        generator_cocycle(g), x.letters[x.origin - 1], x.letters[x.origin]
-    )
-    return x._shifted(shift)
+        raise MarginExhaustedError(f"margin {x.margin} too small to apply a generator")
+    return x._shifted(star_step(x.letters, x.origin, g) - x.origin)
 
 
 def apply_word(word: str, x: Window) -> Window:
@@ -254,20 +246,21 @@ def schreier_graph(
     listed = list(vertices)
     if not listed:
         raise ValueError("vertex set must be nonempty")
-    step = jump_circular if isinstance(listed[0], CircularStarredWord) else jump_generator
-    index = {str(v): i for i, v in enumerate(listed)}
+    circular = isinstance(listed[0], CircularStarredWord)
     names = [str(v) for v in listed]
+    index = {name: i for i, name in enumerate(names)}
     edges = set()
-    for v in listed:
-        for g in "abcd":
-            w = step(g, v)
-            if str(w) not in index:
+    for v, name in zip(listed, names):
+        letters = v.word.letters if circular else v.word
+        for g in GENERATORS:
+            t = star_step(letters, v.star, g, circular)
+            target = letters[:t] + STAR + letters[t:]
+            if target not in index:
                 raise ClosureError(
-                    f"vertex set is not generator-closed: missing {str(w)!r}"
+                    f"vertex set is not generator-closed: missing {target!r}"
                 )
-            i, j = index[str(v)], index[str(w)]
-            a, b = (i, j) if i <= j else (j, i)
-            edges.add((a, b, g))
+            i, j = index[name], index[target]
+            edges.add((min(i, j), max(i, j), g))
     ordered = sorted(edges)
     return SchreierGraph(
         vertices=tuple(names),

@@ -5,15 +5,16 @@ generator jumps the star across an adjacent letter from its jump set:
 
     a over a,   b over C or D,   c over B or D,   d over B or C.
 
-On alternating words at most one neighbor qualifies, so the rule is a
-well-defined involution for each generator.  The same rule read
-cyclically acts on circular words; relator checks over whole families
-of starrings are done with composed permutation tables.
+:func:`star_step` is that rule, for stars and window origins alike.  On
+alternating words at most one neighbor qualifies, so the rule is a
+well-defined involution for each generator.  Read cyclically it acts on
+circular words; the permutation tables are its vectorised view, and
+relator checks over whole families of starrings compose them.  Words
+are validated once, when they enter; moves skip the check.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,11 +22,7 @@ import numpy as np
 
 from . import core_words
 from .core_words import (
-    GENERATORS,
-    build_w,
-    is_alternating,
-    is_cyclically_alternating,
-    kappa,
+    GENERATORS, build_w, is_alternating, is_cyclically_alternating, kappa
 )
 from .errors import SizeLimitError
 
@@ -49,6 +46,13 @@ class StarredWord:
             raise ValueError(f"{self.word!r} is not alternating")
         if not 0 <= self.star <= len(self.word):
             raise ValueError(f"star {self.star} out of range for {self.word!r}")
+
+    def _moved(self, star: int) -> "StarredWord":
+        # internal: the word was validated when it entered, only the star moves
+        s = object.__new__(StarredWord)
+        object.__setattr__(s, "word", self.word)
+        object.__setattr__(s, "star", star)
+        return s
 
     def __str__(self) -> str:
         return self.word[: self.star] + STAR + self.word[self.star :]
@@ -100,15 +104,25 @@ def circular_repetition(base: str, power: int) -> CircularWord:
     return CircularWord(base * power)
 
 
+def star_step(letters: str, j: int, g: str, circular: bool = False) -> int:
+    """The jump rule: where generator ``g`` moves a star at position ``j``.
+
+    The star jumps right across ``letters[j]`` if it is in the jump set
+    of ``g``, else left across ``letters[j - 1]`` if that is, else stays.
+    Linear positions run over [0, len], circular ones wrap in [0, len).
+    """
+    jumps = JUMP_SETS[g]
+    n = len(letters)
+    if j < n and letters[j] in jumps:
+        j += 1
+    elif (j > 0 or circular) and letters[j - 1] in jumps:
+        j -= 1
+    return j % n if circular else j
+
+
 def jump_generator(g: str, s: StarredWord) -> StarredWord:
     """One generator acting on a starred word."""
-    jumps = JUMP_SETS[g]
-    w, j = s.word, s.star
-    if j < len(w) and w[j] in jumps:
-        return StarredWord(w, j + 1)
-    if j > 0 and w[j - 1] in jumps:
-        return StarredWord(w, j - 1)
-    return s
+    return s._moved(star_step(s.word, s.star, g))
 
 
 def jump_word(word: str, s: StarredWord) -> StarredWord:
@@ -120,46 +134,30 @@ def jump_word(word: str, s: StarredWord) -> StarredWord:
 
 def jump_circular(g: str, s: CircularStarredWord) -> CircularStarredWord:
     """One generator acting on a circular starred word."""
-    jumps = JUMP_SETS[g]
-    w = s.word.letters
-    n = len(w)
-    if w[s.star] in jumps:
-        return CircularStarredWord(s.word, (s.star + 1) % n)
-    if w[s.star - 1] in jumps:
-        return CircularStarredWord(s.word, (s.star - 1) % n)
-    return s
+    star = star_step(s.word.letters, s.star, g, circular=True)
+    return CircularStarredWord(s.word, star)
 
 
-def jump_circular_word(word: str, s: CircularStarredWord) -> CircularStarredWord:
-    for g in reversed(word):
-        s = jump_circular(g, s)
-    return s
+# byte translation tables: 1 for the letters of the jump set, 0 otherwise
+_JUMP_MASKS = {g: bytes(chr(i) in js for i in range(256)) for g, js in JUMP_SETS.items()}
+
+
+def _jump_table(padded: str, g: str) -> np.ndarray:
+    """:func:`star_step` at every position, vectorised: position j has
+    ``padded[j]`` on its left and ``padded[j + 1]`` on its right."""
+    hit = np.frombuffer(padded.encode("ascii").translate(_JUMP_MASKS[g]), dtype=np.int8)
+    left, right = hit[:-1], hit[1:]
+    return np.arange(len(right), dtype=np.int64) + (right - (left > right))
 
 
 def linear_jump_permutation(letters: str, g: str) -> np.ndarray:
     """Permutation of star positions [0, len] under one generator."""
-    jumps = JUMP_SETS[g]
-    n = len(letters)
-    perm = np.arange(n + 1, dtype=np.int64)
-    for j in range(n + 1):
-        if j < n and letters[j] in jumps:
-            perm[j] = j + 1
-        elif j > 0 and letters[j - 1] in jumps:
-            perm[j] = j - 1
-    return perm
+    return _jump_table(f" {letters} ", g)  # no generator jumps the blank ends
 
 
 def circular_jump_permutation(letters: str, g: str) -> np.ndarray:
     """Permutation of star positions [0, len) under one generator, cyclic."""
-    jumps = JUMP_SETS[g]
-    n = len(letters)
-    perm = np.arange(n, dtype=np.int64)
-    for j in range(n):
-        if letters[j] in jumps:
-            perm[j] = (j + 1) % n
-        elif letters[j - 1] in jumps:
-            perm[j] = (j - 1) % n
-    return perm
+    return _jump_table(letters[-1:] + letters, g) % len(letters)
 
 
 def word_star_permutation(word: str, gen_perms: dict[str, np.ndarray]) -> np.ndarray:
@@ -236,23 +234,23 @@ def table1(n_max: int = 6, p_max: int = 50, t: int = 6) -> list[list[bool]]:
 def orbit_of_starrings(word: str) -> list[StarredWord]:
     """Breadth-first orbit of the position-0 starring of a generator word.
 
-    Only the words w_n are accepted; the closure then consists of all
-    2^n starrings, listed in deterministic BFS order (generator order
-    a < b < c < d, FIFO queue).
+    Only the words w_n are accepted, and n beyond ``ORBIT_CAP`` raises
+    SizeLimitError; the closure then consists of all 2^n starrings,
+    listed in deterministic BFS order (generator order a < b < c < d,
+    FIFO queue).
     """
     n = len(word).bit_length()
-    if n < 1 or n > ORBIT_CAP or word != build_w(n):
-        raise ValueError("orbit base must be one of the words w_n, n <= %d" % ORBIT_CAP)
+    if n > ORBIT_CAP:
+        raise SizeLimitError(f"orbit base of length {len(word)} exceeds w_{ORBIT_CAP}")
+    if n < 1 or word != build_w(n):
+        raise ValueError("orbit base must be one of the words w_n")
     start = StarredWord(word, 0)
-    seen = {start}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
+    order = [0]
+    seen = {0}
+    for j in order:  # appending while iterating makes the list a FIFO queue
         for g in GENERATORS:
-            nxt = jump_generator(g, s)
+            nxt = star_step(word, j, g)
             if nxt not in seen:
                 seen.add(nxt)
                 order.append(nxt)
-                queue.append(nxt)
-    return order
+    return [start._moved(j) for j in order]

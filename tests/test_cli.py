@@ -154,3 +154,32 @@ def test_io_error_exit_two(capsys, tmp_path):
     code = main(["table1", "--n-max", "1", "--p-max", "1",
                  "--out", str(tmp_path / "missing" / "t.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schreier", "--n", "0"],
+        ["schreier", "--n", "17"],
+        ["schreier", "--circular", "--p", "0"],
+        ["schreier", "--circular", "--require-action", "--t", "-1"],
+        ["stabilizer", "--budget", "-1"],
+        ["stabilizer", "--budget", "0"],  # would "verify" the empty string
+        ["stabilizer", "--source-n", "0"],
+        ["pseudo-orbit", "--n", "0"],
+        ["pseudo-orbit", "--t", "-1"],
+        ["sft", "comb-demo", "--k", "1"],
+        ["verify", "--max-n", "-5"],
+        ["verify", "--max-n", "0"],  # would PASS every check having checked nothing
+    ],
+    ids=" ".join,
+)
+def test_bad_input_exits_two(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the flag
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in err
+    assert "PASS" not in out

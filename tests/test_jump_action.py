@@ -1,7 +1,10 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
-from starshift import jump_action as ja
+from starshift import full_group as fg, jump_action as ja
 from starshift.core_words import alpha_choice, build_w
 from starshift.errors import SizeLimitError
 from starshift.jump_action import (
@@ -53,6 +56,57 @@ def test_ab_power_walks_the_star_home(n):
     out = ja.jump_word("ab" * n, s)
     assert str(out) == "*" + "aD" * n
     assert out != s  # not an action of the quotient group
+
+
+def test_walk_does_not_revalidate(monkeypatch):
+    # the word is checked once, when the starred word is built; moves skip it
+    calls = []
+    check = ja.is_alternating
+    monkeypatch.setattr(ja, "is_alternating", lambda w: calls.append(w) or check(w))
+    s = StarredWord(build_w(10), 511)
+    assert len(calls) == 1
+    rng = random.Random(0)
+    for _ in range(1000):
+        s = ja.jump_generator(rng.choice("abcd"), s)
+    assert len(calls) == 1
+
+
+class TestStarStep:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_linear_table_is_star_step_everywhere(self, n):
+        w = build_w(n)
+        for g in "abcd":
+            expected = [ja.star_step(w, j, g) for j in range(len(w) + 1)]
+            assert ja.linear_jump_permutation(w, g).tolist() == expected
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_circular_table_is_star_step_everywhere(self, n):
+        for p in range(1, 9):
+            letters = (build_w(n) + alpha_choice(n)) * p
+            for g in "abcd":
+                expected = [
+                    ja.star_step(letters, j, g, circular=True)
+                    for j in range(len(letters))
+                ]
+                assert ja.circular_jump_permutation(letters, g).tolist() == expected
+
+    def test_tables_are_star_step_on_any_letters(self):
+        # off alternating words both neighbors can qualify; right comes first
+        for length in range(1, 6):
+            for letters in map("".join, itertools.product("aBCD", repeat=length)):
+                for g in "abcd":
+                    linear = [ja.star_step(letters, j, g) for j in range(length + 1)]
+                    circular = [ja.star_step(letters, j, g, True) for j in range(length)]
+                    assert ja.linear_jump_permutation(letters, g).tolist() == linear
+                    assert ja.circular_jump_permutation(letters, g).tolist() == circular
+
+    def test_cocycle_is_star_step_on_every_neighborhood(self):
+        for g in "abcd":
+            pieces = fg.generator_cocycle(g)
+            for left in "aBCD":
+                for right in "aBCD":
+                    shift = ja.star_step(left + right, 1, g) - 1
+                    assert fg.evaluate_cocycle(pieces, left, right) == shift
 
 
 class TestCircular:
@@ -169,3 +223,7 @@ class TestOrbits:
             ja.orbit_of_starrings("aB")
         with pytest.raises(ValueError):
             ja.orbit_of_starrings("aDaBaDa")  # alternating but not a w_n
+
+    def test_cap_is_a_size_limit(self):
+        with pytest.raises(SizeLimitError):
+            ja.orbit_of_starrings(build_w(ja.ORBIT_CAP + 1))
