@@ -196,12 +196,13 @@ def cmd_schreier(args: argparse.Namespace) -> int:
         word = CircularWord(ring * args.p)
         vertices = [CircularStarredWord(word, s) for s in range(len(word))]
         if args.require_action:
-            for relator in jump_action.relation_set(args.t):
-                if not jump_action.relator_fixes_all_starrings(relator, word):
-                    sys.stderr.write(
-                        f"action not well-defined: relator {relator} moves a starring\n"
-                    )
-                    return 1
+            failing = jump_action.moving_relator(word.letters, args.t)
+            if failing is not None:
+                relator = jump_action.relation_set(args.t)[failing]
+                sys.stderr.write(
+                    f"action not well-defined: relator {relator} moves a starring\n"
+                )
+                return 1
     else:
         vertices = jump_action.orbit_of_starrings(core_words.build_w(args.n))
     graph = full_group.schreier_graph(vertices)

@@ -22,17 +22,17 @@ from typing import Callable, Iterable, Sequence
 
 from .core_words import GENERATORS, LETTERS, free_reduce, language_contains, lex_key
 from .errors import ClosureError, MarginExhaustedError, ReconstructionError
-from .jump_action import STAR, CircularStarredWord, StarredWord, star_step
+from .jump_action import JUMP_SETS, STAR, CircularStarredWord, StarredWord, star_step
 
 # Letter at the origin -> generator realizing one step of the shift.
 SHIFT_GENERATOR = {"a": "a", "B": "c", "C": "d", "D": "b"}
 
-# Which of b, c, d fixes a point with the given letter next to the origin.
-_MATCHING_GENERATOR = {"B": "b", "C": "c", "D": "d"}
-_MATCHING_LETTER = {g: c for c, g in _MATCHING_GENERATOR.items()}
+# The letter next to the origin of the points that each of b, c, d fixes:
+# the one of B, C, D missing from its jump set.
+_MATCHING_LETTER = {g: min(set("BCD") - set(JUMP_SETS[g])) for g in "bcd"}
 
 # Alphabetically first generator that jumps across the given letter.
-_MOVER = {"a": "a", "B": "c", "C": "b", "D": "b"}
+_MOVER = {x: min(g for g in GENERATORS if x in JUMP_SETS[g]) for x in LETTERS}
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ generator jumps the star across an adjacent letter from its jump set:
 alternating words at most one neighbor qualifies, so the rule is a
 well-defined involution for each generator.  Read cyclically it acts on
 circular words; the permutation tables are its vectorised view, and
-relator checks over whole families of starrings compose them.  Words
+the relator family is checked on them through kappa, never expanded.  Words
 are validated once, when they enter; moves skip the check.
 """
 
@@ -169,65 +169,65 @@ def word_star_permutation(word: str, gen_perms: dict[str, np.ndarray]) -> np.nda
     return perm
 
 
+# the Lysenok relators: the Klein relators, then the seeds of the kappa-iterates
+_KLEIN_RELATORS = ("aa", "bb", "cc", "dd", "bcd")
+_KAPPA_SEEDS = ("adadadad", "adacac" * 4)
+
+
 @lru_cache(maxsize=None)
 def relation_set(t: int) -> tuple[str, ...]:
     """Relators a^2, b^2, c^2, d^2, bcd and the kappa-iterates of
     (ad)^4 and (adacac)^4 up to exponent t, all fully expanded."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    relators = ["aa", "bb", "cc", "dd", "bcd"]
-    short, long_ = "adadadad", "adacac" * 4
-    for k in range(t + 1):
-        relators.append(short)
-        relators.append(long_)
-        short, long_ = kappa(short), kappa(long_)
-    return tuple(relators)
+    relators, seeds = _KLEIN_RELATORS, _KAPPA_SEEDS
+    for _ in range(t + 1):
+        relators, seeds = relators + seeds, tuple(map(kappa, seeds))
+    return relators
 
 
-def _fixes_all(relators: tuple[str, ...], gen_perms: dict[str, np.ndarray]) -> bool:
-    size = len(next(iter(gen_perms.values())))
-    identity = np.arange(size, dtype=np.int64)
-    return all(
-        np.array_equal(word_star_permutation(r, gen_perms), identity)
-        for r in relators
-    )
+def moving_relator(letters: str, t: int) -> int | None:
+    """Index in :func:`relation_set` of the first relator that moves a
+    starring of the circular word ``letters``, or None.
 
-
-def relator_fixes_all_starrings(relator: str, base: str | CircularWord) -> bool:
-    """True iff the relator fixes every starring of the base word.
-
-    Linear bases have len+1 starrings, circular ones len starrings.
+    kappa^k(r) is never expanded: its permutation under the tables P is
+    that of r under the kappa-images P'_a = P_a P_c P_a, P'_b = P_d,
+    P'_c = P_b, P'_d = P_c.  That is exact because kappa is an
+    endomorphism of Z2 * Z2^2 and the Klein relators, checked first,
+    hold on P.
     """
-    if isinstance(base, CircularWord):
-        perms = {g: circular_jump_permutation(base.letters, g) for g in GENERATORS}
-    else:
-        if not is_alternating(base):
-            raise ValueError(f"{base!r} is not alternating")
-        perms = {g: linear_jump_permutation(base, g) for g in GENERATORS}
-    return _fixes_all((relator,), perms)
+    if not 0 <= t <= TABLE_CAPS[2]:
+        raise SizeLimitError(f"relator exponent t={t} is outside 0..{TABLE_CAPS[2]}")
+    perms = {g: circular_jump_permutation(letters, g) for g in GENERATORS}
+    identity = np.arange(len(letters), dtype=np.int64)
+    # (relator, k) in the order of relation_set: kappa^k is applied to it
+    family = [(r, 0) for r in _KLEIN_RELATORS]
+    family += [(r, k) for k in range(t + 1) for r in _KAPPA_SEEDS]
+    level = 0
+    for index, (relator, k) in enumerate(family):
+        if k > level:  # replace the tables by their kappa-images
+            a, b, c, d = (perms[g] for g in GENERATORS)
+            perms, level = {"a": a[c[a]], "b": d, "c": b, "d": c}, k
+        if not np.array_equal(word_star_permutation(relator, perms), identity):
+            return index
+    return None
 
 
 def table1(n_max: int = 6, p_max: int = 50, t: int = 6) -> list[list[bool]]:
     """Relator survival table for the circular words (w_n alpha)^p.
 
     Entry [n-1][p-1] is True iff every relator of :func:`relation_set`
-    fixes all starrings of the circular repetition.
+    fixes all starrings of the circular repetition (:func:`moving_relator`).
     """
     caps = TABLE_CAPS
     if not (1 <= n_max <= caps[0] and 1 <= p_max <= caps[1] and 0 <= t <= caps[2]):
         raise SizeLimitError(
             f"table1 caps are n_max<={caps[0]}, p_max<={caps[1]}, t<={caps[2]}"
         )
-    relators = relation_set(t)
     rows = []
     for n in range(1, n_max + 1):
         base = build_w(n) + core_words.alpha_choice(n)
-        row = []
-        for p in range(1, p_max + 1):
-            letters = base * p
-            perms = {g: circular_jump_permutation(letters, g) for g in GENERATORS}
-            row.append(_fixes_all(relators, perms))
-        rows.append(row)
+        rows.append([moving_relator(base * p, t) is None for p in range(1, p_max + 1)])
     return rows
 
 

@@ -21,7 +21,7 @@ from itertools import product
 from . import core_words
 from .core_words import build_w, language_contains, language_words
 from .errors import DisjointnessError, EmptySftError, SizeLimitError
-from .jump_action import CircularWord, relation_set, relator_fixes_all_starrings
+from .jump_action import moving_relator
 
 APPROXIMATION_CAP = 256
 PERIOD_CAP = 64
@@ -143,13 +143,14 @@ class ZSft:
         return set().union(*out.values()) if out else set()
 
     def to_json(self) -> str:
-        payload = {"alphabet": list(self.alphabet), "forbidden": list(self.forbidden)}
+        blocks = sorted(self.blocks, key=self._key)
+        payload = dict(alphabet=list(self.alphabet), order=self.order, blocks=blocks)
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ZSft":
         payload = json.loads(text)
-        return cls.from_forbidden(tuple(payload["alphabet"]), payload["forbidden"])
+        return cls.from_blocks(payload["alphabet"], payload["order"], payload["blocks"])
 
 
 def sft_approximation(order: int, cap: int = APPROXIMATION_CAP) -> ZSft:
@@ -383,9 +384,7 @@ def pseudo_orbit_demo(
         for s in range(period)
     )
 
-    check_ii = all(
-        relator_fixes_all_starrings(r, CircularWord(ring)) for r in relation_set(t)
-    )
+    check_ii = moving_relator(ring, t) is None
 
     check_iii = all(
         not language_contains(rep[s : s + word_len]) for s in range(period)

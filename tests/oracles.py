@@ -2,10 +2,22 @@
 
 Nothing here touches the follower-automaton machinery: language
 membership is decided by explicit extension search, so these functions
-stay valid as oracles for the code paths they check.
+stay valid as oracles for the code paths they check.  Relators are
+checked here in their expanded form, letter by letter against the jump
+tables, which the library never does.
 """
 
 from itertools import product
+
+import numpy as np
+
+from starshift.core_words import GENERATORS, is_alternating
+from starshift.jump_action import (
+    CircularWord,
+    circular_jump_permutation,
+    linear_jump_permutation,
+    word_star_permutation,
+)
 
 
 def admissible(word: str, forbidden) -> bool:
@@ -62,3 +74,18 @@ def orbit_sft_forbidden(word: str, alphabet) -> list[str]:
         for u in product(alphabet, repeat=n)
         if "".join(u) not in rotations
     )
+
+
+def relator_fixes_all_starrings(relator: str, base: str | CircularWord) -> bool:
+    """True iff the expanded relator fixes every starring of the base word.
+
+    Linear bases have len+1 starrings, circular ones len starrings.
+    """
+    if isinstance(base, CircularWord):
+        perms = {g: circular_jump_permutation(base.letters, g) for g in GENERATORS}
+    else:
+        if not is_alternating(base):
+            raise ValueError(f"{base!r} is not alternating")
+        perms = {g: linear_jump_permutation(base, g) for g in GENERATORS}
+    identity = np.arange(len(next(iter(perms.values()))), dtype=np.int64)
+    return np.array_equal(word_star_permutation(relator, perms), identity)

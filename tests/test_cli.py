@@ -77,10 +77,14 @@ class TestSchreier:
         assert len(json.loads(out)["vertices"]) == 8
 
     def test_circular_triple_cover_rejected(self, capsys):
-        code, _, err = run(capsys, "schreier", "--n", "2", "--circular", "--p", "3",
-                           "--require-action")
-        assert code == 1
-        assert "relator" in err
+        # the failing relators are kappa((ad)^4) (index 7 of relation_set)
+        # and kappa((adacac)^4) (index 9)
+        for n, relator in (("1", "ac" * 8), ("2", "acab" * 8)):
+            code, out, err = run(capsys, "schreier", "--n", n, "--circular", "--p", "3",
+                                 "--require-action")
+            assert code == 1 and out == ""
+            expected = f"action not well-defined: relator {relator} moves a starring\n"
+            assert err == expected
 
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, "schreier", "--n", "1", "--format", "json")
@@ -163,11 +167,13 @@ def test_io_error_exit_two(capsys, tmp_path):
         ["schreier", "--n", "17"],
         ["schreier", "--circular", "--p", "0"],
         ["schreier", "--circular", "--require-action", "--t", "-1"],
+        ["schreier", "--circular", "--require-action", "--t", "9"],  # cap: t <= 8
         ["stabilizer", "--budget", "-1"],
         ["stabilizer", "--budget", "0"],  # would "verify" the empty string
         ["stabilizer", "--source-n", "0"],
         ["pseudo-orbit", "--n", "0"],
         ["pseudo-orbit", "--t", "-1"],
+        ["pseudo-orbit", "--t", "9"],
         ["sft", "comb-demo", "--k", "1"],
         ["verify", "--max-n", "-5"],
         ["verify", "--max-n", "0"],  # would PASS every check having checked nothing

@@ -97,6 +97,10 @@ class TestShift:
         assert set(fg.SHIFT_GENERATOR) == {"a", "B", "C", "D"}
         assert len(set(fg.SHIFT_GENERATOR.values())) == 4
 
+    def test_each_branch_jumps_its_letter(self):
+        for letter, g in fg.SHIFT_GENERATOR.items():
+            assert letter in ja.JUMP_SETS[g]
+
 
 class TestVorobetsKey:
     def test_symmetric_and_idempotent(self):

@@ -4,7 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from starshift import full_group as fg, jump_action as ja
+from oracles import relator_fixes_all_starrings
+from starshift import full_group as fg, jump_action as ja, subshift
+from starshift.cli import main
 from starshift.core_words import alpha_choice, build_w
 from starshift.errors import SizeLimitError
 from starshift.jump_action import (
@@ -164,27 +166,90 @@ def test_relation_set_contents():
 
 class TestRelatorChecks:
     def test_square_fixes_everything(self):
-        assert ja.relator_fixes_all_starrings("aa", "aDaCaDa")
+        assert relator_fixes_all_starrings("aa", "aDaCaDa")
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_relators_fix_linear_starrings(self, n):
         w = build_w(n)
         for r in ja.relation_set(6):
-            assert ja.relator_fixes_all_starrings(r, w)
+            assert relator_fixes_all_starrings(r, w)
 
     def test_circular_triple_cover_breaks(self):
         # (ad)^4 itself survives on the aD-triangle; its kappa-image is
         # what moves a starring, making the (n=1, p=3) table entry 0
         c = ja.circular_repetition("aD", 3)
-        assert ja.relator_fixes_all_starrings("adadadad", c)
-        assert not ja.relator_fixes_all_starrings("ac" * 8, c)
+        assert relator_fixes_all_starrings("adadadad", c)
+        assert not relator_fixes_all_starrings("ac" * 8, c)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_double_cover_well_defined(self, n):
         ring = build_w(n) + alpha_choice(n)
         c = CircularWord(ring * 2)
         for r in ja.relation_set(6):
-            assert ja.relator_fixes_all_starrings(r, c)
+            assert relator_fixes_all_starrings(r, c)
+
+
+class TestMovingRelator:
+    """The relator family evaluated through kappa on the tables, against
+    the expanded relators of relation_set composed letter by letter."""
+
+    @pytest.mark.parametrize("n", range(1, ja.TABLE_CAPS[0] + 1))
+    def test_matches_expanded_relators(self, n):
+        base = build_w(n) + alpha_choice(n)
+        family = ja.relation_set(ja.TABLE_CAPS[2])
+        for p in range(1, 31):
+            word = CircularWord(base * p)
+            first = next(
+                (i for i, r in enumerate(family)
+                 if not relator_fixes_all_starrings(r, word)),
+                None,
+            )
+            for t in range(ja.TABLE_CAPS[2] + 1):
+                # relation_set(t) is a prefix of relation_set(8)
+                in_family = first is not None and first < len(ja.relation_set(t))
+                expected = first if in_family else None
+                assert ja.moving_relator(word.letters, t) == expected, (n, p, t)
+
+    def test_exponent_cap(self):
+        for t in (-1, ja.TABLE_CAPS[2] + 1):
+            with pytest.raises(SizeLimitError):
+                ja.moving_relator("aD", t)
+
+
+class TestRelatorFamilyCost:
+    """The four tables are built once and the kappa-iterates never expanded."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        counts = {"tables": 0, "letters": 0}
+        build, compose = ja.circular_jump_permutation, ja.word_star_permutation
+
+        def counting_build(letters, g):
+            counts["tables"] += 1
+            return build(letters, g)
+
+        def counting_compose(word, perms):
+            counts["letters"] += len(word)
+            return compose(word, perms)
+
+        monkeypatch.setattr(ja, "circular_jump_permutation", counting_build)
+        monkeypatch.setattr(ja, "word_star_permutation", counting_compose)
+        return counts
+
+    def test_schreier_require_action_builds_four_tables(self, counted, capsys):
+        assert main(["schreier", "--n", "2", "--circular", "--p", "2",
+                     "--require-action"]) == 0
+        assert counted["tables"] == 4
+
+    def test_pseudo_orbit_builds_four_tables(self, counted):
+        assert subshift.pseudo_orbit_demo(3, t=8).action_well_defined
+        assert counted["tables"] == 4
+
+    def test_table1_letters_linear_in_t(self, counted):
+        ja.table1(1, 4, 8)
+        # per word: the Klein relators (11 letters), then (ad)^4 and
+        # (adacac)^4 (32 letters) for each of k = 0..8
+        assert counted["letters"] <= 4 * (11 + 9 * 32)
 
 
 class TestTable1:

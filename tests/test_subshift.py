@@ -43,6 +43,15 @@ class TestZSft:
         y = ZSft.from_json(x.to_json())
         assert sm.languages_equal(x, y, 8)
 
+    def test_json_roundtrip_of_a_large_order(self):
+        # 4^12 blocks would have to be enumerated to write the complement
+        x = sm.sft_approximation(12)
+        text = x.to_json()
+        assert set(json.loads(text)) == {"alphabet", "order", "blocks"}
+        y = ZSft.from_json(text)
+        assert y.order == 12 and y.blocks == x.blocks
+        assert sm.languages_equal(x, y, 24)
+
     def test_forbidden_complement_guard(self):
         big = sm.sft_approximation(64)
         with pytest.raises(SizeLimitError):
