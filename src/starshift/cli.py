@@ -191,6 +191,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_schreier(args: argparse.Namespace) -> int:
+    jump_action.check_exponent(args.t)
     if args.circular:
         ring = core_words.build_w(args.n) + core_words.alpha_choice(args.n)
         word = CircularWord(ring * args.p)

@@ -5,9 +5,12 @@ The shift space studied by this package is generated by the palindromes
     w_1 = a,   w_{n+1} = w_n alpha w_n,
 
 where the middle letter alpha cycles through D, C, B as n runs through
-1, 2, 3, ... (mod 3).  Everything downstream (jump actions, windows, SFT
-approximations) consults this module for word construction and for the
-language oracle.
+1, 2, 3, ... (mod 3).  Their limit is a Toeplitz sequence: index i >= 1
+of the fixed point carries `a` when i is odd and "BDC"[v2(i) % 3]
+otherwise, v2 being the 2-adic valuation.  So the letters of a word fix
+its index modulo some 2^m, and :func:`phase` reads that index off the
+word one level at a time; language membership, the natural w_n blocks of
+windows and the factor map onto the tree all read that one parse.
 
 Words are plain strings.  Group words over the generators {a, b, c, d}
 of the free product Z2 * Z2^2 are also plain strings, kept in freely
@@ -44,9 +47,9 @@ _KAPPA = {"a": "aca", "b": "d", "c": "b", "d": "c"}
 
 
 def _check_letters(word: str) -> None:
-    for ch in word:
-        if ch not in _LETTER_RANK:
-            raise ValueError(f"invalid letter {ch!r}; expected one of {LETTERS}")
+    if not _LETTER_RANK.keys() >= set(word):
+        ch = next(ch for ch in word if ch not in _LETTER_RANK)
+        raise ValueError(f"invalid letter {ch!r}; expected one of {LETTERS}")
 
 
 def _check_generators(word: str) -> None:
@@ -180,19 +183,48 @@ def _adequate_n(length: int, cap: int) -> int:
     return n
 
 
+def phase(word: str) -> tuple[int, int] | None:
+    """Index of ``word[0]`` in the fixed point modulo 2^m, as ``(r, m)``
+    with m as large as the letters decide; None outside the language.
+
+    Level m keeps the letters at indices divisible by 2^m.  In one of
+    their two classes the quotients are odd and every letter is
+    "BDC"[m % 3] (`a` at level 0, which no higher level holds); the
+    parse goes on with the other class.  When both classes fit, up to
+    two letters leave the index undecided, since a lone B, C or D may
+    sit at any higher level; with more, the first class is the odd one,
+    as two letters 2^{m+1} apart cannot both sit higher.
+    """
+    _check_letters(word)
+    if not word:
+        return 0, 0
+    odd = 0 if word[0] == "a" else 1
+    if word[odd::2].strip("a") or "a" in word[1 - odd :: 2]:
+        return None
+    start, m = 1 - odd, 1  # word[start::2**m] sits at the indices 0 mod 2^m
+    while True:
+        rest, sep = word[start :: 2**m], "BDC"[m % 3]
+        first, second = not rest[::2].strip(sep), not rest[1::2].strip(sep)
+        if first and second:
+            if len(rest) <= 2:
+                return -start % 2**m, m
+            second = False
+        elif not (first or second):
+            return None
+        start += first << m  # go on with the other class
+        m += 1
+
+
 @lru_cache(maxsize=8192)
 def language_contains(word: str, cap: int = WORD_CAP) -> bool:
     """Whether ``word`` occurs in the shift space generated by the w_n.
 
-    Every language word of length <= 2^n - 1 already occurs inside
-    w_{n+3}, so membership reduces to one substring search.  Cached:
+    Words longer than 2^(cap-3) - 1 letters are refused with
+    SizeLimitError, the bound of :func:`language_words`.  Cached:
     windows re-validate the same long content many times over.
     """
-    _check_letters(word)
-    if not is_alternating(word):
-        return False
-    n = _adequate_n(len(word), cap)
-    return word in build_w(n + 3, cap)
+    _adequate_n(len(word), cap)
+    return phase(word) is not None
 
 
 def language_words(length: int, cap: int = WORD_CAP) -> list[str]:

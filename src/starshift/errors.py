@@ -9,10 +9,6 @@ class SizeLimitError(StarshiftError):
     """A requested computation exceeds a configured size cap."""
 
 
-class NotInLanguageError(StarshiftError):
-    """A word is outside the language of the substitutive shift."""
-
-
 class MarginExhaustedError(StarshiftError):
     """A window is too small to determine the requested quantity."""
 
@@ -39,7 +35,3 @@ class EmptySftError(StarshiftError):
 
 class ReconstructionError(StarshiftError):
     """A stabilizer oracle returned answers inconsistent with any point."""
-
-
-class InternalError(StarshiftError):
-    """An invariant that should hold on valid input was violated."""

@@ -6,12 +6,13 @@ position 2^n - 1 to 1^{n-1}0, and the second half of phi_{n+1} replays
 phi_n backwards with a 0 appended, mirroring the palindrome structure
 of w_{n+1} = w_n alpha w_n.
 
-On windows, the factor map is computed through the unique decomposition
-of the content into "natural" w_n blocks separated by single letters:
-locate the block at the origin, read off its star position, and take
-the leading bits of its Gray code.  Whenever the window is too short to
-pin the decomposition down, the operations raise MarginExhaustedError
-rather than guess.
+In the fixed point the natural w_n blocks start at the indices that are
+1 mod 2^n, so on windows the factor map reads the index of the first
+letter modulo 2^m from :func:`core_words.phase`: the w_{k+1} block at
+the origin gives a star position, whose Gray code leads with the first
+k bits of the tree vertex.  Whenever the letters do not fix the index
+modulo 2^{k+1}, or that block is not fully visible, the operations raise
+MarginExhaustedError rather than guess.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core_words import alpha_choice, build_w
-from .errors import InternalError, MarginExhaustedError, SizeLimitError
+from .core_words import build_w, phase
+from .errors import MarginExhaustedError, SizeLimitError
 from .full_group import Window
 
 GRAY_CAP = 20
@@ -84,46 +85,22 @@ def flip(n: int, j: int) -> int:
 def natural_decomposition(x: Window, n: int) -> list[int]:
     """Start offsets of the natural w_n blocks fully visible in a window.
 
-    The infinite point containing the window decomposes uniquely into
-    w_n blocks separated by single letters; within the window the
-    decomposition is recovered level by level.  Going from level m to
-    m+1 the blocks pair up with one of two phases, and the visible
-    separator letters decide which: pairs internal to a w_{m+1} show the
-    letter alpha_choice(m), while the complementary separators are of
-    strictly higher level and eventually differ from it.  If both
-    phases are consistent with the visible letters the window cannot
-    decide, and MarginExhaustedError is raised.
+    The blocks start where the index in the fixed point is 1 mod 2^n, so
+    the letters must fix the index of the window's first letter modulo
+    2^n (:func:`core_words.phase`); otherwise, or when no block is fully
+    visible, MarginExhaustedError is raised.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    letters = x.letters
-    offsets = [i for i, ch in enumerate(letters) if ch == "a"]
-    for level in range(1, n):
-        block = 2**level - 1
-        sep = alpha_choice(level)
-        consistent = []
-        for parity in (0, 1):
-            good = all(
-                letters[o + block] == sep
-                for o in offsets[parity::2]
-                if o + block < len(letters)
-            )
-            if good:
-                consistent.append(parity)
-        if len(consistent) != 1:
-            if len(consistent) == 2:
-                raise MarginExhaustedError(
-                    f"window too small to identify the natural w_{level + 1} blocks"
-                )
-            raise InternalError("no phase fits a language window")
-        nxt = 2 ** (level + 1) - 1
-        offsets = [
-            o for o in offsets[consistent[0] :: 2] if o + nxt <= len(letters)
-        ]
+    r, m = phase(x.letters)
+    if m < n:
+        raise MarginExhaustedError(
+            f"window too small to identify the natural w_{m + 1} blocks"
+        )
+    span = 2**n
+    offsets = list(range((1 - r) % span, len(x.letters) - span + 2, span))
     if not offsets:
         raise MarginExhaustedError(f"no full w_{n} block visible in the window")
-    if any(b - a != 2**n for a, b in zip(offsets, offsets[1:])):
-        raise InternalError("block offsets do not form the expected progression")
     return offsets
 
 
@@ -139,19 +116,13 @@ def psi(k: int, x: Window) -> str:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    span = 2 ** (k + 1) - 1
     offsets = natural_decomposition(x, k + 1)
-    central = [
-        o for o in offsets if o - x.origin <= 0 and (o - x.origin) + span - 1 >= -1
-    ]
+    central = [o for o in offsets if 0 <= x.origin - o < 2 ** (k + 1)]
     if not central:
         raise MarginExhaustedError(
             f"the w_{k + 1} block at the origin is not fully inside the window"
         )
-    if len(central) > 1:
-        raise InternalError("more than one central block")
-    position = x.origin - central[0]
-    return phi(k + 1).bits(position)[:k]
+    return phi(k + 1).bits(x.origin - central[0])[:k]
 
 
 def six_fiber_witnesses(m: int, cap: int = FIBER_CAP) -> list[Window]:

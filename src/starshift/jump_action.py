@@ -186,6 +186,12 @@ def relation_set(t: int) -> tuple[str, ...]:
     return relators
 
 
+def check_exponent(t: int) -> None:
+    """Raise SizeLimitError unless the relator exponent t is in 0..TABLE_CAPS[2]."""
+    if not 0 <= t <= TABLE_CAPS[2]:
+        raise SizeLimitError(f"relator exponent t={t} is outside 0..{TABLE_CAPS[2]}")
+
+
 def moving_relator(letters: str, t: int) -> int | None:
     """Index in :func:`relation_set` of the first relator that moves a
     starring of the circular word ``letters``, or None.
@@ -196,8 +202,7 @@ def moving_relator(letters: str, t: int) -> int | None:
     endomorphism of Z2 * Z2^2 and the Klein relators, checked first,
     hold on P.
     """
-    if not 0 <= t <= TABLE_CAPS[2]:
-        raise SizeLimitError(f"relator exponent t={t} is outside 0..{TABLE_CAPS[2]}")
+    check_exponent(t)
     perms = {g: circular_jump_permutation(letters, g) for g in GENERATORS}
     identity = np.arange(len(letters), dtype=np.int64)
     # (relator, k) in the order of relation_set: kappa^k is applied to it

@@ -14,6 +14,7 @@ the rest of the package.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -360,12 +361,13 @@ def pseudo_orbit_demo(
     """Checks making the repetition of w_n alpha a traceable-by-nothing orbit.
 
     (i) every word of length 2^n of the repetition is in the language
-    (so the point survives the order-2^n approximation, every such word
-    already occurring in w_{n+1}); (ii) the relator family of
-    :func:`relation_set` fixes all starrings of the circular word, so
-    the group acts on its orbit; (iii) yet no excerpt with both margins
-    2^{n+1} around the origin is a language word, so the point is not in
-    the shift space.
+    (so the point survives the order-2^n approximation); (ii) the
+    relator family of :func:`relation_set` fixes all starrings of the
+    circular word, so the group acts on its orbit; (iii) yet no excerpt
+    with both margins 2^{n+1} around the origin is a language word, so
+    the point is not in the shift space.  Checks (i) and (iii) and the
+    shortest failing excerpt are read from the longest language prefix
+    of the repetition at each start.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -378,28 +380,19 @@ def pseudo_orbit_demo(
     ring = build_w(n) + alpha
     rep = ring * (word_len // period + 2)
 
-    host = build_w(n + 1)
-    check_i = all(
-        language_contains(rep[s : s + period]) and rep[s : s + period] in host
+    # longest language prefix from each start, by bisection: the language
+    # is closed under factors
+    lengths = range(1, max(word_len, period) + 1)
+    reach = [
+        bisect_left(lengths, True, key=lambda k: not language_contains(rep[s : s + k]))
         for s in range(period)
-    )
-
+    ]
+    check_i = min(reach) >= period
     check_ii = moving_relator(ring, t) is None
-
-    check_iii = all(
-        not language_contains(rep[s : s + word_len]) for s in range(period)
-    )
-
-    minimal_len, witness = 0, ""
-    for length in range(1, word_len + 1):
-        bad = [
-            rep[s : s + length]
-            for s in range(period)
-            if not language_contains(rep[s : s + length])
-        ]
-        if bad:
-            minimal_len, witness = length, sorted(bad, key=core_words.lex_key)[0]
-            break
+    check_iii = max(reach) < word_len
+    minimal_len = min(reach) + 1 if min(reach) < word_len else 0
+    bad = [rep[s : s + minimal_len] for s in range(period) if reach[s] < minimal_len]
+    witness = min(bad, key=core_words.lex_key, default="")
 
     return PseudoOrbitReport(
         n=n,

@@ -4,20 +4,29 @@ Nothing here touches the follower-automaton machinery: language
 membership is decided by explicit extension search, so these functions
 stay valid as oracles for the code paths they check.  Relators are
 checked here in their expanded form, letter by letter against the jump
-tables, which the library never does.
+tables, which the library never does.  Membership in the shift's own
+language is a substring search in a long w_n, and the factor map is read
+from where a window's letters occur in w_16, where the library parses
+the letters instead.
 """
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from starshift.core_words import GENERATORS, is_alternating
+from starshift.core_words import GENERATORS, alpha_choice, build_w, is_alternating, lex_key
 from starshift.jump_action import (
     CircularWord,
     circular_jump_permutation,
     linear_jump_permutation,
+    relation_set,
     word_star_permutation,
 )
+from starshift.subshift import PseudoOrbitReport
+
+PLACEMENT_HOST = 16  # placements are occurrences in w_16
+PLACEMENT_BITS = 8  # kept modulo 2^8, enough for blocks up to w_8
 
 
 def admissible(word: str, forbidden) -> bool:
@@ -89,3 +98,99 @@ def relator_fixes_all_starrings(relator: str, base: str | CircularWord) -> bool:
         perms = {g: linear_jump_permutation(base, g) for g in GENERATORS}
     identity = np.arange(len(next(iter(perms.values()))), dtype=np.int64)
     return np.array_equal(word_star_permutation(relator, perms), identity)
+
+
+def host_language_contains(word: str) -> bool:
+    """Membership in the shift's language: alternation, then a substring
+    search, since a language word of length <= 2^n - 1 occurs in w_{n+3}."""
+    if not is_alternating(word):
+        return False
+    n = max(1, len(word).bit_length())
+    return word in build_w(n + 3)
+
+
+@lru_cache(maxsize=None)
+def placements(letters: str) -> frozenset[int]:
+    """Start positions of every occurrence of ``letters`` in w_16,
+    modulo 2^PLACEMENT_BITS; position p of w_16 has index p + 1 in the
+    fixed point."""
+    host = build_w(PLACEMENT_HOST)
+    found, i = set(), host.find(letters)
+    while i >= 0:
+        found.add(i % 2**PLACEMENT_BITS)
+        i = host.find(letters, i + 1)
+    return frozenset(found)
+
+
+@lru_cache(maxsize=None)
+def _gray_codes(n: int) -> tuple[int, ...]:
+    # phi_1 = (1, 0); phi_{n+1} appends 1 to phi_n, then 0 to phi_n reversed
+    codes = (1, 0)
+    for _ in range(n - 1):
+        codes = tuple(2 * c + 1 for c in codes) + tuple(2 * c for c in reversed(codes))
+    return codes
+
+
+def psi_by_placement(x, k: int) -> set[str]:
+    """First k Gray bits of the vertex below the window's origin, over
+    every occurrence of its letters in w_16, where the natural w_{k+1}
+    blocks start at the multiples of 2^{k+1}."""
+    assert k + 1 <= PLACEMENT_BITS
+    span = 2 ** (k + 1)
+    codes = _gray_codes(k + 1)
+    return {
+        format(codes[(s + x.origin) % span], f"0{k + 1}b")[:k]
+        for s in placements(x.letters)
+    }
+
+
+def blocks_by_placement(x, n: int) -> set[tuple[int, ...]]:
+    """Offsets of the fully visible w_n blocks, over every occurrence of
+    the window's letters in w_16."""
+    assert n <= PLACEMENT_BITS
+    span = 2**n
+    return {
+        tuple(o for o in range(len(x.letters) - span + 2) if (s + o) % span == 0)
+        for s in placements(x.letters)
+    }
+
+
+def pseudo_orbit_by_scan(n: int, word_len: int | None = None, t: int = 6) -> PseudoOrbitReport:
+    """The periodic pseudo-point report with one membership query for
+    every excerpt of every length, checked by substring search, and the
+    relators expanded."""
+    period = 2**n
+    if word_len is None:
+        word_len = 4 * period
+    ring = build_w(n) + alpha_choice(n)
+    rep = ring * (word_len // period + 2)
+    host = build_w(n + 1)
+    check_i = all(
+        host_language_contains(rep[s : s + period]) and rep[s : s + period] in host
+        for s in range(period)
+    )
+    check_ii = all(relator_fixes_all_starrings(r, CircularWord(ring)) for r in relation_set(t))
+    check_iii = all(
+        not host_language_contains(rep[s : s + word_len]) for s in range(period)
+    )
+    minimal_len, witness = 0, ""
+    for length in range(1, word_len + 1):
+        bad = [
+            rep[s : s + length]
+            for s in range(period)
+            if not host_language_contains(rep[s : s + length])
+        ]
+        if bad:
+            minimal_len, witness = length, sorted(bad, key=lex_key)[0]
+            break
+    return PseudoOrbitReport(
+        n=n,
+        alpha=alpha_choice(n),
+        period=period,
+        window_length=word_len,
+        in_approximation=check_i,
+        action_well_defined=check_ii,
+        outside_language=check_iii,
+        minimal_failing_length=minimal_len,
+        failing_word=witness,
+    )

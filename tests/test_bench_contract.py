@@ -67,3 +67,14 @@ def test_bench_name_resolves(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_cached_targets_expose_their_cache():
+    # bench/run.py clears these caches and bench/tracing.py reads their
+    # hit counts, so dropping an lru_cache breaks every benchmark pass
+    for target in _tracing_literals()["TARGETS"].elts:
+        module, attr, _, cached = target.elts
+        if not cached.value:
+            continue
+        owner = getattr(importlib.import_module(f"starshift.{module.value}"), attr.value)
+        assert callable(owner.cache_info) and callable(owner.cache_clear), attr.value

@@ -86,6 +86,14 @@ class TestSchreier:
             expected = f"action not well-defined: relator {relator} moves a starring\n"
             assert err == expected
 
+    def test_exponent_is_capped_without_require_action(self, capsys):
+        # --t only matters with --require-action; within 0..8 it changes nothing
+        for argv in (["--n", "2"], ["--n", "2", "--circular", "--p", "3"]):
+            results = {run(capsys, "schreier", *argv, "--t", str(t)) for t in range(9)}
+            assert len(results) == 1 and results.pop()[0] == 0
+            code, out, err = run(capsys, "schreier", *argv, "--t", "9")
+            assert (code, out, err) == (2, "", "error: relator exponent t=9 is outside 0..8\n")
+
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, "schreier", "--n", "1", "--format", "json")
         payload = json.loads(out)
@@ -168,6 +176,8 @@ def test_io_error_exit_two(capsys, tmp_path):
         ["schreier", "--circular", "--p", "0"],
         ["schreier", "--circular", "--require-action", "--t", "-1"],
         ["schreier", "--circular", "--require-action", "--t", "9"],  # cap: t <= 8
+        ["schreier", "--n", "2", "--t", "99"],
+        ["schreier", "--n", "2", "--circular", "--p", "3", "--t", "99"],
         ["stabilizer", "--budget", "-1"],
         ["stabilizer", "--budget", "0"],  # would "verify" the empty string
         ["stabilizer", "--source-n", "0"],

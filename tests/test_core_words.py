@@ -1,6 +1,10 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import host_language_contains, placements, PLACEMENT_BITS
 from starshift import core_words as cw
 from starshift.errors import SizeLimitError
 
@@ -166,3 +170,66 @@ class TestLanguage:
     def test_cap_error(self):
         with pytest.raises(SizeLimitError):
             cw.language_contains("aD" * 2000, cap=12)
+
+    def test_letters_are_checked(self):
+        with pytest.raises(ValueError):
+            cw.language_contains("aX")
+
+    @pytest.mark.parametrize("length", range(0, 10))
+    def test_matches_host_oracle_on_every_word(self, length):
+        for letters in itertools.product(cw.LETTERS, repeat=length):
+            u = "".join(letters)
+            assert cw.language_contains(u) == host_language_contains(u), u
+
+    def test_matches_host_oracle_on_mutated_factors(self):
+        # one of B, C, D replaced by another: alternation survives, so
+        # the substring search has to decide
+        host = cw.build_w(15)
+        rng = random.Random(4)
+        for _ in range(300):
+            length = rng.randint(1, 4096)
+            start = rng.randrange(len(host) - length + 1)
+            u = host[start : start + length]
+            slots = [i for i, ch in enumerate(u) if ch != "a"]
+            if not slots:
+                continue
+            i = rng.choice(slots)
+            v = u[:i] + rng.choice([c for c in "BCD" if c != u[i]]) + u[i + 1 :]
+            assert cw.language_contains(u) and host_language_contains(u)
+            assert cw.language_contains(v) == host_language_contains(v), (start, length, i)
+
+
+class TestPhase:
+    def test_examples(self):
+        assert cw.phase("") == (0, 0)
+        assert cw.phase("a") == (1, 1)
+        assert cw.phase("D") == (0, 1)  # index 2 mod 4, or 0 mod 32, ...
+        assert cw.phase("B") == (0, 3)
+        assert cw.phase("aDa") == (1, 1)  # D at level 1 or 4
+        assert cw.phase("aDaCaDa") == (1, 2)
+        assert cw.phase("aa") is None
+        assert cw.phase("CaC") is None  # one of two letters 2 apart is D
+        assert cw.phase("DaDaD") == (14, 4)  # the middle D at level 4 or 7 or ...
+        assert cw.phase("DaDaDaD") is None
+        with pytest.raises(ValueError):
+            cw.phase("ab")
+
+    def test_index_of_host_factors(self):
+        host = cw.build_w(14)
+        rng = random.Random(14)
+        for _ in range(2000):
+            length = rng.randint(0, 600)
+            start = rng.randrange(len(host) - length + 1)
+            r, m = cw.phase(host[start : start + length])
+            assert (start + 1 - r) % 2**m == 0, (start, length)
+
+    def test_decides_exactly_what_the_placements_decide(self):
+        # every occurrence in w_16 agrees modulo 2^m, and, where w_16 has
+        # room to tell, two of them differ modulo 2^{m+1}
+        host = cw.build_w(10)
+        factors = {host[s : s + n] for n in range(1, 41) for s in range(len(host) - n + 1)}
+        for u in factors:
+            r, m = cw.phase(u)
+            found = {(s + 1) % 2 ** (m + 1) for s in placements(u)}
+            assert {i % 2**m for i in found} == {r}, u
+            assert len(found) == 2 or m >= PLACEMENT_BITS, u

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import blocks_by_placement, psi_by_placement
 from starshift import gray_factor as gf, jump_action as ja, tree_action as ta
 from starshift.core_words import build_w
 from starshift.errors import MarginExhaustedError, SizeLimitError
@@ -109,6 +110,36 @@ class TestPsi:
                 assert b.startswith(a)
             mirrored = reverse_window(win)
             assert [gf.psi(k, mirrored) for k in (1, 2, 3, 4)] == values
+
+    def test_window_the_level_loop_left_undecided(self):
+        # the partly visible blocks at the edges fix the phase of w_5
+        win = Window("aCaDaCaDaBaDaCaDaDaDaCaDaBaDaCaDaDaDaCaDaBaDa", 2)
+        assert gf.psi(4, win) == "1111"
+        assert psi_by_placement(win, 4) == {"1111"}
+
+    @pytest.mark.parametrize("lengths", [range(0, 16), range(16, 28), range(28, 35), range(35, 41)])
+    def test_values_match_every_placement(self, lengths):
+        # every factor of w_10 of these lengths, every origin: a value
+        # psi or natural_decomposition returns is the one every
+        # occurrence of the letters in w_16 gives
+        host = build_w(10)
+        factors = {host[s : s + n] for n in lengths for s in range(len(host) - n + 1)}
+        for letters in sorted(factors):
+            win = Window(letters, 0)
+            for n in range(1, 7):
+                try:
+                    offsets = gf.natural_decomposition(win, n)
+                except MarginExhaustedError:
+                    continue
+                assert blocks_by_placement(win, n) == {tuple(offsets)}, (letters, n)
+            for origin in range(len(letters) + 1):
+                win = Window(letters, origin)
+                for k in range(1, 6):
+                    try:
+                        value = gf.psi(k, win)
+                    except MarginExhaustedError:
+                        continue
+                    assert psi_by_placement(win, k) == {value}, (letters, origin, k)
 
     def test_agreement_with_conjugacy_table(self):
         # when the window is a starring of w_m with the central block

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from oracles import naive_words, orbit_sft_forbidden
+from oracles import naive_words, orbit_sft_forbidden, pseudo_orbit_by_scan
 from starshift import subshift as sm
-from starshift.core_words import build_w, language_words
+from starshift.core_words import build_w, language_contains, language_words
 from starshift.errors import DisjointnessError, EmptySftError, SizeLimitError
 from starshift.subshift import WangTile, ZSft
 
@@ -254,3 +254,24 @@ class TestPseudoOrbit:
     def test_cap(self):
         with pytest.raises(SizeLimitError):
             sm.pseudo_orbit_demo(9)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_length_scan(self, n):
+        assert sm.pseudo_orbit_demo(n).to_dict() == pseudo_orbit_by_scan(n).to_dict()
+
+    @pytest.mark.parametrize("word_len", [0, 1, 5, 8, 13, 40])
+    def test_short_windows_match_the_length_scan(self, word_len):
+        report = sm.pseudo_orbit_demo(3, word_len=word_len, t=2)
+        assert report == pseudo_orbit_by_scan(3, word_len=word_len, t=2)
+
+    def test_language_queries_are_few(self, monkeypatch):
+        # one bisection per start instead of one query per start and length
+        calls = []
+
+        def counting(word):
+            calls.append(word)
+            return language_contains(word)
+
+        monkeypatch.setattr(sm, "language_contains", counting)
+        sm.pseudo_orbit_demo(6)
+        assert len(calls) <= 64 * 10
