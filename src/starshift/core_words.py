@@ -92,10 +92,17 @@ def build_w(n: int, cap: int = WORD_CAP) -> str:
     return _build_w(n)
 
 
+def _alternates(word: str) -> bool:
+    # one class of positions mod 2 holds only `a`, the other no `a`;
+    # word[0] says which
+    odd = 0 if word[:1] == "a" else 1
+    return not word[odd::2].strip("a") and "a" not in word[1 - odd :: 2]
+
+
 def is_alternating(word: str) -> bool:
     """True iff in every adjacent pair exactly one letter is `a`."""
     _check_letters(word)
-    return all((x == "a") != (y == "a") for x, y in zip(word, word[1:]))
+    return _alternates(word)
 
 
 def is_cyclically_alternating(word: str) -> bool:
@@ -198,10 +205,9 @@ def phase(word: str) -> tuple[int, int] | None:
     _check_letters(word)
     if not word:
         return 0, 0
-    odd = 0 if word[0] == "a" else 1
-    if word[odd::2].strip("a") or "a" in word[1 - odd :: 2]:
+    if not _alternates(word):
         return None
-    start, m = 1 - odd, 1  # word[start::2**m] sits at the indices 0 mod 2^m
+    start, m = int(word[0] == "a"), 1  # word[start::2**m] sits at the indices 0 mod 2^m
     while True:
         rest, sep = word[start :: 2**m], "BDC"[m % 3]
         first, second = not rest[::2].strip(sep), not rest[1::2].strip(sep)

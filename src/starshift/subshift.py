@@ -4,8 +4,9 @@ An SFT is stored by its admissible blocks of one fixed length (the
 order); the follower automaton has the (order-1)-blocks as states and
 the order-blocks as edges.  After trimming states without incoming or
 outgoing edges, bi-infinite paths through the automaton are exactly the
-configurations, so language queries and periodic-point searches reduce
-to path enumeration.
+configurations, so language queries reduce to path enumeration, and
+periodic points to the closed paths that spell a necklace, which lists
+each orbit once.
 
 Alphabet symbols are single characters and words are strings, matching
 the rest of the package.
@@ -119,9 +120,14 @@ class ZSft:
             )
         )
 
-    def _key(self, word: str):
-        rank = {c: i for i, c in enumerate(self.alphabet)}
-        return tuple(rank[c] for c in word)
+    @cached_property
+    def _rank_table(self) -> dict[int, str]:
+        # translation table sending each symbol to its rank as a character
+        return str.maketrans({c: chr(i) for i, c in enumerate(self.alphabet)})
+
+    def _key(self, word: str) -> str:
+        """Sort key realizing the alphabet's order."""
+        return word.translate(self._rank_table)
 
     def words(self, length: int) -> set[str]:
         """Words of the given length appearing in some configuration."""
@@ -179,25 +185,37 @@ def periodic_points(sft: ZSft, p: int, cap: int = PERIOD_CAP) -> list[str]:
     """All period-p orbits, as canonical rotations of their repeating word.
 
     A period-p point is a closed length-p path in the follower
-    automaton; the list is sorted in the alphabet's order and empty when
-    no such point exists.
+    automaton.  The search extends only prenecklaces under the
+    alphabet's order (the rule of Fredricksen, Kessler and Maiorana):
+    ``lyn`` is the period of the word's longest Lyndon prefix, a letter
+    below the one ``lyn`` places back is pruned, and at length p the
+    word is a necklace iff ``lyn`` divides p.  The start state is the
+    last order-1 letters of ``word^Z``, so each orbit is found once,
+    already as its least rotation.  The list is sorted in the
+    alphabet's order and empty when no such point exists.
     """
     if p < 1:
         raise ValueError("p must be positive")
     if p > cap:
         raise SizeLimitError(f"period {p} exceeds the cap {cap}")
     trans = sft._automaton
-    found: set[str] = set()
+    rank = {c: i for i, c in enumerate(sft.alphabet)}
+    found: list[str] = []
     for start in trans:
-        stack = [(start, "")]
+        stack = [(t, c, 1) for c, t in trans[start].items()]
         while stack:
-            state, word = stack.pop()
-            if len(word) == p:
-                if state == start:
-                    found.add(canonical_rotation(word, sft.alphabet))
+            state, word, lyn = stack.pop()
+            i = len(word)
+            if i == p:
+                if state == start and p % lyn == 0:
+                    found.append(word)
                 continue
+            back = rank[word[i - lyn]]
             for c, t in trans[state].items():
-                stack.append((t, word + c))
+                if rank[c] > back:
+                    stack.append((t, word + c, i + 1))
+                elif rank[c] == back:
+                    stack.append((t, word + c, lyn))
     return sorted(found, key=sft._key)
 
 

@@ -1,17 +1,19 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Nothing here touches the follower-automaton machinery: language
-membership is decided by explicit extension search, so these functions
-stay valid as oracles for the code paths they check.  Relators are
-checked here in their expanded form, letter by letter against the jump
-tables, which the library never does.  Membership in the shift's own
-language is a substring search in a long w_n, and the factor map is read
-from where a window's letters occur in w_16, where the library parses
-the letters instead.
+SFT language membership is decided by explicit extension search, not by
+the follower automaton.  Periodic points do read the automaton, but walk
+every closed path and reduce it to its least rotation, or count the
+closed walks through traces of its adjacency matrix, where the library
+enumerates necklaces only.  Relators are checked here in their expanded
+form, letter by letter against the jump tables, which the library never
+does.  Membership in the shift's own language is a substring search in a
+long w_n, and the factor map is read from where a window's letters occur
+in w_16, where the library parses the letters instead.
 """
 
 from functools import lru_cache
 from itertools import product
+from math import gcd
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from starshift.jump_action import (
     relation_set,
     word_star_permutation,
 )
-from starshift.subshift import PseudoOrbitReport
+from starshift.subshift import PseudoOrbitReport, ZSft, canonical_rotation
 
 PLACEMENT_HOST = 16  # placements are occurrences in w_16
 PLACEMENT_BITS = 8  # kept modulo 2^8, enough for blocks up to w_8
@@ -98,6 +100,12 @@ def relator_fixes_all_starrings(relator: str, base: str | CircularWord) -> bool:
         perms = {g: linear_jump_permutation(base, g) for g in GENERATORS}
     identity = np.arange(len(next(iter(perms.values()))), dtype=np.int64)
     return np.array_equal(word_star_permutation(relator, perms), identity)
+
+
+def alternating_by_pairs(word: str) -> bool:
+    """Alternation read pair by pair: exactly one letter of each adjacent
+    pair is `a`."""
+    return all((x == "a") != (y == "a") for x, y in zip(word, word[1:]))
 
 
 def host_language_contains(word: str) -> bool:
@@ -194,3 +202,62 @@ def pseudo_orbit_by_scan(n: int, word_len: int | None = None, t: int = 6) -> Pse
         minimal_failing_length=minimal_len,
         failing_word=witness,
     )
+
+
+def periodic_points_by_dfs(sft: ZSft, p: int) -> list[str]:
+    """Every closed length-p path of the follower automaton from every
+    state, each reduced to its canonical rotation, so an orbit is found
+    once per closed walk through it; sorted by the tuple of ranks."""
+    trans = sft._automaton
+    found: set[str] = set()
+    for start in trans:
+        stack = [(start, "")]
+        while stack:
+            state, word = stack.pop()
+            if len(word) == p:
+                if state == start:
+                    found.add(canonical_rotation(word, sft.alphabet))
+                continue
+            for c, t in trans[state].items():
+                stack.append((t, word + c))
+    return sorted(found, key=lambda w: tuple(sft.alphabet.index(c) for c in w))
+
+
+def closed_walk_traces(sft: ZSft, p_max: int) -> list[int]:
+    """tr(A^d) for d = 0..p_max, A the adjacency matrix of the follower
+    automaton, over Python ints (rows kept as dicts of the non-zero
+    entries)."""
+    trans = sft._automaton
+    adjacency = {s: {} for s in trans}
+    for s, edges in trans.items():
+        for t in edges.values():
+            adjacency[s][t] = adjacency[s].get(t, 0) + 1
+    power = {s: {s: 1} for s in trans}
+    traces = [len(trans)]
+    for _ in range(p_max):
+        nxt = {}
+        for s, row in power.items():
+            out: dict[str, int] = {}
+            for k, v in row.items():
+                for t, w in adjacency[k].items():
+                    out[t] = out.get(t, 0) + v * w
+            nxt[s] = out
+        power = nxt
+        traces.append(sum(row.get(s, 0) for s, row in power.items()))
+    return traces
+
+
+def periodic_orbit_count(sft: ZSft, p: int) -> int:
+    """Number of period-p orbits by Burnside's lemma on the closed walks:
+    (1/p) * sum over d | p of phi(p/d) * tr(A^d), since rotating a closed
+    length-p walk by k places fixes exactly the walks of period gcd(k, p)."""
+    traces = closed_walk_traces(sft, p)
+    total = sum(
+        _totient(p // d) * traces[d] for d in range(1, p + 1) if p % d == 0
+    )
+    assert total % p == 0
+    return total // p
+
+
+def _totient(n: int) -> int:
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)

@@ -1,6 +1,9 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starshift.cli import main
 
@@ -199,3 +202,59 @@ def test_bad_input_exits_two(capsys, argv):
     assert code == 2
     assert "Traceback" not in err
     assert "PASS" not in out
+
+
+# integer flags of each subcommand: (small valid values, values over its cap)
+_INTEGER_FLAGS = {
+    "table1": {"--n-max": ([1, 2], [9]), "--p-max": ([1, 3, 10], [65]), "--t": ([0, 2], [9])},
+    "verify": {"--max-n": ([1, 2, 3], [25])},
+    "schreier": {"--n": ([1, 2, 3], [25]), "--p": ([1, 2, 3], []), "--t": ([0, 8], [9])},
+    "pseudo-orbit": {"--n": ([1, 2, 3], [9]), "--t": ([0, 2], [9])},
+    "stabilizer": {
+        "--seed": ([0, 7], []),
+        "--budget": ([1, 4], [10**6]),
+        "--source-n": ([6, 8], [25]),
+    },
+    "sft": {"--k": ([2, 3], [22])},
+}
+_SWITCHES = {
+    "table1": ["--paper-layout"],
+    "schreier": ["--circular", "--require-action", "--format=dot", "--format=json", "--format=svg"],
+}
+_NOT_INTEGERS = ["x", "1.5", "", "1e3", "0x4", "--"]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_INTEGER_FLAGS)))
+    argv = [command]
+    if command == "sft":
+        argv.append(draw(st.sampled_from(["union-demo", "comb-demo", "bogus"])))
+    for flag, (valid, over) in _INTEGER_FLAGS[command].items():
+        if draw(st.booleans()):
+            value = draw(
+                st.one_of(
+                    st.sampled_from(valid + over).map(str),
+                    st.integers(-3, 0).map(str),
+                    st.sampled_from(_NOT_INTEGERS),
+                )
+            )
+            argv += [flag, value]
+    for switch in _SWITCHES.get(command, []):
+        if draw(st.booleans()):
+            argv.append(switch)
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argv())
+def test_any_argv_keeps_the_exit_contract(argv):
+    # an exception escaping main is the in-process form of a traceback
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flag
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()

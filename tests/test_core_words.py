@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import host_language_contains, placements, PLACEMENT_BITS
+from oracles import alternating_by_pairs, host_language_contains, placements, PLACEMENT_BITS
 from starshift import core_words as cw
 from starshift.errors import SizeLimitError
 
@@ -55,6 +55,13 @@ def test_is_alternating_examples():
     assert cw.is_alternating("")
     with pytest.raises(ValueError):
         cw.is_alternating("ax")
+
+
+@pytest.mark.parametrize("length", range(9))
+def test_is_alternating_matches_the_pairs(length):
+    for letters in itertools.product(cw.LETTERS, repeat=length):
+        word = "".join(letters)
+        assert cw.is_alternating(word) == alternating_by_pairs(word), word
 
 
 def test_reverse():

@@ -1,10 +1,17 @@
+import hashlib
 import itertools
 import json
 import random
 
 import pytest
 
-from oracles import naive_words, orbit_sft_forbidden, pseudo_orbit_by_scan
+from oracles import (
+    naive_words,
+    orbit_sft_forbidden,
+    periodic_orbit_count,
+    periodic_points_by_dfs,
+    pseudo_orbit_by_scan,
+)
 from starshift import subshift as sm
 from starshift.core_words import build_w, language_contains, language_words
 from starshift.errors import DisjointnessError, EmptySftError, SizeLimitError
@@ -51,6 +58,14 @@ class TestZSft:
         y = ZSft.from_json(text)
         assert y.order == 12 and y.blocks == x.blocks
         assert sm.languages_equal(x, y, 24)
+
+    def test_json_blocks_follow_the_alphabet_order(self):
+        x = ZSft.from_forbidden("ba", ["aa"])
+        assert json.loads(x.to_json())["blocks"] == ["bb", "ba", "ab"]
+        # sft_approximation(12).to_json() before the sort key was a table
+        text = sm.sft_approximation(12).to_json().encode()
+        digest = "334a17d755d277c85409933e1ffa5618214f67e0047f4416670df8beede16fc3"
+        assert hashlib.sha256(text).hexdigest() == digest
 
     def test_forbidden_complement_guard(self):
         big = sm.sft_approximation(64)
@@ -100,6 +115,50 @@ class TestApproximation:
             sm.sft_approximation(257)
 
 
+def _scan_cases():
+    # every (order, p) criterion 05 visits for p <= 14, stopping where the
+    # count says the approximation has no period-p point
+    for p in range(1, 15):
+        order = 2
+        while order <= 8 * p:
+            x = sm.sft_approximation(order)
+            yield x, p
+            if not periodic_orbit_count(x, p):
+                break
+            order = order + 1 if order < 8 else order + 4
+
+
+def _comb_cases():
+    for k in (2, 3, 4):
+        comb = sm.comb_sft([WangTile("T", "x", "x")], k)
+        yield from ((comb, p) for p in range(1, 4 * k + 1))
+
+
+def _union_cases():
+    union = sm.union_sft(ZSft.from_forbidden("01", ["11"]), ZSft.from_forbidden("01", ["0"]))
+    yield from ((union, p) for p in range(1, 2 * union.order + 1))
+
+
+def _random_cases():
+    rng = random.Random(17)
+    for _ in range(50):
+        alphabet = rng.choice(("01", "012"))
+        forbidden = [
+            "".join(rng.choices(alphabet, k=rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 5))
+        ]
+        x = ZSft.from_forbidden(alphabet, forbidden)
+        yield from ((x, p) for p in range(1, 11))
+
+
+_POINT_CASES = {
+    "scan": _scan_cases,
+    "comb": _comb_cases,
+    "union": _union_cases,
+    "random": _random_cases,
+}
+
+
 class TestPeriodicPoints:
     def test_survivor_at_order_four(self):
         pts = sm.periodic_points(sm.sft_approximation(4), 4)
@@ -131,6 +190,34 @@ class TestPeriodicPoints:
     def test_cap(self):
         with pytest.raises(SizeLimitError):
             sm.periodic_points(sm.sft_approximation(2), 65)
+
+    @pytest.mark.parametrize("family", sorted(_POINT_CASES))
+    def test_matches_the_oracles(self, family):
+        for x, p in _POINT_CASES[family]():
+            pts = sm.periodic_points(x, p)
+            assert pts == periodic_points_by_dfs(x, p), (family, x.order, p)
+            assert len(pts) == periodic_orbit_count(x, p), (family, x.order, p)
+            assert len(set(pts)) == len(pts)
+            for word in pts:
+                assert word == sm.canonical_rotation(word, x.alphabet)
+                ring = word * (x.order // p + 2)
+                assert all(ring[i : i + x.order] in x.blocks for i in range(p))
+
+    def test_alternating_count_at_order_two(self):
+        # the necklaces of the eight letters between the `a`s, over BCD
+        x = sm.sft_approximation(2)
+        assert len(sm.periodic_points(x, 16)) == periodic_orbit_count(x, 16) == 834
+
+    def test_no_canonical_rotations(self, monkeypatch):
+        calls = []
+        rotate = sm.canonical_rotation
+        monkeypatch.setattr(
+            sm, "canonical_rotation", lambda *args: calls.append(args) or rotate(*args)
+        )
+        for order, p in ((2, 16), (7, 8), (12, 12)):
+            assert sm.periodic_points(sm.sft_approximation(order), p)
+        assert sm.periodic_points(sm.comb_sft([WangTile("T", "x", "x")], 3), 12)
+        assert calls == []
 
 
 class TestUnion:
