@@ -12,15 +12,21 @@ import argparse
 import json
 import random
 import sys
+from functools import cache
 
 import numpy as np
 
 from . import core_words, full_group, gray_factor, jump_action, subshift, tree_action
-from .errors import StarshiftError
+from .errors import SizeLimitError, StarshiftError
 from .full_group import Window
 from .jump_action import CircularStarredWord, CircularWord
 
 EXPECTED_POWERS = (1, 2, 4, 8)
+
+# at most 2^SCHREIER_LOG2_CAP starring positions p * 2^n in an exported graph:
+# every vertex is labelled by its whole word, so the output grows with the
+# square of the positions (2^11 write 24 MiB in 0.6 s, 2^12 already 96 MiB)
+SCHREIER_LOG2_CAP = 11
 
 
 def _write(path: str | None, text: str) -> None:
@@ -166,6 +172,7 @@ def _check_minimality(max_n: int) -> bool:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    core_words.check_word_cap(args.max_n)
     alpha_fn = core_words.alpha_choice
     if args.inject_alpha_bug:
         alpha_fn = lambda n: "BDC"[(n + 1) % 3]  # negative control
@@ -192,18 +199,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_schreier(args: argparse.Namespace) -> int:
     jump_action.check_exponent(args.t)
+    copies = args.p if args.circular else 1
+    if args.n > SCHREIER_LOG2_CAP or copies > 2 ** (SCHREIER_LOG2_CAP - args.n):
+        raise SizeLimitError(f"a graph on {copies} * 2^{args.n} starrings "
+                             f"exceeds the cap of 2^{SCHREIER_LOG2_CAP}")
     if args.circular:
         ring = core_words.build_w(args.n) + core_words.alpha_choice(args.n)
-        word = CircularWord(ring * args.p)
-        vertices = [CircularStarredWord(word, s) for s in range(len(word))]
         if args.require_action:
-            failing = jump_action.moving_relator(word.letters, args.t)
+            failing = jump_action.moving_relator(ring, args.t, args.p)
             if failing is not None:
                 relator = jump_action.relation_set(args.t)[failing]
                 sys.stderr.write(
                     f"action not well-defined: relator {relator} moves a starring\n"
                 )
                 return 1
+        word = CircularWord(ring * args.p)
+        vertices = [CircularStarredWord(word, s) for s in range(len(word))]
     else:
         vertices = jump_action.orbit_of_starrings(core_words.build_w(args.n))
     graph = full_group.schreier_graph(vertices)
@@ -325,14 +336,23 @@ def _at_least(low: int):
     return integer
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="starshift",
         description="Starred-word actions, their tree factor, and SFT experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table1", help="relator survival table for circular words")
+    p = sub.add_parser(
+        "table1",
+        help="relator survival table for circular words",
+        description="Survival of the relator family on the circular words "
+        "(w_n alpha)^p.  Each row is read off one lift to the Z-cover: p "
+        "survives iff it divides the gcd of the relators' winding numbers, "
+        "8 once t >= n, so the ones sit at p in {1, 2, 4, 8}.",
+    )
     p.add_argument("--n-max", type=_at_least(1), default=6)
     p.add_argument("--p-max", type=_at_least(1), default=50)
     p.add_argument("--t", type=_at_least(0), default=6)

@@ -87,9 +87,14 @@ def build_w(n: int, cap: int = WORD_CAP) -> str:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    check_word_cap(n, cap)
+    return _build_w(n)
+
+
+def check_word_cap(n: int, cap: int = WORD_CAP) -> None:
+    """Raise SizeLimitError if w_n is beyond the cap, before building it."""
     if n > cap:
         raise SizeLimitError(f"w_{n} exceeds the cap n <= {cap}")
-    return _build_w(n)
 
 
 def _alternates(word: str) -> bool:

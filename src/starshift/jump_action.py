@@ -9,14 +9,17 @@ generator jumps the star across an adjacent letter from its jump set:
 alternating words at most one neighbor qualifies, so the rule is a
 well-defined involution for each generator.  Read cyclically it acts on
 circular words; the permutation tables are its vectorised view, and
-the relator family is checked on them through kappa, never expanded.  Words
-are validated once, when they enter; moves skip the check.
+the relator family is checked on them through kappa, never expanded, on
+the lift of a circular word to the Z-cover, which serves every p-fold
+repetition of it at once.  Words are validated once, when they enter;
+moves skip the check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -155,17 +158,31 @@ def linear_jump_permutation(letters: str, g: str) -> np.ndarray:
     return _jump_table(f" {letters} ", g)  # no generator jumps the blank ends
 
 
+def circular_jump_lift(letters: str, g: str) -> np.ndarray:
+    """One generator on the star positions of the periodic word
+    ``letters^Z``, read on [0, len): the values lie in [-1, len], and
+    position x of the Z-cover goes to ``T[x % len] + (x - x % len)``."""
+    return _jump_table(letters[-1:] + letters, g)
+
+
 def circular_jump_permutation(letters: str, g: str) -> np.ndarray:
     """Permutation of star positions [0, len) under one generator, cyclic."""
-    return _jump_table(letters[-1:] + letters, g) % len(letters)
+    return circular_jump_lift(letters, g) % len(letters)
 
 
 def word_star_permutation(word: str, gen_perms: dict[str, np.ndarray]) -> np.ndarray:
-    """Compose generator permutations along a group word, right-to-left."""
+    """Compose generator tables along a group word, right-to-left.
+
+    Position x goes to ``T[x % size] + (x - x % size)`` under a table T
+    of the given size: lifts (:func:`circular_jump_lift`) compose on the
+    Z-cover, and tables with values in [0, size) compose as permutations.
+    """
     size = len(next(iter(gen_perms.values())))
     perm = np.arange(size, dtype=np.int64)
+    # x + (T - identity)[x % size]; take's wrap mode is cheaper than %
+    steps = {g: gen_perms[g] - perm for g in set(word)}
     for g in reversed(word):
-        perm = gen_perms[g][perm]
+        perm = perm + steps[g].take(perm, mode="wrap")
     return perm
 
 
@@ -192,37 +209,68 @@ def check_exponent(t: int) -> None:
         raise SizeLimitError(f"relator exponent t={t} is outside 0..{TABLE_CAPS[2]}")
 
 
-def moving_relator(letters: str, t: int) -> int | None:
-    """Index in :func:`relation_set` of the first relator that moves a
-    starring of the circular word ``letters``, or None.
+def relator_windings(letters: str, t: int) -> list[int | None]:
+    """How each relator of :func:`relation_set` acts on the lift of the
+    circular word ``letters`` to the Z-cover, in order, up to the first
+    that moves a starring of ``letters`` itself (recorded as None).
 
-    kappa^k(r) is never expanded: its permutation under the tables P is
+    A relator R fixing every starring of ``letters`` moves position j of
+    the cover by a multiple of the length L; its entry is the gcd of the
+    winding numbers (R(j) - j) / L, 0 when all are 0.  Reducing mod pL
+    maps the lifts onto the jump action on ``letters * p``, so R fixes
+    every starring of ``letters * p`` iff p divides its entry.
+
+    kappa^k(r) is never expanded: its lift under the lifted tables P is
     that of r under the kappa-images P'_a = P_a P_c P_a, P'_b = P_d,
-    P'_c = P_b, P'_d = P_c.  That is exact because kappa is an
-    endomorphism of Z2 * Z2^2 and the Klein relators, checked first,
-    hold on P.
+    P'_c = P_b, P'_d = P_c.  Read on ``letters * p`` that is exact
+    because kappa is an endomorphism of Z2 * Z2^2 and the Klein
+    relators, checked first, hold there.
     """
     check_exponent(t)
-    perms = {g: circular_jump_permutation(letters, g) for g in GENERATORS}
-    identity = np.arange(len(letters), dtype=np.int64)
+    perms = {g: circular_jump_lift(letters, g) for g in GENERATORS}
+    size = len(letters)
+    identity = np.arange(size, dtype=np.int64)
     # (relator, k) in the order of relation_set: kappa^k is applied to it
     family = [(r, 0) for r in _KLEIN_RELATORS]
     family += [(r, k) for k in range(t + 1) for r in _KAPPA_SEEDS]
     level = 0
-    for index, (relator, k) in enumerate(family):
+    windings = []
+    for relator, k in family:
         if k > level:  # replace the tables by their kappa-images
-            a, b, c, d = (perms[g] for g in GENERATORS)
-            perms, level = {"a": a[c[a]], "b": d, "c": b, "d": c}, k
-        if not np.array_equal(word_star_permutation(relator, perms), identity):
-            return index
-    return None
+            perms = {"a": word_star_permutation("aca", perms),
+                     "b": perms["d"], "c": perms["b"], "d": perms["c"]}
+            level = k
+        # the windings are all integers iff the gcd of the shifts is a
+        # multiple of the length, and their gcd is then that gcd over it
+        shift = int(np.gcd.reduce(word_star_permutation(relator, perms) - identity))
+        if shift % size:
+            windings.append(None)
+            break
+        windings.append(shift // size)
+    return windings
+
+
+def moving_relator(letters: str, t: int, p: int = 1) -> int | None:
+    """Index in :func:`relation_set` of the first relator that moves a
+    starring of the circular word ``letters * p``, or None.
+
+    Read from :func:`relator_windings` of ``letters``: the first relator
+    whose entry is None or not a multiple of p.
+    """
+    if p < 1:
+        raise ValueError("p must be positive")
+    windings = relator_windings(letters, t)
+    return next((i for i, w in enumerate(windings) if w is None or w % p), None)
 
 
 def table1(n_max: int = 6, p_max: int = 50, t: int = 6) -> list[list[bool]]:
     """Relator survival table for the circular words (w_n alpha)^p.
 
     Entry [n-1][p-1] is True iff every relator of :func:`relation_set`
-    fixes all starrings of the circular repetition (:func:`moving_relator`).
+    fixes all starrings of the circular repetition, that is iff p divides
+    the gcd of the row's :func:`relator_windings`: one lifted evaluation
+    per row serves every p.  At t >= n that gcd is 8, and the ones sit
+    at its divisors p in {1, 2, 4, 8}.
     """
     caps = TABLE_CAPS
     if not (1 <= n_max <= caps[0] and 1 <= p_max <= caps[1] and 0 <= t <= caps[2]):
@@ -231,8 +279,9 @@ def table1(n_max: int = 6, p_max: int = 50, t: int = 6) -> list[list[bool]]:
         )
     rows = []
     for n in range(1, n_max + 1):
-        base = build_w(n) + core_words.alpha_choice(n)
-        rows.append([moving_relator(base * p, t) is None for p in range(1, p_max + 1)])
+        windings = relator_windings(build_w(n) + core_words.alpha_choice(n), t)
+        period = None if None in windings else gcd(*windings)
+        rows.append([period is not None and period % p == 0 for p in range(1, p_max + 1)])
     return rows
 
 

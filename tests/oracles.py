@@ -6,9 +6,11 @@ every closed path and reduce it to its least rotation, or count the
 closed walks through traces of its adjacency matrix, where the library
 enumerates necklaces only.  Relators are checked here in their expanded
 form, letter by letter against the jump tables, which the library never
-does.  Membership in the shift's own language is a substring search in a
-long w_n, and the factor map is read from where a window's letters occur
-in w_16, where the library parses the letters instead.
+does, and a circular repetition (w_n alpha)^p on its own tables, where
+the library reads every p off one lift to the Z-cover.  Membership in
+the shift's own language is a substring search in a long w_n, and the
+factor map is read from where a window's letters occur in w_16, where
+the library parses the letters instead.
 """
 
 from functools import lru_cache
@@ -20,10 +22,10 @@ import numpy as np
 from starshift.core_words import GENERATORS, alpha_choice, build_w, is_alternating, lex_key
 from starshift.jump_action import (
     CircularWord,
+    check_exponent,
     circular_jump_permutation,
     linear_jump_permutation,
     relation_set,
-    word_star_permutation,
 )
 from starshift.subshift import PseudoOrbitReport, ZSft, canonical_rotation
 
@@ -99,7 +101,35 @@ def relator_fixes_all_starrings(relator: str, base: str | CircularWord) -> bool:
             raise ValueError(f"{base!r} is not alternating")
         perms = {g: linear_jump_permutation(base, g) for g in GENERATORS}
     identity = np.arange(len(next(iter(perms.values()))), dtype=np.int64)
-    return np.array_equal(word_star_permutation(relator, perms), identity)
+    return np.array_equal(_compose(relator, perms), identity)
+
+
+def _compose(word: str, perms: dict[str, np.ndarray]) -> np.ndarray:
+    # permutations of one finite set, composed right-to-left by indexing
+    perm = np.arange(len(next(iter(perms.values()))), dtype=np.int64)
+    for g in reversed(word):
+        perm = perms[g][perm]
+    return perm
+
+
+def moving_relator_by_cover(letters: str, t: int) -> int | None:
+    """Index in relation_set(t) of the first relator that moves a
+    starring of the circular word ``letters``, read on its own
+    permutation tables: a p-fold repetition is evaluated on tables of
+    length p * len(base), where the library reads every p off one lift."""
+    check_exponent(t)
+    perms = {g: circular_jump_permutation(letters, g) for g in GENERATORS}
+    identity = np.arange(len(letters), dtype=np.int64)
+    family = [(r, 0) for r in ("aa", "bb", "cc", "dd", "bcd")]
+    family += [(r, k) for k in range(t + 1) for r in ("adadadad", "adacac" * 4)]
+    level = 0
+    for index, (relator, k) in enumerate(family):
+        if k > level:  # replace the tables by their kappa-images
+            a, b, c, d = (perms[g] for g in GENERATORS)
+            perms, level = {"a": a[c[a]], "b": d, "c": b, "d": c}, k
+        if not np.array_equal(_compose(relator, perms), identity):
+            return index
+    return None
 
 
 def alternating_by_pairs(word: str) -> bool:

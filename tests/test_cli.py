@@ -5,6 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starshift import cli, core_words
 from starshift.cli import main
 
 
@@ -159,6 +160,41 @@ class TestSft:
         assert lines[1]["words"] == ["T_"]
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["schreier", "--circular", "--p", "2"], ["schreier"]),
+        (["table1", "--paper-layout"], ["table1"]),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_parser_keeps_no_state_between_calls(capsys, first, second):
+    cli.build_parser.cache_clear()
+    fresh = run(capsys, *second)
+    cli.build_parser.cache_clear()
+    run(capsys, *first)
+    assert run(capsys, *second) == fresh
+    assert cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-n", "25"],
+        ["schreier", "--n", "12"],
+        ["schreier", "--n", "8", "--circular", "--p", "16", "--require-action"],
+    ],
+    ids=" ".join,
+)
+def test_caps_come_before_any_word_is_built(capsys, monkeypatch, argv):
+    built = []
+    build = core_words.build_w
+    monkeypatch.setattr(core_words, "build_w", lambda n, *a: built.append(n) or build(n, *a))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("error: ")
+    assert built == []
+
+
 def test_unknown_arguments_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["table1", "--frobnicate"])
@@ -176,6 +212,9 @@ def test_io_error_exit_two(capsys, tmp_path):
     [
         ["schreier", "--n", "0"],
         ["schreier", "--n", "17"],
+        ["schreier", "--n", "12"],  # cap: p * 2^n <= 2^11 starring positions
+        ["schreier", "--n", "8", "--circular", "--p", "16", "--format", "json"],
+        ["schreier", "--n", "1", "--circular", "--p", "1025", "--require-action"],
         ["schreier", "--circular", "--p", "0"],
         ["schreier", "--circular", "--require-action", "--t", "-1"],
         ["schreier", "--circular", "--require-action", "--t", "9"],  # cap: t <= 8
@@ -190,6 +229,7 @@ def test_io_error_exit_two(capsys, tmp_path):
         ["sft", "comb-demo", "--k", "1"],
         ["verify", "--max-n", "-5"],
         ["verify", "--max-n", "0"],  # would PASS every check having checked nothing
+        ["verify", "--max-n", "25"],  # cap: w_24
     ],
     ids=" ".join,
 )
@@ -208,7 +248,7 @@ def test_bad_input_exits_two(capsys, argv):
 _INTEGER_FLAGS = {
     "table1": {"--n-max": ([1, 2], [9]), "--p-max": ([1, 3, 10], [65]), "--t": ([0, 2], [9])},
     "verify": {"--max-n": ([1, 2, 3], [25])},
-    "schreier": {"--n": ([1, 2, 3], [25]), "--p": ([1, 2, 3], []), "--t": ([0, 8], [9])},
+    "schreier": {"--n": ([1, 2, 3], [25]), "--p": ([1, 2, 3], [2049]), "--t": ([0, 8], [9])},
     "pseudo-orbit": {"--n": ([1, 2, 3], [9]), "--t": ([0, 2], [9])},
     "stabilizer": {
         "--seed": ([0, 7], []),

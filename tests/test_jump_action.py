@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import relator_fixes_all_starrings
+from oracles import moving_relator_by_cover, relator_fixes_all_starrings
 from starshift import full_group as fg, jump_action as ja, subshift
 from starshift.cli import main
 from starshift.core_words import alpha_choice, build_w
@@ -210,19 +210,48 @@ class TestMovingRelator:
                 expected = first if in_family else None
                 assert ja.moving_relator(word.letters, t) == expected, (n, p, t)
 
+    @pytest.mark.parametrize("n", range(1, ja.TABLE_CAPS[0] + 1))
+    def test_matches_the_covers(self, n):
+        # every p read off one lift, against (w_n alpha)^p on its own tables
+        base = build_w(n) + alpha_choice(n)
+        for p in range(1, ja.TABLE_CAPS[1] + 1):
+            first = moving_relator_by_cover(base * p, ja.TABLE_CAPS[2])
+            for t in range(ja.TABLE_CAPS[2] + 1):
+                in_family = first is not None and first < len(ja.relation_set(t))
+                expected = first if in_family else None
+                assert ja.moving_relator(base, t, p) == expected, (n, p, t)
+
+    @pytest.mark.parametrize("n", range(1, ja.TABLE_CAPS[0] + 1))
+    def test_windings_at_t8(self, n):
+        # the relators before kappa^n((ad)^4) wind 0 times; kappa^n((ad)^4)
+        # has gcd 8, kappa^n((adacac)^4) 24 and both kappa^(n+1) seeds 16,
+        # so row n first fails at k = n, exactly for p not dividing 8
+        base = build_w(n) + alpha_choice(n)
+        windings = ja.relator_windings(base, 8)
+        first = 5 + 2 * n  # index of kappa^n((ad)^4) in relation_set(8)
+        assert windings[:first] == [0] * first
+        assert windings[first : first + 4] == [8, 24, 16, 16][: len(windings) - first]
+        for p in range(1, ja.TABLE_CAPS[1] + 1):
+            assert ja.moving_relator(base, 8, p) == (None if 8 % p == 0 else first)
+
     def test_exponent_cap(self):
         for t in (-1, ja.TABLE_CAPS[2] + 1):
             with pytest.raises(SizeLimitError):
                 ja.moving_relator("aD", t)
 
+    def test_cover_must_be_positive(self):
+        with pytest.raises(ValueError):
+            ja.moving_relator("aD", 6, 0)
+
 
 class TestRelatorFamilyCost:
-    """The four tables are built once and the kappa-iterates never expanded."""
+    """Four lifted tables per base word serve every p, and the
+    kappa-iterates are never expanded."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
         counts = {"tables": 0, "letters": 0}
-        build, compose = ja.circular_jump_permutation, ja.word_star_permutation
+        build, compose = ja.circular_jump_lift, ja.word_star_permutation
 
         def counting_build(letters, g):
             counts["tables"] += 1
@@ -232,7 +261,7 @@ class TestRelatorFamilyCost:
             counts["letters"] += len(word)
             return compose(word, perms)
 
-        monkeypatch.setattr(ja, "circular_jump_permutation", counting_build)
+        monkeypatch.setattr(ja, "circular_jump_lift", counting_build)
         monkeypatch.setattr(ja, "word_star_permutation", counting_compose)
         return counts
 
@@ -246,10 +275,15 @@ class TestRelatorFamilyCost:
         assert counted["tables"] == 4
 
     def test_table1_letters_linear_in_t(self, counted):
-        ja.table1(1, 4, 8)
-        # per word: the Klein relators (11 letters), then (ad)^4 and
-        # (adacac)^4 (32 letters) for each of k = 0..8
-        assert counted["letters"] <= 4 * (11 + 9 * 32)
+        ja.table1(1, 1, 8)
+        one_column = dict(counted)
+        ja.table1(1, ja.TABLE_CAPS[1], 8)
+        assert counted == {key: 2 * value for key, value in one_column.items()}
+        assert one_column["tables"] == 4
+        # one row: the Klein relators (11 letters), (ad)^4 and (adacac)^4
+        # (32 letters) for each of k = 0..8, and the kappa-image aca of
+        # the a-table (3 letters) for each of k = 1..8
+        assert one_column["letters"] <= 11 + 9 * 32 + 8 * 3
 
 
 class TestTable1:
