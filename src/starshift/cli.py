@@ -127,16 +127,15 @@ def _check_factor_tower(max_n: int) -> bool:
     letters = core_words.build_w(m)
     for origin in range(2**m):
         window = Window(letters, origin)
-        values = {}
-        for k in range(1, m):
-            if window.margin < 2 ** (k + 2):
-                break
-            values[k] = gray_factor.psi(k, window)
-            if gray_factor.psi(k, full_group.reverse_window(window)) != values[k]:
-                return False
-        for k in sorted(values)[:-1]:
-            if not values[k + 1].startswith(values[k]):
-                return False
+        # the deepest k < m whose margin 2^(k+2) the window has
+        depth = min(m - 1, window.margin.bit_length() - 3)
+        if depth < 1:
+            continue
+        values = gray_factor.psi_tower(depth, window)
+        if gray_factor.psi_tower(depth, full_group.reverse_window(window)) != values:
+            return False
+        if not all(b.startswith(a) for a, b in zip(values, values[1:])):
+            return False
     return True
 
 

@@ -30,6 +30,10 @@ GENERATORS = "abcd"
 WORD_CAP = 24
 
 _LETTER_RANK = {c: i for i, c in enumerate(LETTERS)}
+_GENERATOR_SET = frozenset(GENERATORS)
+
+# b, c, d -> B: a group word is freely reduced iff the image alternates
+_KLEIN_TO_B = str.maketrans("bcd", "BBB")
 
 # Products of distinct non-trivial elements of Z2^2.
 _KLEIN_PRODUCT = {
@@ -53,9 +57,9 @@ def _check_letters(word: str) -> None:
 
 
 def _check_generators(word: str) -> None:
-    for ch in word:
-        if ch not in GENERATORS:
-            raise ValueError(f"invalid generator {ch!r}; expected one of {GENERATORS}")
+    if not _GENERATOR_SET >= set(word):
+        ch = next(ch for ch in word if ch not in _GENERATOR_SET)
+        raise ValueError(f"invalid generator {ch!r}; expected one of {GENERATORS}")
 
 
 def lex_key(word: str) -> tuple[int, ...]:
@@ -131,9 +135,12 @@ def free_reduce(word: str) -> str:
 
     Cancels squares of all four generators and multiplies adjacent
     letters inside Z2^2 (bc -> d and so on).  Idempotent and never
-    length-increasing.
+    length-increasing.  A reduced word, in which `a` and the letters of
+    Z2^2 alternate, is returned as it is after one check of that.
     """
     _check_generators(word)
+    if _alternates(word.translate(_KLEIN_TO_B)):
+        return word
     out: list[str] = []
     for g in word:
         cur: str | None = g

@@ -60,16 +60,18 @@ class Window:
         if not language_contains(self.letters):
             raise ValueError("window content is not a language word")
 
-    def _shifted(self, delta: int) -> "Window":
-        # internal: letters were already validated, skip re-checking
-        w = object.__new__(Window)
-        object.__setattr__(w, "letters", self.letters)
-        object.__setattr__(w, "origin", self.origin + delta)
-        object.__setattr__(w, "margin", self.margin - (1 if delta else 0))
-        return w
-
     def __str__(self) -> str:
         return self.letters[: self.origin] + "|" + self.letters[self.origin :]
+
+
+def _window(letters: str, origin: int, margin: int) -> Window:
+    # internal: the letters were validated when the walk's window was built,
+    # and a walk keeps 0 <= margin <= min(origin, len - origin)
+    w = object.__new__(Window)
+    object.__setattr__(w, "letters", letters)
+    object.__setattr__(w, "origin", origin)
+    object.__setattr__(w, "margin", margin)
+    return w
 
 
 def reverse_window(x: Window) -> Window:
@@ -120,16 +122,25 @@ def evaluate_cocycle(pieces: Sequence[CocyclePiece], left: str, right: str) -> i
 
 def apply_generator(g: str, x: Window) -> Window:
     """Move the origin of a window by one generator's jump rule."""
-    if x.margin < 1:
-        raise MarginExhaustedError(f"margin {x.margin} too small to apply a generator")
-    return x._shifted(star_step(x.letters, x.origin, g) - x.origin)
+    return apply_word(g, x)
 
 
 def apply_word(word: str, x: Window) -> Window:
-    """Apply a group word right-to-left; margin is spent per move."""
+    """Apply a group word right-to-left; margin is spent per move.
+
+    The walk keeps the origin and the margin as plain integers and moves
+    the origin with :func:`star_step`; every letter needs a margin of at
+    least 1, and each letter that moves the origin spends one unit of it.
+    One window is built, at the end.
+    """
+    letters, origin, margin = x.letters, x.origin, x.margin
     for g in reversed(word):
-        x = apply_generator(g, x)
-    return x
+        if margin < 1:
+            raise MarginExhaustedError(f"margin {margin} too small to apply a generator")
+        moved = star_step(letters, origin, g)
+        if moved != origin:
+            origin, margin = moved, margin - 1
+    return _window(letters, origin, margin)
 
 
 def shift_as_tfg(x: Window) -> Window:
@@ -226,12 +237,25 @@ class SchreierGraph:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "vertices": list(self.vertices),
-            "marked": self.marked,
-            "edges": [list(e) for e in self.edges],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        """The graph as ``json.dumps(payload, indent=2, sort_keys=True)``
+        of ``{"edges", "marked", "vertices"}`` plus a newline, written
+        directly: each name is quoted once, not once per edge endpoint."""
+        names = {self.marked, *self.vertices, *(x for e in self.edges for x in e)}
+        quoted = {name: json.dumps(name) for name in names}
+        edges = [
+            f"[\n      {quoted[src]},\n      {quoted[label]},\n      {quoted[dst]}\n    ]"
+            for src, label, dst in self.edges
+        ]
+        vertices = [quoted[v] for v in self.vertices]
+        return (
+            f'{{\n  "edges": {_json_array(edges)},\n  "marked": {quoted[self.marked]},'
+            f'\n  "vertices": {_json_array(vertices)}\n}}\n'
+        )
+
+
+def _json_array(items: list[str]) -> str:
+    # encoded items as a value of the top-level object, in the indent=2 layout
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 def schreier_graph(
@@ -241,29 +265,30 @@ def schreier_graph(
 
     Parallel edges with identical labels are merged; self-loops are
     kept, since they record stabilizer generators.  The first vertex is
-    the marked basepoint.
+    the marked basepoint.  Vertices are looked up by their letters and
+    star position, so each vertex name is built once.
     """
     listed = list(vertices)
     if not listed:
         raise ValueError("vertex set must be nonempty")
     circular = isinstance(listed[0], CircularStarredWord)
-    names = [str(v) for v in listed]
-    index = {name: i for i, name in enumerate(names)}
+    keys = [(v.word.letters if circular else v.word, v.star) for v in listed]
+    index = {key: i for i, key in enumerate(keys)}
     edges = set()
-    for v, name in zip(listed, names):
-        letters = v.word.letters if circular else v.word
+    for letters, star in keys:
+        i = index[letters, star]  # a repeated vertex counts as its last copy
         for g in GENERATORS:
-            t = star_step(letters, v.star, g, circular)
-            target = letters[:t] + STAR + letters[t:]
-            if target not in index:
+            t = star_step(letters, star, g, circular)
+            j = index.get((letters, t))
+            if j is None:
+                target = letters[:t] + STAR + letters[t:]
                 raise ClosureError(
                     f"vertex set is not generator-closed: missing {target!r}"
                 )
-            i, j = index[name], index[target]
             edges.add((min(i, j), max(i, j), g))
-    ordered = sorted(edges)
+    names = [str(v) for v in listed]
     return SchreierGraph(
         vertices=tuple(names),
         marked=names[0],
-        edges=tuple((names[a], g, names[b]) for a, b, g in ordered),
+        edges=tuple((names[a], g, names[b]) for a, b, g in sorted(edges)),
     )

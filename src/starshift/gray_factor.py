@@ -104,25 +104,46 @@ def natural_decomposition(x: Window, n: int) -> list[int]:
     return offsets
 
 
+def psi_tower(k_max: int, x: Window) -> list[str]:
+    """``[psi(k, x) for k in 1..k_max]`` from one :func:`core_words.phase`
+    parse of the window.
+
+    At each k the natural w_{k+1} block at the origin is the one starting
+    at the offset o = 1 - r modulo 2^{k+1} with o <= origin, r being the
+    index of the first letter; each value is read off its own block.  The
+    block of level k_max contains those of every lower level, so the
+    tower raises exactly when ``psi(k_max, x)`` does, with its message.
+    """
+    if k_max < 1:
+        raise ValueError("k must be positive")
+    r, m = phase(x.letters)
+    if m < k_max + 1:
+        raise MarginExhaustedError(
+            f"window too small to identify the natural w_{m + 1} blocks"
+        )
+    span = 2 ** (k_max + 1)
+    last = len(x.letters) + 1 - span  # the last offset of a fully visible block
+    if (1 - r) % span > last:
+        raise MarginExhaustedError(f"no full w_{k_max + 1} block visible in the window")
+    at = x.origin - 1 + r  # index of the letter at the origin, less 1
+    if not 0 <= x.origin - at % span <= last:
+        raise MarginExhaustedError(
+            f"the w_{k_max + 1} block at the origin is not fully inside the window"
+        )
+    return [phi(k + 1).bits(at % 2 ** (k + 1))[:k] for k in range(1, k_max + 1)]
+
+
 def psi(k: int, x: Window) -> str:
     """First k coordinates of the tree vertex underneath a window.
 
     Locates the natural w_{k+1} block at the origin (the unique one
     whose span [i, i + 2^{k+1} - 2] satisfies i <= 0 and ends at -1 or
     later, the origin sitting just left of position 0) and returns the
-    first k bits of its Gray code.  A margin of 2^{k+2} letters on each
-    side of the origin always suffices; smaller windows may raise
-    MarginExhaustedError.
+    first k bits of its Gray code: the last value of :func:`psi_tower`.
+    A margin of 2^{k+2} letters on each side of the origin always
+    suffices; smaller windows may raise MarginExhaustedError.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    offsets = natural_decomposition(x, k + 1)
-    central = [o for o in offsets if 0 <= x.origin - o < 2 ** (k + 1)]
-    if not central:
-        raise MarginExhaustedError(
-            f"the w_{k + 1} block at the origin is not fully inside the window"
-        )
-    return phi(k + 1).bits(x.origin - central[0])[:k]
+    return psi_tower(k, x)[-1]
 
 
 def six_fiber_witnesses(m: int, cap: int = FIBER_CAP) -> list[Window]:

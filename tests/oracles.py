@@ -10,9 +10,15 @@ does, and a circular repetition (w_n alpha)^p on its own tables, where
 the library reads every p off one lift to the Z-cover.  Membership in
 the shift's own language is a substring search in a long w_n, and the
 factor map is read from where a window's letters occur in w_16, where
-the library parses the letters instead.
+the library parses the letters instead; the tower of factor-map values
+is read one k at a time from the offsets of the natural blocks.  Group
+words are reduced letter by letter on a stack, where the library first
+checks whether they already are, window walks fold single jump moves
+with the margin rule applied at every step, and orbit graphs are
+serialised by ``json.dumps``.
 """
 
+import json
 from functools import lru_cache
 from itertools import product
 from math import gcd
@@ -20,6 +26,8 @@ from math import gcd
 import numpy as np
 
 from starshift.core_words import GENERATORS, alpha_choice, build_w, is_alternating, lex_key
+from starshift.errors import MarginExhaustedError
+from starshift.gray_factor import natural_decomposition, phi
 from starshift.jump_action import (
     CircularWord,
     check_exponent,
@@ -27,6 +35,7 @@ from starshift.jump_action import (
     linear_jump_permutation,
     relation_set,
 )
+from starshift.jump_action import star_step
 from starshift.subshift import PseudoOrbitReport, ZSft, canonical_rotation
 
 PLACEMENT_HOST = 16  # placements are occurrences in w_16
@@ -182,6 +191,20 @@ def psi_by_placement(x, k: int) -> set[str]:
     }
 
 
+def psi_by_offsets(k: int, x) -> str:
+    """First k Gray bits of the vertex below the window's origin, read
+    from the one natural w_{k+1} block among all visible ones that holds
+    the origin; raises MarginExhaustedError when the letters do not fix
+    the blocks or that block is not fully visible."""
+    offsets = natural_decomposition(x, k + 1)
+    central = [o for o in offsets if 0 <= x.origin - o < 2 ** (k + 1)]
+    if not central:
+        raise MarginExhaustedError(
+            f"the w_{k + 1} block at the origin is not fully inside the window"
+        )
+    return phi(k + 1).bits(x.origin - central[0])[:k]
+
+
 def blocks_by_placement(x, n: int) -> set[tuple[int, ...]]:
     """Offsets of the fully visible w_n blocks, over every occurrence of
     the window's letters in w_16."""
@@ -291,3 +314,55 @@ def periodic_orbit_count(sft: ZSft, p: int) -> int:
 
 def _totient(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+_KLEIN = {
+    ("b", "c"): "d", ("c", "b"): "d",
+    ("b", "d"): "c", ("d", "b"): "c",
+    ("c", "d"): "b", ("d", "c"): "b",
+}
+
+
+def free_reduce_by_stack(word: str) -> str:
+    """Free reduction in Z2 * Z2^2, one letter at a time on a stack:
+    equal letters cancel, and two letters of Z2^2 multiply."""
+    out: list[str] = []
+    for g in word:
+        cur = g
+        while cur is not None and out:
+            top = out[-1]
+            if top == cur:
+                out.pop()
+                cur = None
+            elif top != "a" and cur != "a":
+                out.pop()
+                cur = _KLEIN[top, cur]
+            else:
+                break
+        if cur is not None:
+            out.append(cur)
+    return "".join(out)
+
+
+def apply_word_by_steps(word: str, x) -> tuple[str, int, int]:
+    """``(letters, origin, margin)`` after a group word acts right-to-left
+    on a window, one jump move at a time: a move needs a margin of at
+    least 1 and spends one unit if it moves the origin."""
+    origin, margin = x.origin, x.margin
+    for g in reversed(word):
+        if margin < 1:
+            raise MarginExhaustedError(f"margin {margin} too small to apply a generator")
+        moved = star_step(x.letters, origin, g)
+        margin -= moved != origin
+        origin = moved
+    return x.letters, origin, margin
+
+
+def schreier_json_by_dumps(graph) -> str:
+    """An orbit graph through the standard library's JSON encoder."""
+    payload = {
+        "vertices": list(graph.vertices),
+        "marked": graph.marked,
+        "edges": [list(e) for e in graph.edges],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -4,7 +4,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import alternating_by_pairs, host_language_contains, placements, PLACEMENT_BITS
+from oracles import (
+    alternating_by_pairs,
+    free_reduce_by_stack,
+    host_language_contains,
+    placements,
+    PLACEMENT_BITS,
+)
 from starshift import core_words as cw
 from starshift.errors import SizeLimitError
 
@@ -86,6 +92,19 @@ class TestGroupWords:
         assert cw.free_reduce("cd") == "b"
         assert cw.free_reduce("baab") == ""
         assert cw.free_reduce("bcd") == ""
+
+    @pytest.mark.parametrize("length", range(9))
+    def test_free_reduce_matches_the_stack(self, length):
+        # every word over abcd of this length, reduced or not
+        for letters in itertools.product("abcd", repeat=length):
+            word = "".join(letters)
+            assert cw.free_reduce(word) == free_reduce_by_stack(word), word
+
+    def test_free_reduce_rejects_other_letters(self):
+        for word in ("abx", "B", "a b"):
+            bad = next(ch for ch in word if ch not in "abcd")
+            with pytest.raises(ValueError, match=f"invalid generator {bad!r}; expected one of abcd"):
+                cw.free_reduce(word)
 
     @given(st.text(alphabet="abcd", max_size=40))
     def test_free_reduce_idempotent_and_short(self, word):

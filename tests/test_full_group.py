@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from oracles import apply_word_by_steps, schreier_json_by_dumps
 from starshift import full_group as fg, jump_action as ja
-from starshift.core_words import build_w, language_words
+from starshift.core_words import alpha_choice, build_w, language_words
 from starshift.errors import ClosureError, MarginExhaustedError, ReconstructionError
 from starshift.full_group import Window, reverse_window
 from starshift.jump_action import CircularStarredWord, CircularWord, StarredWord
@@ -77,6 +78,57 @@ class TestApplyGenerator:
             fg.apply_generator("a", Window("aDaCaDa", 0))
         with pytest.raises(MarginExhaustedError):
             fg.apply_word("ab", Window("aDaCaDa", 3, margin=1))
+
+
+class TestApplyWord:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_single_steps(self, seed):
+        rng = random.Random(seed)
+        host = build_w(12)
+        for _ in range(400):
+            width = rng.randrange(1, 40)
+            start = rng.randrange(len(host) - width + 1)
+            letters = host[start : start + width]
+            origin = rng.randrange(width + 1)
+            margin = min(rng.randrange(4), origin, width - origin)
+            win = Window(letters, origin, margin)
+            word = "".join(rng.choice("abcd") for _ in range(rng.randrange(12)))
+            try:
+                expected = apply_word_by_steps(word, win)
+            except MarginExhaustedError as exc:
+                with pytest.raises(MarginExhaustedError) as got:
+                    fg.apply_word(word, win)
+                assert str(got.value) == str(exc)
+                continue
+            out = fg.apply_word(word, win)
+            assert (out.letters, out.origin, out.margin) == expected, (word, win)
+
+    def test_one_window_per_walk(self, monkeypatch):
+        calls = {"star_step": 0, "window": 0, "validated": 0}
+        star_step, window, post_init = fg.star_step, fg._window, Window.__post_init__
+
+        def counting_step(*args):
+            calls["star_step"] += 1
+            return star_step(*args)
+
+        def counting_window(*args):
+            calls["window"] += 1
+            return window(*args)
+
+        def counting_post_init(self):
+            calls["validated"] += 1
+            post_init(self)
+
+        letters = build_w(14)
+        win = Window(letters, len(letters) // 2)
+        word = "".join(random.Random(0).choice("abcd") for _ in range(1000))
+        expected = apply_word_by_steps(word, win)
+        monkeypatch.setattr(fg, "star_step", counting_step)
+        monkeypatch.setattr(fg, "_window", counting_window)
+        monkeypatch.setattr(Window, "__post_init__", counting_post_init)
+        out = fg.apply_word(word, win)
+        assert (out.letters, out.origin, out.margin) == expected
+        assert calls == {"star_step": 1000, "window": 1, "validated": 0}
 
 
 class TestShift:
@@ -192,8 +244,37 @@ class TestSchreierGraph:
 
     def test_closure_error(self):
         partial = ja.orbit_of_starrings(build_w(2))[:2]
-        with pytest.raises(ClosureError):
+        with pytest.raises(ClosureError) as got:
             fg.schreier_graph(partial)
+        assert str(got.value) == "vertex set is not generator-closed: missing 'aD*a'"
+        word = CircularWord("aDaC")
+        with pytest.raises(ClosureError) as got:
+            fg.schreier_graph([CircularStarredWord(word, s) for s in (0, 1)])
+        assert str(got.value) == "vertex set is not generator-closed: missing 'aDa*C'"
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_json_matches_the_encoder_linear(self, n):
+        graph = fg.schreier_graph(ja.orbit_of_starrings(build_w(n)))
+        assert graph.to_json() == schreier_json_by_dumps(graph)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_json_matches_the_encoder_circular(self, n):
+        for p in range(1, 7):
+            word = ja.circular_repetition(build_w(n) + alpha_choice(n), p)
+            graph = fg.schreier_graph(
+                [CircularStarredWord(word, s) for s in range(len(word.letters))]
+            )
+            assert graph.to_json() == schreier_json_by_dumps(graph), p
+
+    def test_json_escapes_like_the_encoder(self):
+        names = ('q"uote', "back\\slash", "caf\u00e9", "*a")
+        edges = ((names[0], "a", names[1]), (names[2], 'l"', names[2]))
+        for graph in (
+            fg.SchreierGraph(vertices=names, marked=names[2], edges=edges),
+            fg.SchreierGraph(vertices=names, marked=names[0], edges=()),
+            fg.SchreierGraph(vertices=(), marked="", edges=()),
+        ):
+            assert graph.to_json() == schreier_json_by_dumps(graph)
 
     def test_json_roundtrip(self):
         import json

@@ -1,7 +1,10 @@
+import random
+import re
+
 import numpy as np
 import pytest
 
-from oracles import blocks_by_placement, psi_by_placement
+from oracles import PLACEMENT_BITS, blocks_by_placement, psi_by_offsets, psi_by_placement
 from starshift import gray_factor as gf, jump_action as ja, tree_action as ta
 from starshift.core_words import build_w
 from starshift.errors import MarginExhaustedError, SizeLimitError
@@ -154,6 +157,53 @@ class TestPsi:
             ]
             expected = gf.phi(k + 1).bits(origin - central[0])[:k]
             assert gf.psi(k, win) == expected
+
+
+def _value_or_message(fn, k, x):
+    try:
+        return fn(k, x)
+    except MarginExhaustedError as exc:
+        return str(exc)
+
+
+class TestPsiTower:
+    def _check(self, win, k_top):
+        # each k read on its own from the visible block offsets; psi_tower
+        # answers or raises as that reading of its deepest level does
+        by_offsets = [_value_or_message(psi_by_offsets, k, win) for k in range(1, k_top + 1)]
+        for k_max in range(1, k_top + 1):
+            tower = _value_or_message(gf.psi_tower, k_max, win)
+            if isinstance(tower, str):
+                assert tower == by_offsets[k_max - 1], (win, k_max)
+                with pytest.raises(MarginExhaustedError, match=re.escape(tower)):
+                    gf.psi(k_max, win)
+                continue
+            assert tower == by_offsets[:k_max], (win, k_max)
+            assert gf.psi(k_max, win) == tower[-1]
+            if k_max < PLACEMENT_BITS:
+                assert psi_by_placement(win, k_max) == {tower[-1]}, (win, k_max)
+
+    def test_every_origin_of_w10(self):
+        letters = build_w(10)
+        for origin in range(len(letters) + 1):
+            self._check(Window(letters, origin), 10)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_slices_of_w14(self, seed):
+        rng = random.Random(seed)
+        host = build_w(14)
+        for _ in range(150):
+            width = rng.choice([rng.randrange(1, 40), rng.randrange(40, 600)])
+            start = rng.randrange(len(host) - width + 1)
+            win = Window(host[start : start + width], rng.randrange(width + 1))
+            self._check(win, 8)
+
+    def test_bad_depth(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be positive"):
+                gf.psi_tower(k, Window("aDa", 1))
+            with pytest.raises(ValueError, match="k must be positive"):
+                gf.psi(k, Window("aDa", 1))
 
 
 class TestSixFiberWitnesses:
