@@ -11,14 +11,19 @@ well-defined involution for each generator.  Read cyclically it acts on
 circular words; the permutation tables are its vectorised view, and
 the relator family is checked on them through kappa, never expanded, on
 the lift of a circular word to the Z-cover, which serves every p-fold
-repetition of it at once.  Words are validated once, when they enter;
-moves skip the check.
+repetition of it at once.  Several circular words are checked in one
+pass, their lifts side by side in one table that stores each value as
+its residue plus the total length times its winding, so one composer
+serves one ring and many alike; the seeds of the family are evaluated
+as powers of their roots by squaring.  Words are validated once, when
+they enter; moves skip the check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
 
 import numpy as np
@@ -175,20 +180,28 @@ def word_star_permutation(word: str, gen_perms: dict[str, np.ndarray]) -> np.nda
 
     Position x goes to ``T[x % size] + (x - x % size)`` under a table T
     of the given size: lifts (:func:`circular_jump_lift`) compose on the
-    Z-cover, and tables with values in [0, size) compose as permutations.
+    Z-cover, tables of rings side by side (:func:`side_by_side_windings`)
+    on the disjoint union of their covers, and tables with values in
+    [0, size) compose as permutations.  The letters may name any tables,
+    such as relators already composed.
     """
     size = len(next(iter(gen_perms.values())))
-    perm = np.arange(size, dtype=np.int64)
+    identity = np.arange(size, dtype=np.int64)
+    if not word:
+        return identity
+    # on [0, size) the last letter's table is its own image: start there
+    perm = gen_perms[word[-1]].astype(np.int64)
     # x + (T - identity)[x % size]; take's wrap mode is cheaper than %
-    steps = {g: gen_perms[g] - perm for g in set(word)}
-    for g in reversed(word):
+    steps = {g: gen_perms[g] - identity for g in set(word[:-1])}
+    for g in reversed(word[:-1]):
         perm = perm + steps[g].take(perm, mode="wrap")
     return perm
 
 
-# the Lysenok relators: the Klein relators, then the seeds of the kappa-iterates
+# the Lysenok relators: the Klein relators, then the seeds of the
+# kappa-iterates, the fourth powers of these roots
 _KLEIN_RELATORS = ("aa", "bb", "cc", "dd", "bcd")
-_KAPPA_SEEDS = ("adadadad", "adacac" * 4)
+_SEED_ROOTS = ("ad", "adacac")
 
 
 @lru_cache(maxsize=None)
@@ -197,7 +210,7 @@ def relation_set(t: int) -> tuple[str, ...]:
     (ad)^4 and (adacac)^4 up to exponent t, all fully expanded."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    relators, seeds = _KLEIN_RELATORS, _KAPPA_SEEDS
+    relators, seeds = _KLEIN_RELATORS, tuple(root * 4 for root in _SEED_ROOTS)
     for _ in range(t + 1):
         relators, seeds = relators + seeds, tuple(map(kappa, seeds))
     return relators
@@ -207,6 +220,78 @@ def check_exponent(t: int) -> None:
     """Raise SizeLimitError unless the relator exponent t is in 0..TABLE_CAPS[2]."""
     if not 0 <= t <= TABLE_CAPS[2]:
         raise SizeLimitError(f"relator exponent t={t} is outside 0..{TABLE_CAPS[2]}")
+
+
+def _relator_levels(perms: dict[str, np.ndarray], t: int):
+    """The tables of the relators of :func:`relation_set` (t), in order,
+    computed lazily from the generator tables ``perms``: first those of
+    the Klein relators, then for each k those of the two kappa^k seeds.
+
+    kappa^k(r) is never expanded: its table under the tables P is that
+    of r under the kappa-images P'_a = P_a P_c P_a, P'_b = P_d,
+    P'_c = P_b, P'_d = P_c.  A seed is the square of the square of its
+    root.  Both are exact, by associativity of the composition.
+    """
+    yield [word_star_permutation(relator, perms) for relator in _KLEIN_RELATORS]
+    for k in range(t + 1):
+        if k:  # replace the tables by their kappa-images
+            perms = {"a": word_star_permutation("aca", perms),
+                     "b": perms["d"], "c": perms["b"], "d": perms["c"]}
+        seeds = []
+        for root in _SEED_ROOTS:
+            power = word_star_permutation(root, perms)
+            for _ in range(2):
+                power = word_star_permutation("xx", {"x": power})
+            seeds.append(power)
+        yield seeds
+
+
+def side_by_side_windings(rings: list[str], t: int) -> list[list[int | None]]:
+    """:func:`relator_windings` of each circular word in ``rings``, all
+    evaluated in one pass over the relator family.
+
+    The rings sit side by side in one table of size N, their total
+    length.  Ring i at offset o_i has the lift T_i of length L_i
+    (:func:`circular_jump_lift`); its value T_i[j] = q L_i + r, with r
+    in [0, L_i), is stored as o_i + r + N q: the residue plus N times
+    the winding.  :func:`word_star_permutation` on size N then composes
+    on the disjoint union of the rings' covers.  A row stops at its
+    first None; the pass ends when every row has stopped.
+    """
+    check_exponent(t)
+    if not rings or not all(rings):
+        raise ValueError("circular words must be nonempty")
+    sizes = [len(ring) for ring in rings]
+    total = sum(sizes)
+    starts = list(accumulate(sizes[:-1], initial=0))
+    lifts = np.array([np.concatenate([circular_jump_lift(ring, g) for ring in rings])
+                      for g in GENERATORS])
+    if len(rings) > 1:  # a lone ring (N = L, offset 0) is its own encoding
+        offsets, lengths = np.repeat(starts, sizes), np.repeat(sizes, sizes)
+        lifts = lifts + offsets + lifts // lengths * (total - lengths)
+    perms = dict(zip(GENERATORS, lifts))
+    identity = np.arange(total, dtype=np.int64)
+    shifts = []  # per level, for each relator the gcd of R(x) - x on each row
+    stopped = np.zeros(len(rings), dtype=bool)
+    for tables in _relator_levels(perms, t):
+        shifts.append(np.gcd.reduceat(np.array(tables) - identity, starts, axis=1))
+        # the windings of a row are all integers iff the gcd of its shifts
+        # is a multiple of N, and their gcd is then that gcd over N
+        residues = shifts[-1] % total
+        if np.count_nonzero(residues):
+            stopped |= residues.any(axis=0)
+            if stopped.all():
+                break
+    rows = []
+    for row in np.concatenate(shifts).T.tolist():
+        windings = []
+        for shift in row:
+            if shift % total:
+                windings.append(None)
+                break
+            windings.append(shift // total)
+        rows.append(windings)
+    return rows
 
 
 def relator_windings(letters: str, t: int) -> list[int | None]:
@@ -220,34 +305,12 @@ def relator_windings(letters: str, t: int) -> list[int | None]:
     maps the lifts onto the jump action on ``letters * p``, so R fixes
     every starring of ``letters * p`` iff p divides its entry.
 
-    kappa^k(r) is never expanded: its lift under the lifted tables P is
-    that of r under the kappa-images P'_a = P_a P_c P_a, P'_b = P_d,
-    P'_c = P_b, P'_d = P_c.  Read on ``letters * p`` that is exact
-    because kappa is an endomorphism of Z2 * Z2^2 and the Klein
-    relators, checked first, hold there.
+    This is the one-ring view of :func:`side_by_side_windings`.  Read on
+    ``letters * p``, its kappa-iterates are exact because kappa is an
+    endomorphism of Z2 * Z2^2 and the Klein relators, checked first,
+    hold there.
     """
-    check_exponent(t)
-    perms = {g: circular_jump_lift(letters, g) for g in GENERATORS}
-    size = len(letters)
-    identity = np.arange(size, dtype=np.int64)
-    # (relator, k) in the order of relation_set: kappa^k is applied to it
-    family = [(r, 0) for r in _KLEIN_RELATORS]
-    family += [(r, k) for k in range(t + 1) for r in _KAPPA_SEEDS]
-    level = 0
-    windings = []
-    for relator, k in family:
-        if k > level:  # replace the tables by their kappa-images
-            perms = {"a": word_star_permutation("aca", perms),
-                     "b": perms["d"], "c": perms["b"], "d": perms["c"]}
-            level = k
-        # the windings are all integers iff the gcd of the shifts is a
-        # multiple of the length, and their gcd is then that gcd over it
-        shift = int(np.gcd.reduce(word_star_permutation(relator, perms) - identity))
-        if shift % size:
-            windings.append(None)
-            break
-        windings.append(shift // size)
-    return windings
+    return side_by_side_windings([letters], t)[0]
 
 
 def moving_relator(letters: str, t: int, p: int = 1) -> int | None:
@@ -269,17 +332,18 @@ def table1(n_max: int = 6, p_max: int = 50, t: int = 6) -> list[list[bool]]:
     Entry [n-1][p-1] is True iff every relator of :func:`relation_set`
     fixes all starrings of the circular repetition, that is iff p divides
     the gcd of the row's :func:`relator_windings`: one lifted evaluation
-    per row serves every p.  At t >= n that gcd is 8, and the ones sit
-    at its divisors p in {1, 2, 4, 8}.
+    of the rings w_n alpha side by side (:func:`side_by_side_windings`)
+    serves every row and every p.  At t >= n that gcd is 8, and the ones
+    sit at its divisors p in {1, 2, 4, 8}.
     """
     caps = TABLE_CAPS
     if not (1 <= n_max <= caps[0] and 1 <= p_max <= caps[1] and 0 <= t <= caps[2]):
         raise SizeLimitError(
             f"table1 caps are n_max<={caps[0]}, p_max<={caps[1]}, t<={caps[2]}"
         )
+    rings = [build_w(n) + core_words.alpha_choice(n) for n in range(1, n_max + 1)]
     rows = []
-    for n in range(1, n_max + 1):
-        windings = relator_windings(build_w(n) + core_words.alpha_choice(n), t)
+    for windings in side_by_side_windings(rings, t):
         period = None if None in windings else gcd(*windings)
         rows.append([period is not None and period % p == 0 for p in range(1, p_max + 1)])
     return rows

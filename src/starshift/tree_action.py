@@ -1,11 +1,14 @@
 """The defining action on vertices of the rooted binary tree.
 
 A vertex at height m is a bit string of length m (a plain '0'/'1'
-string).  Generator `a` flips the first bit; each of b, c, d reads the
-leading block of ones, v = 1^n 0 alpha x, and flips alpha unless n is
-congruent to the generator's residue mod 3.  Strings too short to
-contain the pattern (in particular all-ones strings) are fixed, which
-is the unique extension compatible with the action on longer strings.
+string).  The generators act by the wreath recursion
+
+    a = swap,   b = (a, c),   c = (a, d),   d = (1, b):
+
+`a` flips the first bit, and each of b, c, d keeps the first bit and
+acts on the rest by its section below that bit (the first or the
+second entry of the pair).  :data:`SECTIONS` is that table, and both the
+action on one string and the level permutation tables are read from it.
 
 Word-sized computations (triviality tests, quadrant supports) go
 through cached permutation tables on whole levels.
@@ -20,8 +23,9 @@ import numpy as np
 from .core_words import GENERATORS, free_reduce
 from .errors import NotLevelTwoTrivialError, SizeLimitError
 
-# Residues controlling which levels each generator acts on.
-V_RESIDUE = {"b": 2, "c": 1, "d": 0}
+# The sections of b, c, d below a first bit 0 and 1; None is the identity.
+# `a` has trivial sections and swaps the two subtrees.
+SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": (None, "b")}
 
 DEPTH_CAP = 20
 
@@ -33,21 +37,20 @@ def _check_bits(v: str) -> None:
 
 
 def act_generator(g: str, v: str) -> str:
-    """Apply one generator to a bit string; the length is preserved."""
+    """Apply one generator to a bit string; the length is preserved.
+
+    The walk follows the sections along the bits of ``v`` until it meets
+    `a`, which flips the bit below it, or the identity."""
     _check_bits(v)
-    if g == "a":
-        return ("1" if v[0] == "0" else "0") + v[1:] if v else v
-    if g not in V_RESIDUE:
+    if g != "a" and g not in SECTIONS:
         raise ValueError(f"unknown generator {g!r}")
-    n = 0
-    while n < len(v) and v[n] == "1":
-        n += 1
-    i = n + 1  # position of alpha in 1^n 0 alpha x
-    if i >= len(v):
-        return v
-    if n % 3 == V_RESIDUE[g]:
-        return v
-    return v[:i] + ("1" if v[i] == "0" else "0") + v[i + 1 :]
+    for i, bit in enumerate(v):
+        if g == "a":
+            return v[:i] + ("1" if bit == "0" else "0") + v[i + 1 :]
+        g = SECTIONS[g][int(bit)]
+        if g is None:
+            break
+    return v
 
 
 def act_word(word: str, v: str) -> str:
@@ -57,35 +60,50 @@ def act_word(word: str, v: str) -> str:
     return v
 
 
+def _check_depth(m: int) -> None:
+    if m > DEPTH_CAP:
+        raise SizeLimitError(f"level {m} exceeds the depth cap {DEPTH_CAP}")
+
+
+def _level_table(g: str | None, m: int) -> np.ndarray:
+    # the table of g (None is the identity) at level m, from the tables of
+    # its sections at level m - 1: one chain of levels, so no cache needed
+    if g is None or m == 0:
+        return np.arange(1 << m, dtype=np.int64)
+    half = 1 << (m - 1)
+    if g == "a":
+        return np.arange(1 << m, dtype=np.int64) ^ half
+    s0, s1 = SECTIONS[g]
+    return np.concatenate([_level_table(s0, m - 1), _level_table(s1, m - 1) + half])
+
+
 @lru_cache(maxsize=None)
 def level_permutation(g: str, m: int) -> np.ndarray:
     """Permutation of {0,1}^m induced by a generator.
 
     Vertices are encoded as integers with the first bit of the string as
-    the most significant bit.
+    the most significant bit.  The table is read from the sections: `a`
+    swaps the two halves, and a generator with sections (s0, s1) maps
+    the first half by the table of s0 at level m - 1 and the second half
+    by that of s1.  Levels above DEPTH_CAP raise SizeLimitError before
+    any table is built.
     """
-    if g not in GENERATORS:
+    if len(g) != 1 or g not in GENERATORS:  # GENERATORS is a string
         raise ValueError(f"unknown generator {g!r}")
     if m < 0:
         raise ValueError("level must be non-negative")
-    size = 1 << m
-    perm = np.arange(size, dtype=np.int64)
-    if m > 0 and g == "a":
-        perm ^= 1 << (m - 1)
-    elif m > 0:
-        res = V_RESIDUE[g]
-        for v in range(size):
-            bits = format(v, f"0{m}b")
-            n = len(bits) - len(bits.lstrip("1"))
-            i = n + 1
-            if i < m and n % 3 != res:
-                perm[v] = v ^ (1 << (m - 1 - i))
+    _check_depth(m)
+    perm = _level_table(g, m)
     perm.setflags(write=False)  # cached and shared, keep callers honest
     return perm
 
 
 def word_permutation(word: str, m: int) -> np.ndarray:
-    """Permutation of {0,1}^m induced by a group word (right-to-left)."""
+    """Permutation of {0,1}^m induced by a group word (right-to-left).
+
+    Levels above DEPTH_CAP raise SizeLimitError before any table is built.
+    """
+    _check_depth(m)
     perm = np.arange(1 << m, dtype=np.int64)
     for g in reversed(free_reduce(word)):
         perm = level_permutation(g, m)[perm]

@@ -15,7 +15,9 @@ is read one k at a time from the offsets of the natural blocks.  Group
 words are reduced letter by letter on a stack, where the library first
 checks whether they already are, window walks fold single jump moves
 with the margin rule applied at every step, and orbit graphs are
-serialised by ``json.dumps``.
+serialised by ``json.dumps``.  The tree action is read from the leading
+block of ones of each vertex, one bit string at a time, where the
+library follows the sections of the wreath recursion.
 """
 
 import json
@@ -366,3 +368,33 @@ def schreier_json_by_dumps(graph) -> str:
         "edges": [list(e) for e in graph.edges],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# b, c, d fix the vertices 1^n 0 alpha x whose n has this residue mod 3
+_TREE_RESIDUES = {"b": 2, "c": 1, "d": 0}
+
+
+def act_generator_by_residue(g: str, v: str) -> str:
+    """One generator on a bit string: `a` flips the first bit; b, c, d
+    read v = 1^n 0 alpha x and flip alpha unless n is congruent to the
+    generator's residue mod 3.  Strings too short to contain alpha are
+    fixed."""
+    if g == "a":
+        return ("1" if v[0] == "0" else "0") + v[1:] if v else v
+    n = len(v) - len(v.lstrip("1"))
+    i = n + 1  # position of alpha in 1^n 0 alpha x
+    if i >= len(v) or n % 3 == _TREE_RESIDUES[g]:
+        return v
+    return v[:i] + ("1" if v[i] == "0" else "0") + v[i + 1 :]
+
+
+def level_permutation_by_bits(g: str, m: int) -> np.ndarray:
+    """The permutation of {0,1}^m under one generator, each vertex
+    written out as a bit string (first bit most significant) and moved
+    by :func:`act_generator_by_residue`."""
+    if m == 0:  # the root alone; format() would write it as "0"
+        return np.zeros(1, dtype=np.int64)
+    return np.array(
+        [int(act_generator_by_residue(g, format(v, f"0{m}b")), 2) for v in range(1 << m)],
+        dtype=np.int64,
+    )

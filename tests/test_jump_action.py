@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -189,6 +190,38 @@ class TestRelatorChecks:
             assert relator_fixes_all_starrings(r, c)
 
 
+@lru_cache(maxsize=None)
+def _first_moving_on_cover(n: int, p: int) -> int | None:
+    # the oracle's verdict on (w_n alpha)^p over the whole family at t = 8
+    return moving_relator_by_cover((build_w(n) + alpha_choice(n)) * p, ja.TABLE_CAPS[2])
+
+
+def _moves_within(first: int | None, t: int) -> bool:
+    # relation_set(t) is a prefix of relation_set(8)
+    return first is not None and first < len(ja.relation_set(t))
+
+
+def _random_rings(rng: random.Random, count: int) -> list[str]:
+    # cyclically alternating words of mixed lengths, most of which stop at
+    # (ad)^4, with (aD)^3, which stops at its kappa-image, and two w_n
+    # alpha, which never stop
+    rings = ["".join("a" + rng.choice("BCD") for _ in range(rng.randrange(1, 21)))
+             for _ in range(count)]
+    rings += ["aDaDaD"] + [build_w(n) + alpha_choice(n) for n in rng.sample(range(1, 7), 2)]
+    rng.shuffle(rings)
+    return rings
+
+
+@pytest.fixture
+def composed(monkeypatch):
+    # the words passed to the composer, in order
+    calls = []
+    compose = ja.word_star_permutation
+    monkeypatch.setattr(ja, "word_star_permutation",
+                        lambda word, perms: calls.append(word) or compose(word, perms))
+    return calls
+
+
 class TestMovingRelator:
     """The relator family evaluated through kappa on the tables, against
     the expanded relators of relation_set composed letter by letter."""
@@ -215,10 +248,9 @@ class TestMovingRelator:
         # every p read off one lift, against (w_n alpha)^p on its own tables
         base = build_w(n) + alpha_choice(n)
         for p in range(1, ja.TABLE_CAPS[1] + 1):
-            first = moving_relator_by_cover(base * p, ja.TABLE_CAPS[2])
+            first = _first_moving_on_cover(n, p)
             for t in range(ja.TABLE_CAPS[2] + 1):
-                in_family = first is not None and first < len(ja.relation_set(t))
-                expected = first if in_family else None
+                expected = first if _moves_within(first, t) else None
                 assert ja.moving_relator(base, t, p) == expected, (n, p, t)
 
     @pytest.mark.parametrize("n", range(1, ja.TABLE_CAPS[0] + 1))
@@ -242,6 +274,53 @@ class TestMovingRelator:
     def test_cover_must_be_positive(self):
         with pytest.raises(ValueError):
             ja.moving_relator("aD", 6, 0)
+
+    def test_rings_must_be_nonempty(self):
+        for rings in ([], [""], ["aD", ""]):
+            with pytest.raises(ValueError):
+                ja.side_by_side_windings(rings, 6)
+        with pytest.raises(ValueError):
+            ja.moving_relator("", 6)
+
+
+class TestSideBySide:
+    """Rings evaluated side by side in one table against each ring on
+    its own, and table1 against every cover on its own tables."""
+
+    @pytest.mark.parametrize("n_max", range(1, ja.TABLE_CAPS[0] + 1))
+    def test_table1_matches_the_covers_row_by_row(self, n_max):
+        p_max = ja.TABLE_CAPS[1]
+        for t in range(ja.TABLE_CAPS[2] + 1):
+            expected = [
+                [not _moves_within(_first_moving_on_cover(n, p), t) for p in range(1, p_max + 1)]
+                for n in range(1, n_max + 1)
+            ]
+            assert ja.table1(n_max, p_max, t) == expected, t
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_rings_give_what_each_gives_alone(self, seed):
+        rings = _random_rings(random.Random(seed), 10)
+        for t in (0, 1, 4, ja.TABLE_CAPS[2]):
+            together = ja.side_by_side_windings(rings, t)
+            assert together == [ja.relator_windings(ring, t) for ring in rings], t
+        # rows stop at different relators, and some never stop
+        stops = {len(row) for row in together if row[-1] is None}
+        assert len(stops) >= 2 and any(None not in row for row in together)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_ring_matches_the_covers_on_random_rings(self, seed):
+        for ring in _random_rings(random.Random(100 + seed), 6):
+            for p in range(1, 4):
+                first = moving_relator_by_cover(ring * p, ja.TABLE_CAPS[2])
+                assert ja.moving_relator(ring, ja.TABLE_CAPS[2], p) == first, (ring, p)
+
+    def test_a_row_that_stops_early_ends_the_pass(self, composed):
+        # (ad)^4 moves a starring of (aB)^3, kappa((ad)^4) one of (aD)^3
+        windings = ja.side_by_side_windings(["aBaBaB", "aDaDaD"], 8)
+        assert windings == [[0] * 5 + [None], [0] * 7 + [None]]
+        # the Klein relators, then the seeds of k = 0 and k = 1 only
+        seeds = ["ad", "xx", "xx", "adacac", "xx", "xx"]
+        assert composed == ["aa", "bb", "cc", "dd", "bcd"] + seeds + ["aca"] + seeds
 
 
 class TestRelatorFamilyCost:
@@ -284,6 +363,18 @@ class TestRelatorFamilyCost:
         # (32 letters) for each of k = 0..8, and the kappa-image aca of
         # the a-table (3 letters) for each of k = 1..8
         assert one_column["letters"] <= 11 + 9 * 32 + 8 * 3
+
+    def test_table1_composes_as_often_as_one_ring(self, composed):
+        ja.relator_windings(build_w(6) + alpha_choice(6), 8)
+        alone = list(composed)
+        composed.clear()
+        ja.table1(6, ja.TABLE_CAPS[1], 8)
+        assert composed == alone
+        # the Klein relators (11 letters); for each of k = 0..8 the roots ad
+        # and adacac, each squared twice (8 + 8 letters); for each of
+        # k = 1..8 the kappa-image aca of the a-table
+        assert len(alone) == 5 + 9 * 6 + 8
+        assert sum(map(len, alone)) == 11 + 9 * 16 + 8 * 3
 
 
 class TestTable1:

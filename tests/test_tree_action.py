@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import act_generator_by_residue, level_permutation_by_bits
 from starshift import tree_action as ta
 from starshift.core_words import kappa_iter
 from starshift.errors import NotLevelTwoTrivialError, SizeLimitError
@@ -44,6 +45,47 @@ def test_permutations_match_act_generator():
             for v in range(1 << m):
                 s = format(v, f"0{m}b")
                 assert ta.act_generator(g, s) == format(int(perm[v]), f"0{m}b")
+
+
+class TestWreathRecursion:
+    """The section table against the rule read from the leading ones."""
+
+    @pytest.mark.parametrize("m", range(17))
+    def test_level_tables_match_the_bit_oracle(self, m):
+        for g in "abcd":
+            assert np.array_equal(ta.level_permutation(g, m), level_permutation_by_bits(g, m)), g
+
+    def test_action_matches_the_residue_oracle(self):
+        for length in range(13):
+            for v in map("".join, itertools.product("01", repeat=length)):
+                for g in "abcd":
+                    assert ta.act_generator(g, v) == act_generator_by_residue(g, v), (g, v)
+
+    def test_tables_are_cached_and_read_only(self):
+        perm = ta.level_permutation("b", 6)
+        assert ta.level_permutation("b", 6) is perm
+        with pytest.raises(ValueError):
+            perm[0] = 1
+
+    def test_bad_arguments(self):
+        for g in ("x", "", "ab"):
+            with pytest.raises(ValueError):
+                ta.level_permutation(g, 3)
+        with pytest.raises(ValueError):
+            ta.level_permutation("a", -1)
+        with pytest.raises(ValueError):
+            ta.act_generator("x", "01")
+        with pytest.raises(ValueError):
+            ta.act_generator("a", "02")
+
+    @pytest.mark.parametrize("m", [ta.DEPTH_CAP + 1, 64])
+    def test_depth_cap_comes_before_any_table(self, m, monkeypatch):
+        monkeypatch.setattr(ta.np, "arange", None)  # any allocation would fail
+        for g in "abcd":
+            with pytest.raises(SizeLimitError):
+                ta.level_permutation(g, m)
+        with pytest.raises(SizeLimitError):
+            ta.word_permutation("ab", m)
 
 
 class TestTrivialityTest:
