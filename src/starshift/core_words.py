@@ -26,7 +26,7 @@ from .errors import SizeLimitError
 LETTERS = "aBCD"
 GENERATORS = "abcd"
 
-# Default cap on the index n of w_n; |w_24| is ~16M letters.
+# Cap on the index n of w_n; |w_24| is ~16M letters.
 WORD_CAP = 24
 
 _LETTER_RANK = {c: i for i, c in enumerate(LETTERS)}
@@ -82,23 +82,22 @@ def _build_w(n: int) -> str:
     return prev + alpha_choice(n - 1) + prev
 
 
-def build_w(n: int, cap: int = WORD_CAP) -> str:
+def build_w(n: int) -> str:
     """The n-th generator word w_n, of length 2^n - 1.
 
-    Raises SizeLimitError beyond the cap; pass a larger ``cap`` to
-    override (the words grow exponentially, fail loudly rather than
-    truncate).
+    Raises SizeLimitError beyond WORD_CAP (the words grow exponentially,
+    fail loudly rather than truncate).
     """
     if n < 1:
         raise ValueError("n must be positive")
-    check_word_cap(n, cap)
+    check_word_cap(n)
     return _build_w(n)
 
 
-def check_word_cap(n: int, cap: int = WORD_CAP) -> None:
-    """Raise SizeLimitError if w_n is beyond the cap, before building it."""
-    if n > cap:
-        raise SizeLimitError(f"w_{n} exceeds the cap n <= {cap}")
+def check_word_cap(n: int) -> None:
+    """Raise SizeLimitError if w_n is beyond WORD_CAP, before building it."""
+    if n > WORD_CAP:
+        raise SizeLimitError(f"w_{n} exceeds the cap n <= {WORD_CAP}")
 
 
 def _alternates(word: str) -> bool:
@@ -175,29 +174,29 @@ def kappa_iter(word: str, k: int) -> str:
     return out
 
 
-def tau_fixed_point_prefix(length: int, cap: int = WORD_CAP) -> str:
+def tau_fixed_point_prefix(length: int) -> str:
     """First ``length`` letters of the substitution fixed point from `a`.
 
     Agrees with the corresponding prefix of every sufficiently long w_n.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
-    if length > 2**cap - 1:
-        raise SizeLimitError(f"prefix length {length} exceeds cap 2^{cap}-1")
+    if length > 2**WORD_CAP - 1:
+        raise SizeLimitError(f"prefix length {length} exceeds cap 2^{WORD_CAP}-1")
     word = "a"
     while len(word) < length:
         word = "".join(_TAU[c] for c in word)
     return word[:length]
 
 
-def _adequate_n(length: int, cap: int) -> int:
+def _adequate_n(length: int) -> int:
     # smallest n >= 1 with length <= 2^n - 1
     n = 1
     while 2**n - 1 < length:
         n += 1
-    if n + 3 > cap:
+    if n + 3 > WORD_CAP:
         raise SizeLimitError(
-            f"language query of length {length} needs w_{n + 3}, beyond cap {cap}"
+            f"language query of length {length} needs w_{n + 3}, beyond cap {WORD_CAP}"
         )
     return n
 
@@ -234,22 +233,22 @@ def phase(word: str) -> tuple[int, int] | None:
 
 
 @lru_cache(maxsize=8192)
-def language_contains(word: str, cap: int = WORD_CAP) -> bool:
+def language_contains(word: str) -> bool:
     """Whether ``word`` occurs in the shift space generated by the w_n.
 
-    Words longer than 2^(cap-3) - 1 letters are refused with
+    Words longer than 2^(WORD_CAP-3) - 1 letters are refused with
     SizeLimitError, the bound of :func:`language_words`.  Cached:
     windows re-validate the same long content many times over.
     """
-    _adequate_n(len(word), cap)
+    _adequate_n(len(word))
     return phase(word) is not None
 
 
-def language_words(length: int, cap: int = WORD_CAP) -> list[str]:
+def language_words(length: int) -> list[str]:
     """All language words of the given length, sorted with a < B < C < D."""
     if length < 0:
         raise ValueError("length must be non-negative")
-    n = _adequate_n(length, cap)
-    host = build_w(n + 3, cap)
+    n = _adequate_n(length)
+    host = build_w(n + 3)
     found = {host[i : i + length] for i in range(len(host) - length + 1)}
     return sorted(found, key=lex_key)

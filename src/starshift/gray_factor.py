@@ -66,12 +66,12 @@ def _phi_codes(n: int) -> np.ndarray:
     return codes
 
 
-def phi(n: int, cap: int = GRAY_CAP) -> GrayTable:
+def phi(n: int) -> GrayTable:
     """The conjugacy table for star positions of w_n."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > cap:
-        raise SizeLimitError(f"gray table for n={n} exceeds the cap {cap}")
+    if n > GRAY_CAP:
+        raise SizeLimitError(f"gray table for n={n} exceeds the cap {GRAY_CAP}")
     return GrayTable(n=n, codes=_phi_codes(n))
 
 
@@ -146,7 +146,7 @@ def psi(k: int, x: Window) -> str:
     return psi_tower(k, x)[-1]
 
 
-def six_fiber_witnesses(m: int, cap: int = FIBER_CAP) -> list[Window]:
+def six_fiber_witnesses(m: int) -> list[Window]:
     """The six windows sharing a tree vertex to all visible depths.
 
     For each middle letter alpha in {B, C, D} the word w_m alpha w_m is
@@ -156,8 +156,8 @@ def six_fiber_witnesses(m: int, cap: int = FIBER_CAP) -> list[Window]:
     """
     if m < 1:
         raise ValueError("m must be positive")
-    if m > cap:
-        raise SizeLimitError(f"fiber witnesses for m={m} exceed the cap {cap}")
+    if m > FIBER_CAP:
+        raise SizeLimitError(f"fiber witnesses for m={m} exceed the cap {FIBER_CAP}")
     w = build_w(m)
     windows = []
     for alpha in "BCD":

@@ -1,8 +1,10 @@
 """One-dimensional subshifts of finite type over small alphabets.
 
-An SFT is stored by its admissible blocks of one fixed length (the
-order); the follower automaton has the (order-1)-blocks as states and
-the order-blocks as edges.  After trimming states without incoming or
+An SFT is its admissible blocks of one fixed length (the order), and
+nothing else: :meth:`ZSft.from_forbidden` turns forbidden words into
+blocks once, and ``forbidden`` is read back as their complement.  The
+follower automaton has the (order-1)-blocks as states and the
+order-blocks as edges.  After trimming states without incoming or
 outgoing edges, bi-infinite paths through the automaton are exactly the
 configurations, so language queries reduce to path enumeration, and
 periodic points to the closed paths that spell a necklace, which lists
@@ -39,7 +41,6 @@ class ZSft:
     alphabet: tuple[str, ...]
     order: int
     blocks: frozenset[str]
-    given_forbidden: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.order < 1:
@@ -56,7 +57,8 @@ class ZSft:
     def from_forbidden(
         cls, alphabet: tuple[str, ...] | str, forbidden: list[str] | tuple[str, ...]
     ) -> "ZSft":
-        """SFT avoiding the given words (lengths may be mixed)."""
+        """SFT avoiding the given words (lengths may be mixed), kept as its
+        admissible blocks of the longest forbidden length."""
         alphabet = tuple(alphabet)
         bad = tuple(sorted(set(forbidden)))
         for w in bad:
@@ -73,7 +75,7 @@ class ZSft:
             for u in product(alphabet, repeat=order)
             if not any(b in "".join(u) for b in bad)
         )
-        return cls(alphabet, order, blocks, given_forbidden=bad)
+        return cls(alphabet, order, blocks)
 
     @classmethod
     def from_blocks(
@@ -107,9 +109,7 @@ class ZSft:
 
     @property
     def forbidden(self) -> tuple[str, ...]:
-        """Forbidden words: as given, else the complement of the blocks."""
-        if self.given_forbidden is not None:
-            return self.given_forbidden
+        """The order-words that are not admissible blocks, sorted."""
         if len(self.alphabet) ** self.order > _ENUM_CAP:
             raise SizeLimitError("complementing the block set is too large")
         return tuple(
@@ -160,7 +160,7 @@ class ZSft:
         return cls.from_blocks(payload["alphabet"], payload["order"], payload["blocks"])
 
 
-def sft_approximation(order: int, cap: int = APPROXIMATION_CAP) -> ZSft:
+def sft_approximation(order: int) -> ZSft:
     """The SFT whose forbidden words are the non-language words of one length.
 
     For large orders the forbidden set is astronomical, so the SFT is
@@ -169,8 +169,8 @@ def sft_approximation(order: int, cap: int = APPROXIMATION_CAP) -> ZSft:
     """
     if order < 1:
         raise ValueError("order must be positive")
-    if order > cap:
-        raise SizeLimitError(f"approximation order {order} exceeds the cap {cap}")
+    if order > APPROXIMATION_CAP:
+        raise SizeLimitError(f"approximation order {order} exceeds the cap {APPROXIMATION_CAP}")
     return ZSft.from_blocks("aBCD", order, language_words(order))
 
 
@@ -181,7 +181,7 @@ def canonical_rotation(word: str, alphabet: tuple[str, ...] | str) -> str:
     return min(rotations, key=lambda w: tuple(rank[c] for c in w))
 
 
-def periodic_points(sft: ZSft, p: int, cap: int = PERIOD_CAP) -> list[str]:
+def periodic_points(sft: ZSft, p: int) -> list[str]:
     """All period-p orbits, as canonical rotations of their repeating word.
 
     A period-p point is a closed length-p path in the follower
@@ -196,8 +196,8 @@ def periodic_points(sft: ZSft, p: int, cap: int = PERIOD_CAP) -> list[str]:
     """
     if p < 1:
         raise ValueError("p must be positive")
-    if p > cap:
-        raise SizeLimitError(f"period {p} exceeds the cap {cap}")
+    if p > PERIOD_CAP:
+        raise SizeLimitError(f"period {p} exceeds the cap {PERIOD_CAP}")
     trans = sft._automaton
     rank = {c: i for i, c in enumerate(sft.alphabet)}
     found: list[str] = []
@@ -294,7 +294,9 @@ def comb_sft(tiles: list[WangTile] | tuple[WangTile, ...], k: int) -> ZSft:
     k match colors; within distance < k of a tile everything is blank;
     and every length-k window contains a tile.  Valid configurations
     carry the tile system on a single residue class mod k (the phase)
-    and blanks elsewhere.
+    and blanks elsewhere.  Their (k+1)-blocks are written down directly:
+    a lone tile strictly inside blanks, ``_^i t _^(k-i)`` for
+    1 <= i <= k-1, and two matching tiles k apart, ``t _^(k-1) u``.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -302,37 +304,18 @@ def comb_sft(tiles: list[WangTile] | tuple[WangTile, ...], k: int) -> ZSft:
     names = [t.name for t in tiles]
     if len(set(names)) != len(names):
         raise ValueError("tile names must be distinct")
-    # the tile system itself must admit a bi-infinite row
-    succ = {
-        t.name: [u.name for u in tiles if t.right == u.left] for t in tiles
-    }
-    alive = set(succ)
-    while True:
-        with_in = {v for t in alive for v in succ[t] if v in alive}
-        dead = [t for t in alive if t not in with_in or not set(succ[t]) & alive]
-        if not dead:
-            break
-        alive -= set(dead)
-    if not alive:
+    pairs = [(t.name, u.name) for t in tiles for u in tiles if t.right == u.left]
+    if ZSft.from_blocks(names, 2, (t + u for t, u in pairs)).is_empty:
         raise EmptySftError("the tile set admits no bi-infinite matching row")
 
     alphabet = tuple(names) + (BLANK,)
+    # nothing is enumerated here, but the block length k + 1 stays within
+    # the bound that from_forbidden and ``forbidden`` keep
     if len(alphabet) ** (k + 1) > _ENUM_CAP:
         raise SizeLimitError("comb construction too large to enumerate")
-    by_name = {t.name: t for t in tiles}
-    forbidden = {BLANK * k}
-    for r in range(1, k):
-        for mid in product(alphabet, repeat=r - 1):
-            for t1 in names:
-                for t2 in names:
-                    forbidden.add(t1 + "".join(mid) + t2)
-    for t in names:
-        for mid in product(alphabet, repeat=k - 1):
-            for last in alphabet:
-                ok = last != BLANK and by_name[t].right == by_name[last].left
-                if not ok:
-                    forbidden.add(t + "".join(mid) + last)
-    return ZSft.from_forbidden(alphabet, sorted(forbidden))
+    lone = [BLANK * i + t + BLANK * (k - i) for t in names for i in range(1, k)]
+    matched = [t + BLANK * (k - 1) + u for t, u in pairs]
+    return ZSft.from_blocks(alphabet, k + 1, lone + matched)
 
 
 PSEUDO_ORBIT_CAP = 8
@@ -373,9 +356,7 @@ class PseudoOrbitReport:
         }
 
 
-def pseudo_orbit_demo(
-    n: int, word_len: int | None = None, t: int = 6, cap: int = PSEUDO_ORBIT_CAP
-) -> PseudoOrbitReport:
+def pseudo_orbit_demo(n: int, word_len: int | None = None, t: int = 6) -> PseudoOrbitReport:
     """Checks making the repetition of w_n alpha a traceable-by-nothing orbit.
 
     (i) every word of length 2^n of the repetition is in the language
@@ -389,8 +370,8 @@ def pseudo_orbit_demo(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > cap:
-        raise SizeLimitError(f"pseudo-orbit index {n} exceeds the cap {cap}")
+    if n > PSEUDO_ORBIT_CAP:
+        raise SizeLimitError(f"pseudo-orbit index {n} exceeds the cap {PSEUDO_ORBIT_CAP}")
     period = 2**n
     if word_len is None:
         word_len = 4 * period

@@ -110,17 +110,16 @@ def word_permutation(word: str, m: int) -> np.ndarray:
     return perm
 
 
-def is_trivial_up_to_depth(word: str, m: int, cap: int = DEPTH_CAP) -> bool:
+def is_trivial_up_to_depth(word: str, m: int) -> bool:
     """Whether a group word fixes every vertex of level m.
 
     Fixing level m fixes all shallower levels too, so this is a
     semi-decision for triviality: a True answer is only a necessary
-    condition, no depth is claimed sufficient.
+    condition, no depth is claimed sufficient.  Levels above DEPTH_CAP
+    raise SizeLimitError, from :func:`word_permutation`.
     """
     if m < 1:
         raise ValueError("depth must be positive")
-    if m > cap:
-        raise SizeLimitError(f"depth {m} exceeds the cap {cap}")
     perm = word_permutation(word, m)
     return bool(np.array_equal(perm, np.arange(1 << m)))
 
@@ -130,17 +129,17 @@ def stabilizer_generators(v: str) -> set[str]:
     return {g for g in GENERATORS if act_generator(g, v) == v}
 
 
-def quadrant_support(word: str, depth: int, cap: int = DEPTH_CAP) -> set[str]:
+def quadrant_support(word: str, depth: int) -> set[str]:
     """Two-bit prefixes below which the word moves some level-`depth` vertex.
 
     The word must fix the first two levels pointwise; the result is a
     depth-bounded approximation of its decomposition into the four
-    rigid stabilizers of the second level.
+    rigid stabilizers of the second level.  Depths above DEPTH_CAP raise
+    SizeLimitError before the first two levels are checked.
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
-    if depth > cap:
-        raise SizeLimitError(f"depth {depth} exceeds the cap {cap}")
+    _check_depth(depth)
     if not np.array_equal(word_permutation(word, 2), np.arange(4)):
         raise NotLevelTwoTrivialError(
             f"word {word!r} does not fix the first two tree levels pointwise"

@@ -38,7 +38,7 @@ from starshift.jump_action import (
     relation_set,
 )
 from starshift.jump_action import star_step
-from starshift.subshift import PseudoOrbitReport, ZSft, canonical_rotation
+from starshift.subshift import BLANK, PseudoOrbitReport, ZSft, canonical_rotation
 
 PLACEMENT_HOST = 16  # placements are occurrences in w_16
 PLACEMENT_BITS = 8  # kept modulo 2^8, enough for blocks up to w_8
@@ -98,6 +98,20 @@ def orbit_sft_forbidden(word: str, alphabet) -> list[str]:
         for u in product(alphabet, repeat=n)
         if "".join(u) not in rotations
     )
+
+
+def comb_forbidden_by_rules(tiles, k: int) -> list[str]:
+    """Forbidden words of the comb over the tiles and a blank, each of its
+    three rules through its shortest violations: k blanks in a row, two
+    tiles closer than k, and a tile without a matching tile k later."""
+    words = [BLANK * k]
+    for t in tiles:
+        words.append(t.name + BLANK * k)
+        for u in tiles:
+            words += [t.name + BLANK * gap + u.name for gap in range(k - 1)]
+            if t.right != u.left:
+                words.append(t.name + BLANK * (k - 1) + u.name)
+    return words
 
 
 def relator_fixes_all_starrings(relator: str, base: str | CircularWord) -> bool:

@@ -12,7 +12,7 @@ from collections import deque
 
 import numpy as np
 
-from oracles import naive_words, orbit_sft_forbidden
+from oracles import comb_forbidden_by_rules, naive_words, orbit_sft_forbidden
 from starshift import (
     cli,
     core_words as cw,
@@ -135,13 +135,9 @@ def test_criterion_06_factor_map_suite():
     for width, depth in ((129, 4), (257, 5), (513, 6)):
         for start in range(len(letters) - width + 1):
             win = Window(letters[start : start + width], width // 2)
-            values = [gf.psi(k, win) for k in range(1, depth + 1)]
+            values = gf.psi_tower(depth, win)
             ok &= all(b.startswith(a) for a, b in zip(values, values[1:]))
-            mirrored = fg.reverse_window(win)
-            ok &= all(
-                gf.psi(k, mirrored) == v
-                for k, v in zip(range(1, depth + 1), values)
-            )
+            ok &= gf.psi_tower(depth, fg.reverse_window(win)) == values
             windows += 1
     ok &= windows >= 10000
     # six-witness fibers agree to all visible depths
@@ -255,10 +251,11 @@ def test_criterion_09_sft_constructions():
             continue  # shared orbit; draw again
         accepted += 1
 
-    # comb outputs against the naive oracle on their forbidden words
+    # comb outputs against the naive oracle on the comb's three rules
+    tiles = [WangTile("T", "x", "x")]
     for k in (2, 3):
-        comb = sm.comb_sft([WangTile("T", "x", "x")], k)
-        forbidden = list(comb.forbidden)
+        comb = sm.comb_sft(tiles, k)
+        forbidden = comb_forbidden_by_rules(tiles, k)
         ok &= all(
             comb.words(n) == naive_words(n, comb.alphabet, forbidden, comb.order)
             for n in range(2 * comb.order + 1)

@@ -227,6 +227,8 @@ def test_io_error_exit_two(capsys, tmp_path):
         ["pseudo-orbit", "--t", "-1"],
         ["pseudo-orbit", "--t", "9"],
         ["sft", "comb-demo", "--k", "1"],
+        ["sft", "comb-demo", "--k", "17"],  # cap: periods up to 4k pass 64
+        ["sft", "comb-demo", "--k", "21"],
         ["verify", "--max-n", "-5"],
         ["verify", "--max-n", "0"],  # would PASS every check having checked nothing
         ["verify", "--max-n", "25"],  # cap: w_24
@@ -255,7 +257,7 @@ _INTEGER_FLAGS = {
         "--budget": ([1, 4], [10**6]),
         "--source-n": ([6, 8], [25]),
     },
-    "sft": {"--k": ([2, 3], [22])},
+    "sft": {"--k": ([2, 3], [17, 22])},
 }
 _SWITCHES = {
     "table1": ["--paper-layout"],

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from oracles import (
+    comb_forbidden_by_rules,
     naive_words,
     orbit_sft_forbidden,
     periodic_orbit_count,
@@ -310,6 +311,28 @@ class TestComb:
     def test_k_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             sm.comb_sft([WangTile("T", "x", "x")], 1)
+
+    def test_blocks_match_the_rules(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            names = rng.sample("RSTU", rng.randint(1, 3))
+            tiles = [WangTile(c, rng.choice("xy"), rng.choice("xy")) for c in names]
+            k = rng.randint(2, 5)
+            unmatched = [t.name + u.name for t in tiles for u in tiles if t.right != u.left]
+            if not naive_words(1, names, unmatched, 2):  # the tile row is empty
+                with pytest.raises(EmptySftError):
+                    sm.comb_sft(tiles, k)
+                continue
+            rules = ZSft.from_forbidden(names + [sm.BLANK], comb_forbidden_by_rules(tiles, k))
+            assert sm.comb_sft(tiles, k).blocks == rules.blocks, (tiles, k)
+
+    def test_blocks_are_written_not_enumerated(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("comb_sft enumerated words")
+
+        monkeypatch.setattr(sm, "product", refuse)
+        comb = sm.comb_sft([WangTile("T", "x", "x")], 16)
+        assert comb.order == 17 and len(comb.blocks) == 16
 
 
 class TestPseudoOrbit:

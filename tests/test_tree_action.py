@@ -149,6 +149,10 @@ class TestQuadrantSupport:
         with pytest.raises(NotLevelTwoTrivialError):
             ta.quadrant_support("b", 6)
 
+    def test_depth_cap_comes_before_the_precondition(self):
+        with pytest.raises(SizeLimitError):
+            ta.quadrant_support("a", 21)
+
     def test_adad_against_string_oracle(self):
         # independent oracle: walk every level-6 vertex through act_word
         moved = {
