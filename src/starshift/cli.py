@@ -140,23 +140,13 @@ def _check_factor_tower(max_n: int) -> bool:
 
 
 def _check_language_equivalence(max_n: int) -> bool:
+    # the library's listing against the factors of a host and a deeper word
     longest = min(2**max_n - 1, 63)
     for length in range(longest + 1):
-        n = 1
-        while 2**n - 1 < length:
-            n += 1
-        host = core_words.build_w(n + 3)
-        from_host = {host[i : i + length] for i in range(len(host) - length + 1)}
-        from_pairs = set()
-        w = core_words.build_w(n)
-        for alpha in "BCD":
-            double = w + alpha + w
-            from_pairs.update(
-                double[i : i + length] for i in range(len(double) - length + 1)
-            )
-        deep = core_words.build_w(min(n + 6, 16))
-        from_deep = {deep[i : i + length] for i in range(len(deep) - length + 1)}
-        if not (from_host == from_pairs == from_deep):
+        n = max(1, length.bit_length())
+        hosts = core_words.build_w(n + 3), core_words.build_w(min(n + 6, 16))
+        found = [{w[i : i + length] for i in range(len(w) - length + 1)} for w in hosts]
+        if not (set(core_words.language_words(length)) == found[0] == found[1]):
             return False
     return True
 
@@ -277,10 +267,8 @@ def cmd_sft(args: argparse.Namespace) -> int:
             union.words(n) == (x1.words(n) | x2.words(n)) for n in range(horizon + 1)
         )
         if args.points_out is not None:
-            _write(
-                args.points_out,
-                subshift.periodic_points_jsonl(union, range(1, horizon + 1)),
-            )
+            points = {p: subshift.periodic_points(union, p) for p in range(1, horizon + 1)}
+            _write(args.points_out, subshift.periodic_points_jsonl(points))
         _emit_json(
             args.out,
             {
@@ -295,10 +283,13 @@ def cmd_sft(args: argparse.Namespace) -> int:
         return 0 if agree else 1
     tile = subshift.WangTile("T", "x", "x")
     comb = subshift.comb_sft([tile], args.k)
+    if 4 * args.k > subshift.PERIOD_CAP:
+        raise SizeLimitError(f"--k {args.k} checks the periods up to 4k = {4 * args.k}, "
+                             f"beyond the cap {subshift.PERIOD_CAP}")
     points = {p: subshift.periodic_points(comb, p) for p in range(1, 4 * args.k + 1)}
     counts = {p: len(ws) for p, ws in points.items()}
     if args.points_out is not None:
-        _write(args.points_out, subshift.periodic_points_jsonl(comb, sorted(points)))
+        _write(args.points_out, subshift.periodic_points_jsonl(points))
 
     def single_phase(word: str) -> bool:
         residues = {i % args.k for i, c in enumerate(word + word) if c != subshift.BLANK}

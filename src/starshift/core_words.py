@@ -10,7 +10,8 @@ of the fixed point carries `a` when i is odd and "BDC"[v2(i) % 3]
 otherwise, v2 being the 2-adic valuation.  So the letters of a word fix
 its index modulo some 2^m, and :func:`phase` reads that index off the
 word one level at a time; language membership, the natural w_n blocks of
-windows and the factor map onto the tree all read that one parse.
+windows and the factor map onto the tree all read that one parse.  Words
+of one length are listed from :func:`pairs`.
 
 Words are plain strings.  Group words over the generators {a, b, c, d}
 of the free product Z2 * Z2^2 are also plain strings, kept in freely
@@ -29,7 +30,7 @@ GENERATORS = "abcd"
 # Cap on the index n of w_n; |w_24| is ~16M letters.
 WORD_CAP = 24
 
-_LETTER_RANK = {c: i for i, c in enumerate(LETTERS)}
+_LETTER_SET = frozenset(LETTERS)
 _GENERATOR_SET = frozenset(GENERATORS)
 
 # b, c, d -> B: a group word is freely reduced iff the image alternates
@@ -51,8 +52,8 @@ _KAPPA = {"a": "aca", "b": "d", "c": "b", "d": "c"}
 
 
 def _check_letters(word: str) -> None:
-    if not _LETTER_RANK.keys() >= set(word):
-        ch = next(ch for ch in word if ch not in _LETTER_RANK)
+    if not _LETTER_SET >= set(word):
+        ch = next(ch for ch in word if ch not in _LETTER_SET)
         raise ValueError(f"invalid letter {ch!r}; expected one of {LETTERS}")
 
 
@@ -62,9 +63,18 @@ def _check_generators(word: str) -> None:
         raise ValueError(f"invalid generator {ch!r}; expected one of {GENERATORS}")
 
 
-def lex_key(word: str) -> tuple[int, ...]:
-    """Sort key realizing the letter order a < B < C < D."""
-    return tuple(_LETTER_RANK[c] for c in word)
+def rank_table(alphabet: str | tuple[str, ...]) -> dict[int, str]:
+    """Translation sending each symbol to the character of its rank: the one
+    word order of the package.  Callers pass only words validated over it."""
+    return str.maketrans({c: chr(i) for i, c in enumerate(alphabet)})
+
+
+_LETTER_RANKS = rank_table(LETTERS)
+
+
+def lex_key(word: str) -> str:
+    """Sort key realizing the letter order a < B < C < D on valid words."""
+    return word.translate(_LETTER_RANKS)
 
 
 def alpha_choice(n: int) -> str:
@@ -191,9 +201,7 @@ def tau_fixed_point_prefix(length: int) -> str:
 
 def _adequate_n(length: int) -> int:
     # smallest n >= 1 with length <= 2^n - 1
-    n = 1
-    while 2**n - 1 < length:
-        n += 1
+    n = max(1, length.bit_length())
     if n + 3 > WORD_CAP:
         raise SizeLimitError(
             f"language query of length {length} needs w_{n + 3}, beyond cap {WORD_CAP}"
@@ -244,11 +252,18 @@ def language_contains(word: str) -> bool:
     return phase(word) is not None
 
 
+def pairs(n: int) -> tuple[str, str, str]:
+    """The three language words w_n alpha w_n, alpha in B, C, D: every
+    language word of length at most 2^n - 1 is a factor of one of them."""
+    w = build_w(n)
+    return tuple(w + alpha + w for alpha in "BCD")
+
+
 def language_words(length: int) -> list[str]:
-    """All language words of the given length, sorted with a < B < C < D."""
+    """All language words of the given length, sorted with a < B < C < D:
+    the factors of :func:`pairs` at the least n with length <= 2^n - 1."""
     if length < 0:
         raise ValueError("length must be non-negative")
     n = _adequate_n(length)
-    host = build_w(n + 3)
-    found = {host[i : i + length] for i in range(len(host) - length + 1)}
+    found = {p[i : i + length] for p in pairs(n) for i in range(len(p) - length + 1)}
     return sorted(found, key=lex_key)

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core_words import build_w, phase
+from .core_words import pairs, phase
 from .errors import MarginExhaustedError, SizeLimitError
 from .full_group import Window
 
@@ -149,19 +149,14 @@ def psi(k: int, x: Window) -> str:
 def six_fiber_witnesses(m: int) -> list[Window]:
     """The six windows sharing a tree vertex to all visible depths.
 
-    For each middle letter alpha in {B, C, D} the word w_m alpha w_m is
-    a language word; the origin is placed after the first w_m, and the
-    mirrored window is the same word with the origin after alpha.  All
-    six agree on psi(k, .) for every k <= m - 2.
+    On each of the three language words w_m alpha w_m of
+    :func:`core_words.pairs` the origin is placed after the first w_m,
+    and the mirrored window is the same word with the origin after
+    alpha.  All six agree on psi(k, .) for every k <= m - 2.
     """
     if m < 1:
         raise ValueError("m must be positive")
     if m > FIBER_CAP:
         raise SizeLimitError(f"fiber witnesses for m={m} exceed the cap {FIBER_CAP}")
-    w = build_w(m)
-    windows = []
-    for alpha in "BCD":
-        letters = w + alpha + w
-        windows.append(Window(letters, len(w)))
-        windows.append(Window(letters, len(w) + 1))
-    return windows
+    half = 2**m - 1  # the length of w_m
+    return [Window(pair, origin) for pair in pairs(m) for origin in (half, half + 1)]

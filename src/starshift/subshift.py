@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import product
 
 from . import core_words
-from .core_words import build_w, language_contains, language_words
+from .core_words import build_w, language_contains, language_words, rank_table
 from .errors import DisjointnessError, EmptySftError, SizeLimitError
 from .jump_action import moving_relator
 
@@ -122,11 +122,10 @@ class ZSft:
 
     @cached_property
     def _rank_table(self) -> dict[int, str]:
-        # translation table sending each symbol to its rank as a character
-        return str.maketrans({c: chr(i) for i, c in enumerate(self.alphabet)})
+        return rank_table(self.alphabet)
 
     def _key(self, word: str) -> str:
-        """Sort key realizing the alphabet's order."""
+        """Sort key realizing the alphabet's order, for words over it."""
         return word.translate(self._rank_table)
 
     def words(self, length: int) -> set[str]:
@@ -175,10 +174,12 @@ def sft_approximation(order: int) -> ZSft:
 
 
 def canonical_rotation(word: str, alphabet: tuple[str, ...] | str) -> str:
-    """Lexicographically least rotation under the alphabet's order."""
-    rank = {c: i for i, c in enumerate(alphabet)}
-    rotations = [word[i:] + word[:i] for i in range(len(word))]
-    return min(rotations, key=lambda w: tuple(rank[c] for c in w))
+    """Least rotation of a nonempty word over the alphabet, in its order:
+    the least slice of the doubled word, ranked by :func:`rank_table`."""
+    n, doubled = len(word), word + word
+    ranked = doubled.translate(rank_table(alphabet))
+    start = min(range(n), key=lambda i: ranked[i : i + n])
+    return doubled[start : start + n]
 
 
 def periodic_points(sft: ZSft, p: int) -> list[str]:
@@ -219,16 +220,13 @@ def periodic_points(sft: ZSft, p: int) -> list[str]:
     return sorted(found, key=sft._key)
 
 
-def periodic_points_jsonl(sft: ZSft, periods) -> str:
-    """Periodic-point report, one JSON object per period per line."""
-    lines = []
-    for p in periods:
-        words = periodic_points(sft, p)
-        lines.append(
-            json.dumps(
-                {"period": p, "count": len(words), "words": words}, sort_keys=True
-            )
-        )
+def periodic_points_jsonl(points: dict[int, list[str]]) -> str:
+    """Periodic-point report from ``{period: periodic_points(sft, period)}``,
+    one JSON object per period per line, in the dict's order."""
+    lines = [
+        json.dumps({"period": p, "count": len(words), "words": words}, sort_keys=True)
+        for p, words in points.items()
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -356,32 +354,31 @@ class PseudoOrbitReport:
         }
 
 
-def pseudo_orbit_demo(n: int, word_len: int | None = None, t: int = 6) -> PseudoOrbitReport:
+def pseudo_orbit_demo(n: int, t: int = 6) -> PseudoOrbitReport:
     """Checks making the repetition of w_n alpha a traceable-by-nothing orbit.
 
     (i) every word of length 2^n of the repetition is in the language
     (so the point survives the order-2^n approximation); (ii) the
     relator family of :func:`relation_set` fixes all starrings of the
     circular word, so the group acts on its orbit; (iii) yet no excerpt
-    with both margins 2^{n+1} around the origin is a language word, so
-    the point is not in the shift space.  Checks (i) and (iii) and the
-    shortest failing excerpt are read from the longest language prefix
-    of the repetition at each start.
+    of length 4 * 2^n, both margins 2^{n+1} around the origin, is a
+    language word, so the point is not in the shift space.  Checks (i)
+    and (iii) and the shortest failing excerpt are read from the longest
+    language prefix, up to that length, of the repetition at each start.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > PSEUDO_ORBIT_CAP:
         raise SizeLimitError(f"pseudo-orbit index {n} exceeds the cap {PSEUDO_ORBIT_CAP}")
     period = 2**n
-    if word_len is None:
-        word_len = 4 * period
+    word_len = 4 * period
     alpha = core_words.alpha_choice(n)
     ring = build_w(n) + alpha
     rep = ring * (word_len // period + 2)
 
     # longest language prefix from each start, by bisection: the language
     # is closed under factors
-    lengths = range(1, max(word_len, period) + 1)
+    lengths = range(1, word_len + 1)
     reach = [
         bisect_left(lengths, True, key=lambda k: not language_contains(rep[s : s + k]))
         for s in range(period)

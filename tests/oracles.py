@@ -8,10 +8,14 @@ enumerates necklaces only.  Relators are checked here in their expanded
 form, letter by letter against the jump tables, which the library never
 does, and a circular repetition (w_n alpha)^p on its own tables, where
 the library reads every p off one lift to the Z-cover.  Membership in
-the shift's own language is a substring search in a long w_n, and the
-factor map is read from where a window's letters occur in w_16, where
-the library parses the letters instead; the tower of factor-map values
-is read one k at a time from the offsets of the natural blocks.  Group
+the shift's own language is a substring search in a host w_{n+3}, the
+words of one length are that host's factors, where the library lists
+the factors of the three pairs w_n alpha w_n, and the factor map is
+read from where a window's letters occur in w_16, where the library
+parses the letters instead; the tower of factor-map values is read one
+k at a time from the offsets of the natural blocks.  Least rotations
+are chosen among all rotations by their tuples of ranks, where the
+library compares translated slices of the doubled word.  Group
 words are reduced letter by letter on a stack, where the library first
 checks whether they already are, window walks fold single jump moves
 with the margin rule applied at every step, and orbit graphs are
@@ -163,6 +167,25 @@ def alternating_by_pairs(word: str) -> bool:
     return all((x == "a") != (y == "a") for x, y in zip(word, word[1:]))
 
 
+def language_words_by_host(length: int) -> list[str]:
+    """The language words of one length as the distinct factors of the
+    host w_{n+3}, n the least with length <= 2^n - 1, sorted by their
+    tuples of letter ranks."""
+    n = max(1, length.bit_length())
+    host = build_w(n + 3)
+    found = {host[i : i + length] for i in range(len(host) - length + 1)}
+    rank = {c: i for i, c in enumerate("aBCD")}
+    return sorted(found, key=lambda w: tuple(map(rank.__getitem__, w)))
+
+
+def canonical_rotation_by_tuples(word: str, alphabet) -> str:
+    """Least rotation of a word, every rotation built and compared by its
+    tuple of ranks in the alphabet."""
+    rank = {c: i for i, c in enumerate(alphabet)}
+    rotations = [word[i:] + word[:i] for i in range(len(word))]
+    return min(rotations, key=lambda w: tuple(rank[c] for c in w))
+
+
 def host_language_contains(word: str) -> bool:
     """Membership in the shift's language: alternation, then a substring
     search, since a language word of length <= 2^n - 1 occurs in w_{n+3}."""
@@ -232,13 +255,12 @@ def blocks_by_placement(x, n: int) -> set[tuple[int, ...]]:
     }
 
 
-def pseudo_orbit_by_scan(n: int, word_len: int | None = None, t: int = 6) -> PseudoOrbitReport:
+def pseudo_orbit_by_scan(n: int, t: int = 6) -> PseudoOrbitReport:
     """The periodic pseudo-point report with one membership query for
     every excerpt of every length, checked by substring search, and the
     relators expanded."""
     period = 2**n
-    if word_len is None:
-        word_len = 4 * period
+    word_len = 4 * period
     ring = build_w(n) + alpha_choice(n)
     rep = ring * (word_len // period + 2)
     host = build_w(n + 1)

@@ -89,8 +89,8 @@ def test_criterion_03_language_characterizations():
             )
         deep = cw.build_w(13)
         in_deep = {deep[i : i + length] for i in range(len(deep) - length + 1)}
-        ok &= in_host == in_pairs == in_deep
-    crit.finish(ok, "|u| <= 127, three characterizations")
+        ok &= set(cw.language_words(length)) == in_host == in_pairs == in_deep
+    crit.finish(ok, "|u| <= 127, three characterizations and the listing")
 
 
 def test_criterion_04_minimality_bound():

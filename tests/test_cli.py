@@ -159,6 +159,12 @@ class TestSft:
         assert [l["period"] for l in lines] == list(range(1, 9))
         assert lines[1]["words"] == ["T_"]
 
+    @pytest.mark.parametrize("k", ["17", "21"])
+    def test_comb_demo_beyond_the_period_cap_names_k(self, capsys, k):
+        code, _, err = run(capsys, "sft", "comb-demo", "--k", k)
+        assert code == 2
+        assert f"--k {k}" in err
+
 
 @pytest.mark.parametrize(
     "first, second",

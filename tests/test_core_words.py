@@ -8,6 +8,7 @@ from oracles import (
     alternating_by_pairs,
     free_reduce_by_stack,
     host_language_contains,
+    language_words_by_host,
     placements,
     PLACEMENT_BITS,
 )
@@ -184,7 +185,29 @@ class TestLanguage:
             )
         deep = cw.build_w(12)
         in_deep = {deep[i : i + length] for i in range(len(deep) - length + 1)}
-        assert in_host == in_pairs == in_deep
+        assert set(cw.language_words(length)) == in_host == in_pairs == in_deep
+
+    def test_words_match_the_host_listing(self):
+        powers = {2**j - d for j in range(12) for d in (0, 1)}
+        for length in sorted(powers.union(range(301))):
+            assert cw.language_words(length) == language_words_by_host(length), length
+
+    def test_words_read_no_host(self, monkeypatch):
+        built = []
+        build = cw.build_w
+        monkeypatch.setattr(cw, "build_w", lambda n: built.append(n) or build(n))
+        for length in [*range(130), 1023, 1024, 2047, 2048]:
+            built.clear()
+            cw.language_words(length)
+            assert max(built) <= max(1, length.bit_length()), length
+
+    def test_lex_key_sorts_like_rank_tuples(self):
+        rng = random.Random(10)
+        words = [u for length in range(13) for u in cw.language_words(length)]
+        words += [u[::-1] + u for u in rng.sample(words, 200)]
+        rng.shuffle(words)
+        by_tuples = sorted(words, key=lambda w: tuple("aBCD".index(c) for c in w))
+        assert sorted(words, key=cw.lex_key) == by_tuples
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_minimality_bound(self, n):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from oracles import (
+    canonical_rotation_by_tuples,
     comb_forbidden_by_rules,
     naive_words,
     orbit_sft_forbidden,
@@ -181,9 +182,20 @@ class TestPeriodicPoints:
         assert sm.canonical_rotation("aDaC", "aBCD") == "aCaD"
         assert sm.canonical_rotation("ba", "ab") == "ab"
 
+    @pytest.mark.parametrize("alphabet", ["01", "012", "aBCD", "T_"])
+    def test_canonical_rotation_matches_the_tuple_oracle(self, alphabet):
+        rng = random.Random(alphabet)
+        for _ in range(500):
+            root = "".join(rng.choices(alphabet, k=rng.randint(1, 6)))
+            word = root * rng.randint(1, 3) + root[: rng.randint(0, len(root))]
+            expected = canonical_rotation_by_tuples(word, alphabet)
+            assert sm.canonical_rotation(word, alphabet) == expected, word
+            assert sm.canonical_rotation(word, tuple(alphabet)) == expected, word
+
     def test_jsonl_report(self):
         comb = sm.comb_sft([WangTile("T", "x", "x")], 2)
-        lines = sm.periodic_points_jsonl(comb, [1, 2, 4]).strip().split("\n")
+        points = {p: sm.periodic_points(comb, p) for p in (1, 2, 4)}
+        lines = sm.periodic_points_jsonl(points).strip().split("\n")
         payloads = [json.loads(line) for line in lines]
         assert [p["period"] for p in payloads] == [1, 2, 4]
         assert payloads[1] == {"count": 1, "period": 2, "words": ["T_"]}
@@ -368,11 +380,6 @@ class TestPseudoOrbit:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_the_length_scan(self, n):
         assert sm.pseudo_orbit_demo(n).to_dict() == pseudo_orbit_by_scan(n).to_dict()
-
-    @pytest.mark.parametrize("word_len", [0, 1, 5, 8, 13, 40])
-    def test_short_windows_match_the_length_scan(self, word_len):
-        report = sm.pseudo_orbit_demo(3, word_len=word_len, t=2)
-        assert report == pseudo_orbit_by_scan(3, word_len=word_len, t=2)
 
     def test_language_queries_are_few(self, monkeypatch):
         # one bisection per start instead of one query per start and length
