@@ -123,7 +123,7 @@ def _check_gray_tables(max_n: int) -> bool:
 
 
 def _check_factor_tower(max_n: int) -> bool:
-    m = min(max(max_n, 3), 10)
+    m = min(max(max_n, 5), 10)  # w_5 is the least word with a depth-1 window
     letters = core_words.build_w(m)
     for origin in range(2**m):
         window = Window(letters, origin)
@@ -193,7 +193,7 @@ def cmd_schreier(args: argparse.Namespace) -> int:
         raise SizeLimitError(f"a graph on {copies} * 2^{args.n} starrings "
                              f"exceeds the cap of 2^{SCHREIER_LOG2_CAP}")
     if args.circular:
-        ring = core_words.build_w(args.n) + core_words.alpha_choice(args.n)
+        ring = core_words.ring(args.n)
         if args.require_action:
             failing = jump_action.moving_relator(ring, args.t, args.p)
             if failing is not None:

@@ -11,7 +11,8 @@ otherwise, v2 being the 2-adic valuation.  So the letters of a word fix
 its index modulo some 2^m, and :func:`phase` reads that index off the
 word one level at a time; language membership, the natural w_n blocks of
 windows and the factor map onto the tree all read that one parse.  Words
-of one length are listed from :func:`pairs`.
+of one length are listed from :func:`pairs`, and the circular words
+(w_n alpha)^p repeat :func:`ring`.
 
 Words are plain strings.  Group words over the generators {a, b, c, d}
 of the free product Z2 * Z2^2 are also plain strings, kept in freely
@@ -42,11 +43,6 @@ _KLEIN_PRODUCT = {
     ("b", "d"): "c", ("d", "b"): "c",
     ("c", "d"): "b", ("d", "c"): "b",
 }
-
-# Letterwise substitution generating the same one-sided fixed point as
-# the w_n words; on this alphabet it reads a -> aD, B -> aD, C -> aB,
-# D -> aC.
-_TAU = {"a": "aD", "B": "aD", "C": "aB", "D": "aC"}
 
 _KAPPA = {"a": "aca", "b": "d", "c": "b", "d": "c"}
 
@@ -133,12 +129,6 @@ def is_cyclically_alternating(word: str) -> bool:
     return len(word) == 0
 
 
-def reverse(word: str) -> str:
-    """Reverse a letter sequence (alternation is preserved)."""
-    _check_letters(word)
-    return word[::-1]
-
-
 def free_reduce(word: str) -> str:
     """Freely reduced form of a group word over {a, b, c, d}.
 
@@ -174,37 +164,12 @@ def kappa(word: str) -> str:
     return free_reduce("".join(_KAPPA[g] for g in word))
 
 
-def kappa_iter(word: str, k: int) -> str:
-    """k-fold application of :func:`kappa`, reducing after each step."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    out = free_reduce(word)
-    for _ in range(k):
-        out = kappa(out)
-    return out
-
-
-def tau_fixed_point_prefix(length: int) -> str:
-    """First ``length`` letters of the substitution fixed point from `a`.
-
-    Agrees with the corresponding prefix of every sufficiently long w_n.
-    """
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    if length > 2**WORD_CAP - 1:
-        raise SizeLimitError(f"prefix length {length} exceeds cap 2^{WORD_CAP}-1")
-    word = "a"
-    while len(word) < length:
-        word = "".join(_TAU[c] for c in word)
-    return word[:length]
-
-
 def _adequate_n(length: int) -> int:
-    # smallest n >= 1 with length <= 2^n - 1
+    # smallest n >= 1 with length <= 2^n - 1, at most WORD_CAP
     n = max(1, length.bit_length())
-    if n + 3 > WORD_CAP:
+    if n > WORD_CAP:
         raise SizeLimitError(
-            f"language query of length {length} needs w_{n + 3}, beyond cap {WORD_CAP}"
+            f"language query of length {length} exceeds the cap 2^{WORD_CAP} - 1"
         )
     return n
 
@@ -244,8 +209,8 @@ def phase(word: str) -> tuple[int, int] | None:
 def language_contains(word: str) -> bool:
     """Whether ``word`` occurs in the shift space generated by the w_n.
 
-    Words longer than 2^(WORD_CAP-3) - 1 letters are refused with
-    SizeLimitError, the bound of :func:`language_words`.  Cached:
+    Words longer than |w_WORD_CAP| = 2^WORD_CAP - 1 letters are refused
+    with SizeLimitError, the bound of :func:`language_words`.  Cached:
     windows re-validate the same long content many times over.
     """
     _adequate_n(len(word))
@@ -257,6 +222,13 @@ def pairs(n: int) -> tuple[str, str, str]:
     language word of length at most 2^n - 1 is a factor of one of them."""
     w = build_w(n)
     return tuple(w + alpha + w for alpha in "BCD")
+
+
+def ring(n: int) -> str:
+    """The word w_n alpha, alpha = :func:`alpha_choice` (n), of length
+    2^n: read cyclically, its repetitions are the circular words
+    (w_n alpha)^p of Table 1, the Schreier graphs and the pseudo-orbits."""
+    return build_w(n) + alpha_choice(n)
 
 
 def language_words(length: int) -> list[str]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .core_words import GENERATORS, LETTERS, free_reduce, language_contains, lex_key
 from .errors import ClosureError, MarginExhaustedError, ReconstructionError
@@ -107,17 +107,6 @@ def generator_cocycle(g: str) -> tuple[CocyclePiece, ...]:
         left, right = (None if s == every else s for s in map(frozenset, zip(*cells)))
         pieces.append(CocyclePiece(left, right, shift))
     return tuple(pieces)
-
-
-def evaluate_cocycle(pieces: Sequence[CocyclePiece], left: str, right: str) -> int:
-    hits = [
-        p.shift
-        for p in pieces
-        if (p.left is None or left in p.left) and (p.right is None or right in p.right)
-    ]
-    if len(hits) != 1:
-        raise ValueError(f"cocycle pieces do not partition ({left!r}, {right!r})")
-    return hits[0]
 
 
 def apply_generator(g: str, x: Window) -> Window:

@@ -75,13 +75,6 @@ def phi(n: int) -> GrayTable:
     return GrayTable(n=n, codes=_phi_codes(n))
 
 
-def flip(n: int, j: int) -> int:
-    """Reflect a star position around the middle of w_{n+1}; an involution."""
-    if not 0 <= j <= 2**n - 1:
-        raise ValueError(f"position {j} out of range for n={n}")
-    return 2**n - 1 - j
-
-
 def natural_decomposition(x: Window, n: int) -> list[int]:
     """Start offsets of the natural w_n blocks fully visible in a window.
 

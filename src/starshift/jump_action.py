@@ -105,13 +105,6 @@ class CircularStarredWord:
         return s[: self.star] + STAR + s[self.star :]
 
 
-def circular_repetition(base: str, power: int) -> CircularWord:
-    """The circular word (base)^power, e.g. (w_n alpha)^p for table rows."""
-    if power < 1:
-        raise ValueError("power must be positive")
-    return CircularWord(base * power)
-
-
 def star_step(letters: str, j: int, g: str, circular: bool = False) -> int:
     """The jump rule: where generator ``g`` moves a star at position ``j``.
 
@@ -138,12 +131,6 @@ def jump_word(word: str, s: StarredWord) -> StarredWord:
     for g in reversed(word):
         s = jump_generator(g, s)
     return s
-
-
-def jump_circular(g: str, s: CircularStarredWord) -> CircularStarredWord:
-    """One generator acting on a circular starred word."""
-    star = star_step(s.word.letters, s.star, g, circular=True)
-    return CircularStarredWord(s.word, star)
 
 
 # byte translation tables: 1 for the letters of the jump set, 0 otherwise
@@ -341,7 +328,7 @@ def table1(n_max: int = 6, p_max: int = 50, t: int = 6) -> list[list[bool]]:
         raise SizeLimitError(
             f"table1 caps are n_max<={caps[0]}, p_max<={caps[1]}, t<={caps[2]}"
         )
-    rings = [build_w(n) + core_words.alpha_choice(n) for n in range(1, n_max + 1)]
+    rings = [core_words.ring(n) for n in range(1, n_max + 1)]
     rows = []
     for windings in side_by_side_windings(rings, t):
         period = None if None in windings else gcd(*windings)

@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import product
 
 from . import core_words
-from .core_words import build_w, language_contains, language_words, rank_table
+from .core_words import language_contains, language_words, rank_table
 from .errors import DisjointnessError, EmptySftError, SizeLimitError
 from .jump_action import moving_relator
 
@@ -173,17 +173,8 @@ def sft_approximation(order: int) -> ZSft:
     return ZSft.from_blocks("aBCD", order, language_words(order))
 
 
-def canonical_rotation(word: str, alphabet: tuple[str, ...] | str) -> str:
-    """Least rotation of a nonempty word over the alphabet, in its order:
-    the least slice of the doubled word, ranked by :func:`rank_table`."""
-    n, doubled = len(word), word + word
-    ranked = doubled.translate(rank_table(alphabet))
-    start = min(range(n), key=lambda i: ranked[i : i + n])
-    return doubled[start : start + n]
-
-
 def periodic_points(sft: ZSft, p: int) -> list[str]:
-    """All period-p orbits, as canonical rotations of their repeating word.
+    """All period-p orbits, each as the least rotation of its repeating word.
 
     A period-p point is a closed length-p path in the follower
     automaton.  The search extends only prenecklaces under the
@@ -228,13 +219,6 @@ def periodic_points_jsonl(points: dict[int, list[str]]) -> str:
         for p, words in points.items()
     ]
     return "\n".join(lines) + "\n"
-
-
-def languages_equal(x1: ZSft, x2: ZSft, up_to: int) -> bool:
-    """Whether the two subshifts have the same words at every length <= up_to."""
-    if tuple(x1.alphabet) != tuple(x2.alphabet):
-        raise ValueError("languages are only compared over a shared alphabet")
-    return all(x1.words(n) == x2.words(n) for n in range(up_to + 1))
 
 
 def union_sft(x1: ZSft, x2: ZSft) -> ZSft:
@@ -372,8 +356,8 @@ def pseudo_orbit_demo(n: int, t: int = 6) -> PseudoOrbitReport:
         raise SizeLimitError(f"pseudo-orbit index {n} exceeds the cap {PSEUDO_ORBIT_CAP}")
     period = 2**n
     word_len = 4 * period
-    alpha = core_words.alpha_choice(n)
-    ring = build_w(n) + alpha
+    ring = core_words.ring(n)
+    alpha = ring[-1]
     rep = ring * (word_len // period + 2)
 
     # longest language prefix from each start, by bisection: the language

@@ -124,11 +124,6 @@ def is_trivial_up_to_depth(word: str, m: int) -> bool:
     return bool(np.array_equal(perm, np.arange(1 << m)))
 
 
-def stabilizer_generators(v: str) -> set[str]:
-    """The generators fixing a given vertex."""
-    return {g for g in GENERATORS if act_generator(g, v) == v}
-
-
 def quadrant_support(word: str, depth: int) -> set[str]:
     """Two-bit prefixes below which the word moves some level-`depth` vertex.
 

@@ -1,13 +1,15 @@
 """Independent brute-force oracles used to cross-check the library.
 
 SFT language membership is decided by explicit extension search, not by
-the follower automaton.  Periodic points do read the automaton, but walk
-every closed path and reduce it to its least rotation, or count the
-closed walks through traces of its adjacency matrix, where the library
-enumerates necklaces only.  Relators are checked here in their expanded
-form, letter by letter against the jump tables, which the library never
-does, and a circular repetition (w_n alpha)^p on its own tables, where
-the library reads every p off one lift to the Z-cover.  Membership in
+the follower automaton.  Periodic points are listed from the admissible
+blocks alone, every word whose cyclic windows are blocks kept if it is
+least among its rotations, and counted from traces of the untrimmed
+block graph, where the library enumerates necklaces on the trimmed
+automaton; a second listing walks every closed path of that automaton
+and reduces it to its least rotation.  Relators are checked here in
+their expanded form, letter by letter against the jump tables, which the
+library never does, and a circular repetition (w_n alpha)^p on its own
+tables, where the library reads every p off one lift to the Z-cover.  Membership in
 the shift's own language is a substring search in a host w_{n+3}, the
 words of one length are that host's factors, where the library lists
 the factors of the three pairs w_n alpha w_n, and the factor map is
@@ -15,24 +17,32 @@ read from where a window's letters occur in w_16, where the library
 parses the letters instead; the tower of factor-map values is read one
 k at a time from the offsets of the natural blocks.  Least rotations
 are chosen among all rotations by their tuples of ranks, where the
-library compares translated slices of the doubled word.  Group
+library reaches them as necklaces.  Group
 words are reduced letter by letter on a stack, where the library first
 checks whether they already are, window walks fold single jump moves
 with the margin rule applied at every step, and orbit graphs are
 serialised by ``json.dumps``.  The tree action is read from the leading
 block of ones of each vertex, one bit string at a time, where the
-library follows the sections of the wreath recursion.
+library follows the sections of the wreath recursion.  The expanded
+kappa^k, the fixed point of the letterwise substitution tau, the cocycle
+evaluation that checks its pieces partition the neighborhoods, and the
+length-by-length comparison of two SFT languages are references the
+tests read and the library does not need.
 """
 
 import json
 from functools import lru_cache
 from itertools import product
 from math import gcd
+from typing import Sequence
 
 import numpy as np
 
-from starshift.core_words import GENERATORS, alpha_choice, build_w, is_alternating, lex_key
-from starshift.errors import MarginExhaustedError
+from starshift.core_words import (
+    GENERATORS, WORD_CAP, alpha_choice, build_w, free_reduce, is_alternating, kappa, lex_key
+)
+from starshift.errors import MarginExhaustedError, SizeLimitError
+from starshift.full_group import CocyclePiece
 from starshift.gray_factor import natural_decomposition, phi
 from starshift.jump_action import (
     CircularWord,
@@ -42,7 +52,7 @@ from starshift.jump_action import (
     relation_set,
 )
 from starshift.jump_action import star_step
-from starshift.subshift import BLANK, PseudoOrbitReport, ZSft, canonical_rotation
+from starshift.subshift import BLANK, PseudoOrbitReport, ZSft
 
 PLACEMENT_HOST = 16  # placements are occurrences in w_16
 PLACEMENT_BITS = 8  # kept modulo 2^8, enough for blocks up to w_8
@@ -159,6 +169,55 @@ def moving_relator_by_cover(letters: str, t: int) -> int | None:
         if not np.array_equal(_compose(relator, perms), identity):
             return index
     return None
+
+
+def kappa_iter(word: str, k: int) -> str:
+    """k-fold application of :func:`kappa`, reducing after each step."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    out = free_reduce(word)
+    for _ in range(k):
+        out = kappa(out)
+    return out
+
+
+# Letterwise substitution generating the same one-sided fixed point as
+# the w_n words; on this alphabet it reads a -> aD, B -> aD, C -> aB,
+# D -> aC.
+_TAU = {"a": "aD", "B": "aD", "C": "aB", "D": "aC"}
+
+
+def tau_fixed_point_prefix(length: int) -> str:
+    """First ``length`` letters of the substitution fixed point from `a`.
+
+    Agrees with the corresponding prefix of every sufficiently long w_n.
+    """
+    if length < 0:
+        raise ValueError("length must be non-negative")
+    if length > 2**WORD_CAP - 1:
+        raise SizeLimitError(f"prefix length {length} exceeds cap 2^{WORD_CAP}-1")
+    word = "a"
+    while len(word) < length:
+        word = "".join(_TAU[c] for c in word)
+    return word[:length]
+
+
+def evaluate_cocycle(pieces: Sequence[CocyclePiece], left: str, right: str) -> int:
+    hits = [
+        p.shift
+        for p in pieces
+        if (p.left is None or left in p.left) and (p.right is None or right in p.right)
+    ]
+    if len(hits) != 1:
+        raise ValueError(f"cocycle pieces do not partition ({left!r}, {right!r})")
+    return hits[0]
+
+
+def languages_equal(x1: ZSft, x2: ZSft, up_to: int) -> bool:
+    """Whether the two subshifts have the same words at every length <= up_to."""
+    if tuple(x1.alphabet) != tuple(x2.alphabet):
+        raise ValueError("languages are only compared over a shared alphabet")
+    return all(x1.words(n) == x2.words(n) for n in range(up_to + 1))
 
 
 def alternating_by_pairs(word: str) -> bool:
@@ -307,24 +366,56 @@ def periodic_points_by_dfs(sft: ZSft, p: int) -> list[str]:
             state, word = stack.pop()
             if len(word) == p:
                 if state == start:
-                    found.add(canonical_rotation(word, sft.alphabet))
+                    found.add(canonical_rotation_by_tuples(word, sft.alphabet))
                 continue
             for c, t in trans[state].items():
                 stack.append((t, word + c))
     return sorted(found, key=lambda w: tuple(sft.alphabet.index(c) for c in w))
 
 
+def periodic_points_by_product(sft: ZSft, p: int) -> list[str]:
+    """Every length-p word whose cyclic windows of the SFT's order are
+    all blocks and which is least among its rotations, sorted in the
+    alphabet's order; reads ``sft.blocks`` and nothing else.
+
+    The words are grown letter by letter through ``itertools.product``,
+    a prefix kept while it is a prefix of a block, or, once it is as
+    long as the order, while it ends in one: every prefix of a word
+    passing the cyclic test does both, so none is lost.  Rotations are
+    compared with each letter written as its rank in the alphabet.
+    """
+    order = sft.order
+    ranks = str.maketrans({c: chr(i) for i, c in enumerate(sft.alphabet)})
+    heads = {b[:i] for b in sft.blocks for i in range(1, min(order, p + 1))}
+    words = [""]
+    for length in range(1, p + 1):
+        allowed = sft.blocks if length >= order else heads
+        words = [w + c for w, c in product(words, sft.alphabet) if (w + c)[-order:] in allowed]
+    found = []
+    for word in words:
+        ranked = word.translate(ranks)
+        doubled = ranked + ranked
+        if any(doubled[i : i + p] < ranked for i in range(1, p)):
+            continue
+        ring = word * (order // p + 2)
+        if all(ring[i : i + order] in sft.blocks for i in range(p)):
+            found.append((ranked, word))
+    return [word for _, word in sorted(found)]
+
+
 def closed_walk_traces(sft: ZSft, p_max: int) -> list[int]:
-    """tr(A^d) for d = 0..p_max, A the adjacency matrix of the follower
-    automaton, over Python ints (rows kept as dicts of the non-zero
-    entries)."""
-    trans = sft._automaton
-    adjacency = {s: {} for s in trans}
-    for s, edges in trans.items():
-        for t in edges.values():
-            adjacency[s][t] = adjacency[s].get(t, 0) + 1
-    power = {s: {s: 1} for s in trans}
-    traces = [len(trans)]
+    """tr(A^d) for d = 1..p_max after tr(A^0), A the adjacency matrix of
+    the block graph: an edge from the prefix to the suffix of every
+    block, untrimmed, since a closed walk never visits a state off the
+    bi-infinite paths.  Over Python ints, rows kept as dicts of the
+    non-zero entries."""
+    adjacency: dict[str, dict[str, int]] = {}
+    for b in sft.blocks:
+        adjacency.setdefault(b[1:], {})
+        row = adjacency.setdefault(b[:-1], {})
+        row[b[1:]] = row.get(b[1:], 0) + 1
+    power = {s: {s: 1} for s in adjacency}
+    traces = [len(adjacency)]
     for _ in range(p_max):
         nxt = {}
         for s, row in power.items():

@@ -5,7 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starshift import cli, core_words
+from starshift import cli, core_words, gray_factor
 from starshift.cli import main
 
 
@@ -64,6 +64,20 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-n", "3", "--inject-alpha-bug")
         assert code == 1
         assert "w-recursion      FAIL" in out
+
+    @pytest.mark.parametrize("max_n", range(1, 5))
+    def test_factor_tower_compares_towers(self, capsys, monkeypatch, max_n):
+        # w_3 and w_4 have no origin with the margin 8 of a depth-1 tower:
+        # the check reads w_5, the 16 origins with a margin of 8 or more,
+        # each window and its mirror
+        calls = []
+        tower = gray_factor.psi_tower
+        monkeypatch.setattr(
+            gray_factor, "psi_tower", lambda k, x: calls.append(k) or tower(k, x)
+        )
+        code, out, _ = run(capsys, "verify", "--max-n", str(max_n))
+        assert code == 0 and "factor-tower     PASS" in out
+        assert len(calls) == 32 and set(calls) == {1}
 
 
 class TestSchreier:
@@ -129,6 +143,11 @@ class TestStabilizer:
         assert payload["verified"] is True
         assert payload["seed"] == 7
         assert len(payload["recovered"]) == 32
+
+    def test_long_source_word_verifies(self, capsys):
+        # w_22 has 2^22 - 1 letters, a language query past the old cap of 2^21
+        code, out, _ = run(capsys, "stabilizer", "--source-n", "22", "--budget", "8")
+        assert code == 0 and json.loads(out)["verified"] is True
 
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "stabilizer", "--seed", "3", "--budget", "8")
@@ -229,6 +248,7 @@ def test_io_error_exit_two(capsys, tmp_path):
         ["stabilizer", "--budget", "-1"],
         ["stabilizer", "--budget", "0"],  # would "verify" the empty string
         ["stabilizer", "--source-n", "0"],
+        ["stabilizer", "--source-n", "25"],  # cap: w_24
         ["pseudo-orbit", "--n", "0"],
         ["pseudo-orbit", "--t", "-1"],
         ["pseudo-orbit", "--t", "9"],

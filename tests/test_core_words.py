@@ -11,6 +11,7 @@ from oracles import (
     language_words_by_host,
     placements,
     PLACEMENT_BITS,
+    tau_fixed_point_prefix,
 )
 from starshift import core_words as cw
 from starshift.errors import SizeLimitError
@@ -40,7 +41,7 @@ class TestBuildW:
         assert len(w) == 2**20 - 1
         assert w[0] == w[-1] == "a"
         assert w == w[::-1]
-        assert cw.tau_fixed_point_prefix(2**16 - 1) == cw.build_w(16)
+        assert tau_fixed_point_prefix(2**16 - 1) == cw.build_w(16)
 
     def test_cap(self):
         with pytest.raises(SizeLimitError, match="24"):
@@ -53,6 +54,15 @@ class TestBuildW:
 
 def test_alpha_choice_cycle():
     assert [cw.alpha_choice(n) for n in range(1, 7)] == ["D", "C", "B", "D", "C", "B"]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_ring(n):
+    ring = cw.ring(n)
+    assert ring == cw.build_w(n) + cw.alpha_choice(n)
+    assert len(ring) == 2**n and cw.is_cyclically_alternating(ring)
+    # the ring twice, less its last letter, is the pair w_n alpha w_n
+    assert (ring * 2)[:-1] in cw.pairs(n)
 
 
 def test_is_alternating_examples():
@@ -68,12 +78,6 @@ def test_is_alternating_matches_the_pairs(length):
     for letters in itertools.product(cw.LETTERS, repeat=length):
         word = "".join(letters)
         assert cw.is_alternating(word) == alternating_by_pairs(word), word
-
-
-def test_reverse():
-    assert cw.reverse("aD") == "Da"
-    assert cw.reverse("") == ""
-    assert cw.reverse(cw.build_w(4)) == cw.build_w(4)
 
 
 class TestGroupWords:
@@ -124,16 +128,16 @@ class TestGroupWords:
 
 class TestFixedPoint:
     def test_examples(self):
-        assert cw.tau_fixed_point_prefix(3) == "aDa"
-        assert cw.tau_fixed_point_prefix(7) == "aDaCaDa"
-        assert cw.tau_fixed_point_prefix(1) == "a"
+        assert tau_fixed_point_prefix(3) == "aDa"
+        assert tau_fixed_point_prefix(7) == "aDaCaDa"
+        assert tau_fixed_point_prefix(1) == "a"
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_agrees_with_w(self, n):
-        assert cw.tau_fixed_point_prefix(2**n - 1) == cw.build_w(n)
+        assert tau_fixed_point_prefix(2**n - 1) == cw.build_w(n)
 
     def test_prefixes_of_all_long_words(self):
-        prefix = cw.tau_fixed_point_prefix(100)
+        prefix = tau_fixed_point_prefix(100)
         for n in range(7, 12):
             assert cw.build_w(n).startswith(prefix)
 
@@ -164,7 +168,7 @@ class TestLanguage:
     def test_closed_under_factors_and_reversal(self, length):
         for u in cw.language_words(length):
             assert cw.language_contains(u)
-            assert cw.language_contains(cw.reverse(u))
+            assert cw.language_contains(u[::-1])
             for i in range(length):
                 assert cw.language_contains(u[i:])
                 assert cw.language_contains(u[:i])
@@ -216,8 +220,17 @@ class TestLanguage:
             assert w in u
 
     def test_cap_error(self):
-        with pytest.raises(SizeLimitError):
-            cw.language_contains("aD" * 2**20)  # 2^21 letters need w_25
+        with pytest.raises(SizeLimitError, match="exceeds the cap 2\\^24 - 1"):
+            cw.language_contains("aD" * 2**23)  # 2^24 letters, longer than w_24
+
+    def test_long_queries_build_no_host(self, monkeypatch):
+        # 2^21 letters and more were refused as needing a host w_{n+3}
+        word, periodic = cw.build_w(22), cw.ring(20) * 4
+        monkeypatch.setattr(cw, "build_w", lambda n: pytest.fail(f"built w_{n}"))
+        assert cw.language_contains(word)
+        # (w_n alpha)^p leaves the language at its 2^{n+2}-th letter
+        assert cw.language_contains(periodic[:-1])
+        assert not cw.language_contains(periodic)
 
     def test_letters_are_checked(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from oracles import apply_word_by_steps, schreier_json_by_dumps
+from oracles import apply_word_by_steps, evaluate_cocycle, schreier_json_by_dumps
 from starshift import full_group as fg, jump_action as ja
-from starshift.core_words import alpha_choice, build_w, language_words
+from starshift.core_words import build_w, language_words, ring
 from starshift.errors import ClosureError, MarginExhaustedError, ReconstructionError
 from starshift.full_group import Window, reverse_window
 from starshift.jump_action import CircularStarredWord, CircularWord, StarredWord
@@ -40,7 +40,7 @@ class TestCocycles:
         for g in "abcd":
             pieces = fg.generator_cocycle(g)
             for left, right in itertools.product("aBCD", repeat=2):
-                shift = fg.evaluate_cocycle(pieces, left, right)
+                shift = evaluate_cocycle(pieces, left, right)
                 assert shift in (-1, 0, 1)
 
     def test_swap_discipline(self):
@@ -260,7 +260,7 @@ class TestSchreierGraph:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_json_matches_the_encoder_circular(self, n):
         for p in range(1, 7):
-            word = ja.circular_repetition(build_w(n) + alpha_choice(n), p)
+            word = CircularWord(ring(n) * p)
             graph = fg.schreier_graph(
                 [CircularStarredWord(word, s) for s in range(len(word.letters))]
             )

@@ -43,15 +43,13 @@ class TestPhi:
         with pytest.raises(SizeLimitError):
             gf.phi(21)
 
-
-def test_flip():
-    assert gf.flip(3, 0) == 7
-    assert gf.flip(3, 7) == 0
-    assert gf.flip(2, 1) == 2
-    for j in range(8):
-        assert gf.flip(3, gf.flip(3, j)) == j
-    with pytest.raises(ValueError):
-        gf.flip(2, 4)
+    def test_cap_is_reached_from_a_window(self):
+        # w_22 is a language query the language cap admits, and its
+        # middle origin has the margin 2^21 that depth 19 needs
+        window = Window(build_w(22), 2**21)
+        assert gf.psi(19, window) == "1" * 19
+        with pytest.raises(SizeLimitError, match="gray table for n=21 exceeds the cap 20"):
+            gf.psi(20, window)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -5,10 +5,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from oracles import moving_relator_by_cover, relator_fixes_all_starrings
+from oracles import evaluate_cocycle, moving_relator_by_cover, relator_fixes_all_starrings
 from starshift import full_group as fg, jump_action as ja, subshift
 from starshift.cli import main
-from starshift.core_words import alpha_choice, build_w
+from starshift.core_words import build_w, ring
 from starshift.errors import SizeLimitError
 from starshift.jump_action import (
     CircularStarredWord,
@@ -85,7 +85,7 @@ class TestStarStep:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_circular_table_is_star_step_everywhere(self, n):
         for p in range(1, 9):
-            letters = (build_w(n) + alpha_choice(n)) * p
+            letters = ring(n) * p
             for g in "abcd":
                 expected = [
                     ja.star_step(letters, j, g, circular=True)
@@ -109,7 +109,7 @@ class TestStarStep:
             for left in "aBCD":
                 for right in "aBCD":
                     shift = ja.star_step(left + right, 1, g) - 1
-                    assert fg.evaluate_cocycle(pieces, left, right) == shift
+                    assert evaluate_cocycle(pieces, left, right) == shift
 
 
 class TestCircular:
@@ -122,26 +122,23 @@ class TestCircular:
             CircularWord("aDa")  # wraps a-to-a
 
     def test_examples(self):
-        c = CircularWord("aD")
-        assert ja.jump_circular("a", CircularStarredWord(c, 0)).star == 1
+        assert ja.star_step("aD", 0, "a", circular=True) == 1
         # the left neighbor of position 0 is the last letter D
-        assert ja.jump_circular("b", CircularStarredWord(c, 0)).star == 1
-        assert ja.jump_circular("c", CircularStarredWord(c, 1)).star == 0
-        assert ja.jump_circular("d", CircularStarredWord(c, 1)).star == 1
+        assert ja.star_step("aD", 0, "b", circular=True) == 1
+        assert ja.star_step("aD", 1, "c", circular=True) == 0
+        assert ja.star_step("aD", 1, "d", circular=True) == 1
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_quotient_of_double_cover(self, n):
         # acting on (w_n alpha)^2 and reducing the star mod 2^n agrees
         # with acting on (w_n alpha)^1
-        ring = build_w(n) + alpha_choice(n)
-        single, double = CircularWord(ring), CircularWord(ring * 2)
+        base = ring(n)
+        double = base * 2
         for g in "abcd":
             for star in range(len(double)):
-                lifted = ja.jump_circular(g, CircularStarredWord(double, star))
-                projected = ja.jump_circular(
-                    g, CircularStarredWord(single, star % len(ring))
-                )
-                assert lifted.star % len(ring) == projected.star
+                lifted = ja.star_step(double, star, g, circular=True)
+                projected = ja.star_step(base, star % len(base), g, circular=True)
+                assert lifted % len(base) == projected
 
 
 class TestHRelations:
@@ -178,14 +175,13 @@ class TestRelatorChecks:
     def test_circular_triple_cover_breaks(self):
         # (ad)^4 itself survives on the aD-triangle; its kappa-image is
         # what moves a starring, making the (n=1, p=3) table entry 0
-        c = ja.circular_repetition("aD", 3)
+        c = CircularWord("aD" * 3)
         assert relator_fixes_all_starrings("adadadad", c)
         assert not relator_fixes_all_starrings("ac" * 8, c)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_double_cover_well_defined(self, n):
-        ring = build_w(n) + alpha_choice(n)
-        c = CircularWord(ring * 2)
+        c = CircularWord(ring(n) * 2)
         for r in ja.relation_set(6):
             assert relator_fixes_all_starrings(r, c)
 
@@ -193,7 +189,7 @@ class TestRelatorChecks:
 @lru_cache(maxsize=None)
 def _first_moving_on_cover(n: int, p: int) -> int | None:
     # the oracle's verdict on (w_n alpha)^p over the whole family at t = 8
-    return moving_relator_by_cover((build_w(n) + alpha_choice(n)) * p, ja.TABLE_CAPS[2])
+    return moving_relator_by_cover(ring(n) * p, ja.TABLE_CAPS[2])
 
 
 def _moves_within(first: int | None, t: int) -> bool:
@@ -207,7 +203,7 @@ def _random_rings(rng: random.Random, count: int) -> list[str]:
     # alpha, which never stop
     rings = ["".join("a" + rng.choice("BCD") for _ in range(rng.randrange(1, 21)))
              for _ in range(count)]
-    rings += ["aDaDaD"] + [build_w(n) + alpha_choice(n) for n in rng.sample(range(1, 7), 2)]
+    rings += ["aDaDaD"] + [ring(n) for n in rng.sample(range(1, 7), 2)]
     rng.shuffle(rings)
     return rings
 
@@ -228,7 +224,7 @@ class TestMovingRelator:
 
     @pytest.mark.parametrize("n", range(1, ja.TABLE_CAPS[0] + 1))
     def test_matches_expanded_relators(self, n):
-        base = build_w(n) + alpha_choice(n)
+        base = ring(n)
         family = ja.relation_set(ja.TABLE_CAPS[2])
         for p in range(1, 31):
             word = CircularWord(base * p)
@@ -246,7 +242,7 @@ class TestMovingRelator:
     @pytest.mark.parametrize("n", range(1, ja.TABLE_CAPS[0] + 1))
     def test_matches_the_covers(self, n):
         # every p read off one lift, against (w_n alpha)^p on its own tables
-        base = build_w(n) + alpha_choice(n)
+        base = ring(n)
         for p in range(1, ja.TABLE_CAPS[1] + 1):
             first = _first_moving_on_cover(n, p)
             for t in range(ja.TABLE_CAPS[2] + 1):
@@ -258,7 +254,7 @@ class TestMovingRelator:
         # the relators before kappa^n((ad)^4) wind 0 times; kappa^n((ad)^4)
         # has gcd 8, kappa^n((adacac)^4) 24 and both kappa^(n+1) seeds 16,
         # so row n first fails at k = n, exactly for p not dividing 8
-        base = build_w(n) + alpha_choice(n)
+        base = ring(n)
         windings = ja.relator_windings(base, 8)
         first = 5 + 2 * n  # index of kappa^n((ad)^4) in relation_set(8)
         assert windings[:first] == [0] * first
@@ -365,7 +361,7 @@ class TestRelatorFamilyCost:
         assert one_column["letters"] <= 11 + 9 * 32 + 8 * 3
 
     def test_table1_composes_as_often_as_one_ring(self, composed):
-        ja.relator_windings(build_w(6) + alpha_choice(6), 8)
+        ja.relator_windings(ring(6), 8)
         alone = list(composed)
         composed.clear()
         ja.table1(6, ja.TABLE_CAPS[1], 8)

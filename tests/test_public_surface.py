@@ -1,0 +1,94 @@
+"""Every public name in ``src/starshift`` has a reader in the toolkit.
+
+A public top-level function or class must be referenced outside its own
+definition: by the package itself, by the benchmark under ``bench/``, or
+by the acceptance suite.  Unit tests do not count, since a name read only
+by its own tests is dead code with a restatement attached; independent
+references used only by tests live in ``tests/oracles.py``.  The files
+are parsed, never imported.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "starshift"
+
+# entry points the paper describes, kept for library users without a caller
+PAPER_FACING = ("parse_starred", "jump_word", "act_word", "vorobets_key", "quadrant_support")
+
+
+def _references(tree: ast.AST, skip: ast.AST | None = None, modules=()) -> set[str]:
+    """Names and attributes read in ``tree`` outside the node ``skip``,
+    and the names in string pairs ``(module, "name")`` or
+    ``(module, "Class.method")`` for a module in ``modules``, the way
+    ``bench/tracing.py`` lists what it wraps."""
+    found: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+            module, name = node.elts[:2]
+            if (
+                isinstance(module, ast.Constant) and module.value in modules
+                and isinstance(name, ast.Constant) and isinstance(name.value, str)
+            ):
+                found.update(name.value.split("."))
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def unused_public_names(src: Path = SRC) -> list[str]:
+    """``module.name`` of every public top-level definition in the package
+    at ``src`` that nothing in the toolkit reads, sorted."""
+    modules = {path.stem: _parse(path) for path in sorted(src.glob("*.py"))}
+    outside = set()
+    for path in [*sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]:
+        outside |= _references(_parse(path), modules=modules)
+    unused = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("_") or name in PAPER_FACING or name in outside:
+                continue
+            readers = (_references(other, skip=node) for other in modules.values())
+            if not any(name in refs for refs in readers):
+                unused.append(f"{module}.{name}")
+    return sorted(unused)
+
+
+def test_every_public_name_has_a_reader():
+    assert unused_public_names() == []
+
+
+def test_the_guard_sees_a_dead_name(tmp_path):
+    # the package with one extra public function that nothing reads
+    copy = tmp_path / "starshift"
+    copy.mkdir()
+    for path in SRC.glob("*.py"):
+        (copy / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    with open(copy / "subshift.py", "a", encoding="utf-8") as handle:
+        handle.write("\n\ndef canonical_rotation(word, alphabet):\n    return word\n")
+    assert unused_public_names(copy) == ["subshift.canonical_rotation"]
+
+
+def test_paper_facing_names_exist():
+    defined = {
+        node.name
+        for path in SRC.glob("*.py")
+        for node in _parse(path).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert set(PAPER_FACING) <= defined

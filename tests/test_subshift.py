@@ -8,10 +8,12 @@ import pytest
 from oracles import (
     canonical_rotation_by_tuples,
     comb_forbidden_by_rules,
+    languages_equal,
     naive_words,
     orbit_sft_forbidden,
     periodic_orbit_count,
     periodic_points_by_dfs,
+    periodic_points_by_product,
     pseudo_orbit_by_scan,
 )
 from starshift import subshift as sm
@@ -50,7 +52,7 @@ class TestZSft:
     def test_json_roundtrip(self):
         x = ZSft.from_forbidden("01", ["11"])
         y = ZSft.from_json(x.to_json())
-        assert sm.languages_equal(x, y, 8)
+        assert languages_equal(x, y, 8)
 
     def test_json_roundtrip_of_a_large_order(self):
         # 4^12 blocks would have to be enumerated to write the complement
@@ -59,7 +61,7 @@ class TestZSft:
         assert set(json.loads(text)) == {"alphabet", "order", "blocks"}
         y = ZSft.from_json(text)
         assert y.order == 12 and y.blocks == x.blocks
-        assert sm.languages_equal(x, y, 24)
+        assert languages_equal(x, y, 24)
 
     def test_json_blocks_follow_the_alphabet_order(self):
         x = ZSft.from_forbidden("ba", ["aa"])
@@ -106,8 +108,8 @@ class TestApproximation:
 
     def test_refinement_is_strict(self):
         coarse, fine = sm.sft_approximation(4), sm.sft_approximation(8)
-        assert sm.languages_equal(coarse, fine, 4)
-        assert not sm.languages_equal(coarse, fine, 8)
+        assert languages_equal(coarse, fine, 4)
+        assert not languages_equal(coarse, fine, 8)
         # the coarse approximation admits words with close repeated B's
         # that the true language spaces at least eight letters apart
         assert coarse.words(5) - fine.words(5) == {"BaDaB", "BaDaD", "DaDaB"}
@@ -161,10 +163,17 @@ _POINT_CASES = {
 }
 
 
+def _orbit_sft(word, alphabet):
+    # blocks of the word's length: its rotations, so the only point of
+    # period len(word) is the orbit of word^Z
+    rotations = {word[i:] + word[:i] for i in range(len(word))}
+    return ZSft.from_blocks(alphabet, len(word), rotations)
+
+
 class TestPeriodicPoints:
     def test_survivor_at_order_four(self):
         pts = sm.periodic_points(sm.sft_approximation(4), 4)
-        assert sm.canonical_rotation("aDaC", "aBCD") in pts
+        assert canonical_rotation_by_tuples("aDaC", "aBCD") in pts
 
     def test_no_fixed_points(self):
         assert sm.periodic_points(sm.sft_approximation(2), 1) == []
@@ -179,8 +188,9 @@ class TestPeriodicPoints:
                 previous = current
 
     def test_canonical_rotation(self):
-        assert sm.canonical_rotation("aDaC", "aBCD") == "aCaD"
-        assert sm.canonical_rotation("ba", "ab") == "ab"
+        # the one orbit of a word's SFT comes out as its least rotation
+        assert sm.periodic_points(_orbit_sft("aDaC", "aBCD"), 4) == ["aCaD"]
+        assert sm.periodic_points(_orbit_sft("ba", "ab"), 2) == ["ab"]
 
     @pytest.mark.parametrize("alphabet", ["01", "012", "aBCD", "T_"])
     def test_canonical_rotation_matches_the_tuple_oracle(self, alphabet):
@@ -189,8 +199,9 @@ class TestPeriodicPoints:
             root = "".join(rng.choices(alphabet, k=rng.randint(1, 6)))
             word = root * rng.randint(1, 3) + root[: rng.randint(0, len(root))]
             expected = canonical_rotation_by_tuples(word, alphabet)
-            assert sm.canonical_rotation(word, alphabet) == expected, word
-            assert sm.canonical_rotation(word, tuple(alphabet)) == expected, word
+            for letters in (alphabet, tuple(alphabet)):
+                points = sm.periodic_points(_orbit_sft(word, letters), len(word))
+                assert points == [expected], word
 
     def test_jsonl_report(self):
         comb = sm.comb_sft([WangTile("T", "x", "x")], 2)
@@ -208,11 +219,15 @@ class TestPeriodicPoints:
     def test_matches_the_oracles(self, family):
         for x, p in _POINT_CASES[family]():
             pts = sm.periodic_points(x, p)
-            assert pts == periodic_points_by_dfs(x, p), (family, x.order, p)
+            assert pts == periodic_points_by_product(x, p), (family, x.order, p)
+            # the closed-path walk shares the automaton, and is slow on
+            # the near-full random SFTs: a second oracle on the others
+            if family != "random":
+                assert pts == periodic_points_by_dfs(x, p), (family, x.order, p)
             assert len(pts) == periodic_orbit_count(x, p), (family, x.order, p)
             assert len(set(pts)) == len(pts)
             for word in pts:
-                assert word == sm.canonical_rotation(word, x.alphabet)
+                assert word == canonical_rotation_by_tuples(word, x.alphabet)
                 ring = word * (x.order // p + 2)
                 assert all(ring[i : i + x.order] in x.blocks for i in range(p))
 
@@ -220,17 +235,6 @@ class TestPeriodicPoints:
         # the necklaces of the eight letters between the `a`s, over BCD
         x = sm.sft_approximation(2)
         assert len(sm.periodic_points(x, 16)) == periodic_orbit_count(x, 16) == 834
-
-    def test_no_canonical_rotations(self, monkeypatch):
-        calls = []
-        rotate = sm.canonical_rotation
-        monkeypatch.setattr(
-            sm, "canonical_rotation", lambda *args: calls.append(args) or rotate(*args)
-        )
-        for order, p in ((2, 16), (7, 8), (12, 12)):
-            assert sm.periodic_points(sm.sft_approximation(order), p)
-        assert sm.periodic_points(sm.comb_sft([WangTile("T", "x", "x")], 3), 12)
-        assert calls == []
 
 
 class TestUnion:
@@ -263,7 +267,7 @@ class TestUnion:
         while accepted < 10:
             u = "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
             v = "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
-            if sm.canonical_rotation(u * 2, "01") == sm.canonical_rotation(v * 2, "01"):
+            if canonical_rotation_by_tuples(u * 2, "01") == canonical_rotation_by_tuples(v * 2, "01"):
                 continue  # same orbit when repeated to equal lengths
             fu, fv = orbit_sft_forbidden(u, "01"), orbit_sft_forbidden(v, "01")
             x1, x2 = ZSft.from_forbidden("01", fu), ZSft.from_forbidden("01", fv)
