@@ -187,7 +187,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_schreier(args: argparse.Namespace) -> int:
-    jump_action.check_exponent(args.t)
     copies = args.p if args.circular else 1
     if args.n > SCHREIER_LOG2_CAP or copies > 2 ** (SCHREIER_LOG2_CAP - args.n):
         raise SizeLimitError(f"a graph on {copies} * 2^{args.n} starrings "
@@ -197,7 +196,7 @@ def cmd_schreier(args: argparse.Namespace) -> int:
         if args.require_action:
             failing = jump_action.moving_relator(ring, args.t, args.p)
             if failing is not None:
-                relator = jump_action.relation_set(args.t)[failing]
+                relator = jump_action.relator_name(failing)
                 sys.stderr.write(
                     f"action not well-defined: relator {relator} moves a starring\n"
                 )
@@ -341,11 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Survival of the relator family on the circular words "
         "(w_n alpha)^p.  Each row is read off one lift to the Z-cover: p "
         "survives iff it divides the gcd of the relators' winding numbers, "
-        "8 once t >= n, so the ones sit at p in {1, 2, 4, 8}.",
+        "8 on the whole family, so the ones sit at p in {1, 2, 4, 8}.  --t T "
+        "stops the family at the kappa^T seeds.",
     )
     p.add_argument("--n-max", type=_at_least(1), default=6)
     p.add_argument("--p-max", type=_at_least(1), default=50)
-    p.add_argument("--t", type=_at_least(0), default=6)
+    p.add_argument("--t", type=_at_least(0), default=None)
     p.add_argument("--paper-layout", action="store_true",
                    help="group columns 10..p-max into one")
     p.add_argument("--out", default=None)
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(1), default=3)
     p.add_argument("--circular", action="store_true")
     p.add_argument("--p", type=_at_least(1), default=1)
-    p.add_argument("--t", type=_at_least(0), default=6)
+    p.add_argument("--t", type=_at_least(0), default=None)
     p.add_argument("--require-action", action="store_true",
                    help="fail unless the relators fix every circular starring")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pseudo-orbit", help="periodic pseudo-point checks")
     p.add_argument("--n", type=_at_least(1), default=2)
-    p.add_argument("--t", type=_at_least(0), default=6)
+    p.add_argument("--t", type=_at_least(0), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pseudo_orbit)
 

@@ -30,6 +30,9 @@ GENERATORS = "abcd"
 
 # Cap on the index n of w_n; |w_24| is ~16M letters.
 WORD_CAP = 24
+# Cap on the n of listed words, of up to 2^n - 1 letters: a listing holds
+# about 3 * 2^n words of length L, so its memory grows with L^2.
+LISTING_CAP = 12
 
 _LETTER_SET = frozenset(LETTERS)
 _GENERATOR_SET = frozenset(GENERATORS)
@@ -164,12 +167,12 @@ def kappa(word: str) -> str:
     return free_reduce("".join(_KAPPA[g] for g in word))
 
 
-def _adequate_n(length: int) -> int:
-    # smallest n >= 1 with length <= 2^n - 1, at most WORD_CAP
+def _adequate_n(length: int, cap: int = WORD_CAP) -> int:
+    # smallest n >= 1 with length <= 2^n - 1, at most cap
     n = max(1, length.bit_length())
-    if n > WORD_CAP:
+    if n > cap:
         raise SizeLimitError(
-            f"language query of length {length} exceeds the cap 2^{WORD_CAP} - 1"
+            f"language query of length {length} exceeds the cap 2^{cap} - 1"
         )
     return n
 
@@ -210,7 +213,7 @@ def language_contains(word: str) -> bool:
     """Whether ``word`` occurs in the shift space generated by the w_n.
 
     Words longer than |w_WORD_CAP| = 2^WORD_CAP - 1 letters are refused
-    with SizeLimitError, the bound of :func:`language_words`.  Cached:
+    with SizeLimitError.  Cached:
     windows re-validate the same long content many times over.
     """
     _adequate_n(len(word))
@@ -233,9 +236,10 @@ def ring(n: int) -> str:
 
 def language_words(length: int) -> list[str]:
     """All language words of the given length, sorted with a < B < C < D:
-    the factors of :func:`pairs` at the least n with length <= 2^n - 1."""
+    the factors of :func:`pairs` at the least n with length <= 2^n - 1,
+    refused with SizeLimitError past n = LISTING_CAP."""
     if length < 0:
         raise ValueError("length must be non-negative")
-    n = _adequate_n(length)
+    n = _adequate_n(length, LISTING_CAP)
     found = {p[i : i + length] for p in pairs(n) for i in range(len(p) - length + 1)}
     return sorted(found, key=lex_key)

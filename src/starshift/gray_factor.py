@@ -49,9 +49,6 @@ class GrayTable:
             raise ValueError(f"star position {j} out of range")
         return format(int(self.codes[j]), f"0{self.n}b")
 
-    def as_strings(self) -> list[str]:
-        return [self.bits(j) for j in range(len(self.codes))]
-
 
 @lru_cache(maxsize=None)
 def _phi_codes(n: int) -> np.ndarray:

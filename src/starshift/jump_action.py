@@ -14,16 +14,17 @@ the lift of a circular word to the Z-cover, which serves every p-fold
 repetition of it at once.  Several circular words are checked in one
 pass, their lifts side by side in one table that stores each value as
 its residue plus the total length times its winding, so one composer
-serves one ring and many alike; the seeds of the family are evaluated
-as powers of their roots by squaring.  Words are validated once, when
-they enter; moves skip the check.
+serves one ring and many alike; seeds are powers of their roots by
+squaring, and the check stops where kappa repeats a ring's tables,
+deciding the whole presentation.  Words are validated once, when they
+enter; moves skip the check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 from math import gcd
 
 import numpy as np
@@ -39,7 +40,7 @@ JUMP_SETS = {"a": "a", "b": "CD", "c": "BD", "d": "BC"}
 STAR = "*"
 
 ORBIT_CAP = 16
-TABLE_CAPS = (8, 64, 8)  # n_max, p_max, t
+TABLE_CAPS = (12, 64)  # n_max, p_max
 
 
 @dataclass(frozen=True)
@@ -203,27 +204,48 @@ def relation_set(t: int) -> tuple[str, ...]:
     return relators
 
 
-def check_exponent(t: int) -> None:
-    """Raise SizeLimitError unless the relator exponent t is in 0..TABLE_CAPS[2]."""
-    if not 0 <= t <= TABLE_CAPS[2]:
-        raise SizeLimitError(f"relator exponent t={t} is outside 0..{TABLE_CAPS[2]}")
+def relator_name(index: int) -> str:
+    """The relator at ``index`` of the family of :func:`relation_set`,
+    named in ASCII, never expanded: ``bcd``, ``(ad)^4``, ``kappa^7((ad)^4)``."""
+    if index < len(_KLEIN_RELATORS):
+        return _KLEIN_RELATORS[index]
+    k, i = divmod(index - len(_KLEIN_RELATORS), len(_SEED_ROOTS))
+    seed = f"({_SEED_ROOTS[i]})^4"
+    return f"kappa^{k}({seed})" if k else seed
 
 
-def _relator_levels(perms: dict[str, np.ndarray], t: int):
-    """The tables of the relators of :func:`relation_set` (t), in order,
+def _relator_levels(perms: dict[str, np.ndarray], t: int | None,
+                    starts: list[int], ends: list[int | None]):
+    """The tables of the relators of :func:`relation_set`, in order,
     computed lazily from the generator tables ``perms``: first those of
-    the Klein relators, then for each k those of the two kappa^k seeds.
+    the Klein relators, then for each k up to ``t`` (every k for None)
+    those of the two kappa^k seeds.
 
     kappa^k(r) is never expanded: its table under the tables P is that
     of r under the kappa-images P'_a = P_a P_c P_a, P'_b = P_d,
     P'_c = P_b, P'_d = P_c.  A seed is the square of the square of its
-    root.  Both are exact, by associativity of the composition.
+    root.  Both are exact, by associativity of the composition.  Kappa
+    maps the tables within a finite set, so ring i, from ``starts[i]``,
+    stops at the first level whose four tables on it repeat an earlier
+    level's: ``ends[i]`` goes from None to the count of the relators
+    before it.  The levels end when no ring, here or in the caller, runs.
     """
     yield [word_star_permutation(relator, perms) for relator in _KLEIN_RELATORS]
-    for k in range(t + 1):
+    # the four int64 tables position by position, ring i's from byte 32 starts[i]
+    bounds = [32 * start for start in starts] + [32 * len(perms["a"])]
+    seen = [set() for _ in starts]
+    for k in count() if t is None else range(t + 1):
         if k:  # replace the tables by their kappa-images
             perms = {"a": word_star_permutation("aca", perms),
                      "b": perms["d"], "c": perms["b"], "d": perms["c"]}
+        key = np.array([perms[g] for g in GENERATORS]).T.tobytes()
+        for i, ring_seen in enumerate(seen):
+            tables = key[bounds[i] : bounds[i + 1]]
+            if ends[i] is None and tables in ring_seen:
+                ends[i] = len(_KLEIN_RELATORS) + len(_SEED_ROOTS) * k
+            ring_seen.add(tables)
+        if None not in ends:
+            return
         seeds = []
         for root in _SEED_ROOTS:
             power = word_star_permutation(root, perms)
@@ -233,7 +255,7 @@ def _relator_levels(perms: dict[str, np.ndarray], t: int):
         yield seeds
 
 
-def side_by_side_windings(rings: list[str], t: int) -> list[list[int | None]]:
+def side_by_side_windings(rings: list[str], t: int | None = None) -> list[list[int | None]]:
     """:func:`relator_windings` of each circular word in ``rings``, all
     evaluated in one pass over the relator family.
 
@@ -243,9 +265,11 @@ def side_by_side_windings(rings: list[str], t: int) -> list[list[int | None]]:
     in [0, L_i), is stored as o_i + r + N q: the residue plus N times
     the winding.  :func:`word_star_permutation` on size N then composes
     on the disjoint union of the rings' covers.  A row stops at its
-    first None; the pass ends when every row has stopped.
+    first None, or where its ring's tables repeat, as its ring alone
+    does; the pass ends when every row has stopped.
     """
-    check_exponent(t)
+    if t is not None and t < 0:
+        raise ValueError("t must be non-negative")
     if not rings or not all(rings):
         raise ValueError("circular words must be nonempty")
     sizes = [len(ring) for ring in rings]
@@ -259,20 +283,22 @@ def side_by_side_windings(rings: list[str], t: int) -> list[list[int | None]]:
     perms = dict(zip(GENERATORS, lifts))
     identity = np.arange(total, dtype=np.int64)
     shifts = []  # per level, for each relator the gcd of R(x) - x on each row
-    stopped = np.zeros(len(rings), dtype=bool)
-    for tables in _relator_levels(perms, t):
+    ends: list[int | None] = [None] * len(rings)  # the relators each row reads
+    for tables in _relator_levels(perms, t, starts, ends):
         shifts.append(np.gcd.reduceat(np.array(tables) - identity, starts, axis=1))
         # the windings of a row are all integers iff the gcd of its shifts
         # is a multiple of N, and their gcd is then that gcd over N
         residues = shifts[-1] % total
         if np.count_nonzero(residues):
-            stopped |= residues.any(axis=0)
-            if stopped.all():
+            read = sum(map(len, shifts))
+            for i in np.flatnonzero(residues.any(axis=0)).tolist():
+                ends[i] = ends[i] or read
+            if None not in ends:
                 break
     rows = []
-    for row in np.concatenate(shifts).T.tolist():
+    for row, end in zip(np.concatenate(shifts).T.tolist(), ends):
         windings = []
-        for shift in row:
+        for shift in row[:end]:
             if shift % total:
                 windings.append(None)
                 break
@@ -281,10 +307,11 @@ def side_by_side_windings(rings: list[str], t: int) -> list[list[int | None]]:
     return rows
 
 
-def relator_windings(letters: str, t: int) -> list[int | None]:
+def relator_windings(letters: str, t: int | None = None) -> list[int | None]:
     """How each relator of :func:`relation_set` acts on the lift of the
     circular word ``letters`` to the Z-cover, in order, up to the first
-    that moves a starring of ``letters`` itself (recorded as None).
+    that moves a starring of ``letters`` itself (recorded as None), or
+    to where kappa repeats its tables, or to kappa^t for an integer t.
 
     A relator R fixing every starring of ``letters`` moves position j of
     the cover by a multiple of the length L; its entry is the gcd of the
@@ -300,9 +327,10 @@ def relator_windings(letters: str, t: int) -> list[int | None]:
     return side_by_side_windings([letters], t)[0]
 
 
-def moving_relator(letters: str, t: int, p: int = 1) -> int | None:
+def moving_relator(letters: str, t: int | None = None, p: int = 1) -> int | None:
     """Index in :func:`relation_set` of the first relator that moves a
-    starring of the circular word ``letters * p``, or None.
+    starring of the circular word ``letters * p``, or None: exact when
+    ``t`` is None, else among the relators up to the kappa^t seeds.
 
     Read from :func:`relator_windings` of ``letters``: the first relator
     whose entry is None or not a multiple of p.
@@ -313,21 +341,20 @@ def moving_relator(letters: str, t: int, p: int = 1) -> int | None:
     return next((i for i, w in enumerate(windings) if w is None or w % p), None)
 
 
-def table1(n_max: int = 6, p_max: int = 50, t: int = 6) -> list[list[bool]]:
+def table1(n_max: int = 6, p_max: int = 50, t: int | None = None) -> list[list[bool]]:
     """Relator survival table for the circular words (w_n alpha)^p.
 
-    Entry [n-1][p-1] is True iff every relator of :func:`relation_set`
-    fixes all starrings of the circular repetition, that is iff p divides
-    the gcd of the row's :func:`relator_windings`: one lifted evaluation
-    of the rings w_n alpha side by side (:func:`side_by_side_windings`)
-    serves every row and every p.  At t >= n that gcd is 8, and the ones
-    sit at its divisors p in {1, 2, 4, 8}.
+    Entry [n-1][p-1] is True iff every relator (up to kappa^t for an
+    integer t) fixes all starrings of the circular repetition, that is
+    iff p divides the gcd of the row's :func:`relator_windings`: one
+    lifted evaluation of the rings w_n alpha side by side
+    (:func:`side_by_side_windings`) serves every row and every p.  That
+    gcd is 8 (0 below t = n), and the ones sit at its divisors p in
+    {1, 2, 4, 8}.
     """
     caps = TABLE_CAPS
-    if not (1 <= n_max <= caps[0] and 1 <= p_max <= caps[1] and 0 <= t <= caps[2]):
-        raise SizeLimitError(
-            f"table1 caps are n_max<={caps[0]}, p_max<={caps[1]}, t<={caps[2]}"
-        )
+    if not (1 <= n_max <= caps[0] and 1 <= p_max <= caps[1]):
+        raise SizeLimitError(f"table1 caps are n_max<={caps[0]}, p_max<={caps[1]}")
     rings = [core_words.ring(n) for n in range(1, n_max + 1)]
     rows = []
     for windings in side_by_side_windings(rings, t):

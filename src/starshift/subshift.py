@@ -148,16 +148,6 @@ class ZSft:
             out = nxt
         return set().union(*out.values()) if out else set()
 
-    def to_json(self) -> str:
-        blocks = sorted(self.blocks, key=self._key)
-        payload = dict(alphabet=list(self.alphabet), order=self.order, blocks=blocks)
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ZSft":
-        payload = json.loads(text)
-        return cls.from_blocks(payload["alphabet"], payload["order"], payload["blocks"])
-
 
 def sft_approximation(order: int) -> ZSft:
     """The SFT whose forbidden words are the non-language words of one length.
@@ -338,13 +328,13 @@ class PseudoOrbitReport:
         }
 
 
-def pseudo_orbit_demo(n: int, t: int = 6) -> PseudoOrbitReport:
+def pseudo_orbit_demo(n: int, t: int | None = None) -> PseudoOrbitReport:
     """Checks making the repetition of w_n alpha a traceable-by-nothing orbit.
 
     (i) every word of length 2^n of the repetition is in the language
-    (so the point survives the order-2^n approximation); (ii) the
-    relator family of :func:`relation_set` fixes all starrings of the
-    circular word, so the group acts on its orbit; (iii) yet no excerpt
+    (so the point survives the order-2^n approximation); (ii) the whole
+    presentation (up to kappa^t for an integer t) fixes all starrings of
+    the circular word, so the group acts on its orbit; (iii) yet no excerpt
     of length 4 * 2^n, both margins 2^{n+1} around the origin, is a
     language word, so the point is not in the shift space.  Checks (i)
     and (iii) and the shortest failing excerpt are read from the longest

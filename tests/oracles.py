@@ -46,7 +46,6 @@ from starshift.full_group import CocyclePiece
 from starshift.gray_factor import natural_decomposition, phi
 from starshift.jump_action import (
     CircularWord,
-    check_exponent,
     circular_jump_permutation,
     linear_jump_permutation,
     relation_set,
@@ -156,7 +155,8 @@ def moving_relator_by_cover(letters: str, t: int) -> int | None:
     starring of the circular word ``letters``, read on its own
     permutation tables: a p-fold repetition is evaluated on tables of
     length p * len(base), where the library reads every p off one lift."""
-    check_exponent(t)
+    if t < 0:
+        raise ValueError("t must be non-negative")
     perms = {g: circular_jump_permutation(letters, g) for g in GENERATORS}
     identity = np.arange(len(letters), dtype=np.int64)
     family = [(r, 0) for r in ("aa", "bb", "cc", "dd", "bcd")]

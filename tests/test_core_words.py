@@ -219,6 +219,14 @@ class TestLanguage:
         for u in cw.language_words(2 * len(w) + 1):
             assert w in u
 
+    def test_listing_cap(self, monkeypatch):
+        # a listing of L letters holds about 3 * 2^n words of L letters each;
+        # past |w_12| = 4095 it is refused before w_13 is built
+        monkeypatch.setattr(cw, "build_w", lambda n: pytest.fail(f"built w_{n}"))
+        for length in (4096, 2**24 - 1, 2**24):
+            with pytest.raises(SizeLimitError, match="exceeds the cap 2\\^12 - 1"):
+                cw.language_words(length)
+
     def test_cap_error(self):
         with pytest.raises(SizeLimitError, match="exceeds the cap 2\\^24 - 1"):
             cw.language_contains("aD" * 2**23)  # 2^24 letters, longer than w_24

@@ -17,7 +17,7 @@ class TestPhi:
         assert table.bits(0) == "1" and table.bits(1) == "0"
 
     def test_level_two(self):
-        assert gf.phi(2).as_strings() == ["11", "01", "00", "10"]
+        assert [gf.phi(2).bits(j) for j in range(4)] == ["11", "01", "00", "10"]
 
     def test_level_three_endpoint(self):
         # phi_3(7) = phi_2(flip(0...)) with a 0 appended

@@ -1,11 +1,14 @@
 import itertools
 import random
+import re
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from oracles import evaluate_cocycle, moving_relator_by_cover, relator_fixes_all_starrings
+from oracles import (
+    evaluate_cocycle, kappa_iter, moving_relator_by_cover, relator_fixes_all_starrings
+)
 from starshift import full_group as fg, jump_action as ja, subshift
 from starshift.cli import main
 from starshift.core_words import build_w, ring
@@ -162,6 +165,15 @@ def test_relation_set_contents():
     assert len(rels) == 5 + 2 * 3
 
 
+def test_relator_names_follow_relation_set():
+    names = [ja.relator_name(i) for i in range(len(ja.relation_set(3)))]
+    assert names[:7] == ["aa", "bb", "cc", "dd", "bcd", "(ad)^4", "(adacac)^4"]
+    assert names[-2:] == ["kappa^3((ad)^4)", "kappa^3((adacac)^4)"]
+    for name, relator in zip(names[5:], ja.relation_set(3)[5:]):
+        k, seed = re.fullmatch(r"(?:kappa\^(\d+)\()?\((\w+)\)\^4\)?", name).groups()
+        assert kappa_iter(seed * 4, int(k or 0)) == relator, name
+
+
 class TestRelatorChecks:
     def test_square_fixes_everything(self):
         assert relator_fixes_all_starrings("aa", "aDaCaDa")
@@ -186,10 +198,14 @@ class TestRelatorChecks:
             assert relator_fixes_all_starrings(r, c)
 
 
+# the oracles expand kappa^t on rings of p * 2^n letters: n <= 8, t <= 8
+ORACLE_N, ORACLE_T = 8, 8
+
+
 @lru_cache(maxsize=None)
 def _first_moving_on_cover(n: int, p: int) -> int | None:
-    # the oracle's verdict on (w_n alpha)^p over the whole family at t = 8
-    return moving_relator_by_cover(ring(n) * p, ja.TABLE_CAPS[2])
+    # the oracle's verdict on (w_n alpha)^p over the family at t = 8
+    return moving_relator_by_cover(ring(n) * p, ORACLE_T)
 
 
 def _moves_within(first: int | None, t: int) -> bool:
@@ -222,10 +238,10 @@ class TestMovingRelator:
     """The relator family evaluated through kappa on the tables, against
     the expanded relators of relation_set composed letter by letter."""
 
-    @pytest.mark.parametrize("n", range(1, ja.TABLE_CAPS[0] + 1))
+    @pytest.mark.parametrize("n", range(1, ORACLE_N + 1))
     def test_matches_expanded_relators(self, n):
         base = ring(n)
-        family = ja.relation_set(ja.TABLE_CAPS[2])
+        family = ja.relation_set(ORACLE_T)
         for p in range(1, 31):
             word = CircularWord(base * p)
             first = next(
@@ -233,23 +249,23 @@ class TestMovingRelator:
                  if not relator_fixes_all_starrings(r, word)),
                 None,
             )
-            for t in range(ja.TABLE_CAPS[2] + 1):
+            for t in range(ORACLE_T + 1):
                 # relation_set(t) is a prefix of relation_set(8)
                 in_family = first is not None and first < len(ja.relation_set(t))
                 expected = first if in_family else None
                 assert ja.moving_relator(word.letters, t) == expected, (n, p, t)
 
-    @pytest.mark.parametrize("n", range(1, ja.TABLE_CAPS[0] + 1))
+    @pytest.mark.parametrize("n", range(1, ORACLE_N + 1))
     def test_matches_the_covers(self, n):
         # every p read off one lift, against (w_n alpha)^p on its own tables
         base = ring(n)
         for p in range(1, ja.TABLE_CAPS[1] + 1):
             first = _first_moving_on_cover(n, p)
-            for t in range(ja.TABLE_CAPS[2] + 1):
+            for t in range(ORACLE_T + 1):
                 expected = first if _moves_within(first, t) else None
                 assert ja.moving_relator(base, t, p) == expected, (n, p, t)
 
-    @pytest.mark.parametrize("n", range(1, ja.TABLE_CAPS[0] + 1))
+    @pytest.mark.parametrize("n", range(1, ORACLE_N + 1))
     def test_windings_at_t8(self, n):
         # the relators before kappa^n((ad)^4) wind 0 times; kappa^n((ad)^4)
         # has gcd 8, kappa^n((adacac)^4) 24 and both kappa^(n+1) seeds 16,
@@ -262,10 +278,15 @@ class TestMovingRelator:
         for p in range(1, ja.TABLE_CAPS[1] + 1):
             assert ja.moving_relator(base, 8, p) == (None if 8 % p == 0 else first)
 
-    def test_exponent_cap(self):
-        for t in (-1, ja.TABLE_CAPS[2] + 1):
-            with pytest.raises(SizeLimitError):
-                ja.moving_relator("aD", t)
+    @pytest.mark.parametrize("n", range(1, ja.TABLE_CAPS[0] + 1))
+    def test_whole_presentation_fails_on_the_triple_cover(self, n):
+        # row n first fails at kappa^n((ad)^4), which relation_set(n) ends with
+        expected = moving_relator_by_cover(ring(n) * 3, n + 1)
+        assert ja.moving_relator(ring(n), None, 3) == expected == 5 + 2 * n
+
+    def test_exponent_must_be_non_negative(self):
+        with pytest.raises(ValueError):
+            ja.moving_relator("aD", -1)
 
     def test_cover_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -283,10 +304,10 @@ class TestSideBySide:
     """Rings evaluated side by side in one table against each ring on
     its own, and table1 against every cover on its own tables."""
 
-    @pytest.mark.parametrize("n_max", range(1, ja.TABLE_CAPS[0] + 1))
+    @pytest.mark.parametrize("n_max", range(1, ORACLE_N + 1))
     def test_table1_matches_the_covers_row_by_row(self, n_max):
         p_max = ja.TABLE_CAPS[1]
-        for t in range(ja.TABLE_CAPS[2] + 1):
+        for t in range(ORACLE_T + 1):
             expected = [
                 [not _moves_within(_first_moving_on_cover(n, p), t) for p in range(1, p_max + 1)]
                 for n in range(1, n_max + 1)
@@ -296,7 +317,7 @@ class TestSideBySide:
     @pytest.mark.parametrize("seed", range(6))
     def test_mixed_rings_give_what_each_gives_alone(self, seed):
         rings = _random_rings(random.Random(seed), 10)
-        for t in (0, 1, 4, ja.TABLE_CAPS[2]):
+        for t in (0, 1, 4, ORACLE_T, None):
             together = ja.side_by_side_windings(rings, t)
             assert together == [ja.relator_windings(ring, t) for ring in rings], t
         # rows stop at different relators, and some never stop
@@ -307,8 +328,8 @@ class TestSideBySide:
     def test_one_ring_matches_the_covers_on_random_rings(self, seed):
         for ring in _random_rings(random.Random(100 + seed), 6):
             for p in range(1, 4):
-                first = moving_relator_by_cover(ring * p, ja.TABLE_CAPS[2])
-                assert ja.moving_relator(ring, ja.TABLE_CAPS[2], p) == first, (ring, p)
+                first = moving_relator_by_cover(ring * p, ORACLE_T)
+                assert ja.moving_relator(ring, ORACLE_T, p) == first, (ring, p)
 
     def test_a_row_that_stops_early_ends_the_pass(self, composed):
         # (ad)^4 moves a starring of (aB)^3, kappa((ad)^4) one of (aD)^3
@@ -373,6 +394,25 @@ class TestRelatorFamilyCost:
         assert sum(map(len, alone)) == 11 + 9 * 16 + 8 * 3
 
 
+class TestRepeatingLevels:
+    """The kappa-images of the four tables run through a finite set: the
+    pass stops at the first level whose tables repeat an earlier one's."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_levels_until_the_tables_repeat(self, composed, n):
+        # on w_n alpha the tables have pre-period n + 2 and period 3, so
+        # levels 0..n+4 are distinct and level n+5 repeats level n+2
+        windings = ja.relator_windings(ring(n))
+        levels = composed.count("ad")  # one root per level
+        assert levels == n + 5
+        assert len(windings) == 5 + 2 * levels
+        exact = list(composed)
+        composed.clear()
+        # an exponent past the repeat composes nothing more
+        assert ja.relator_windings(ring(n), 10**6) == windings
+        assert composed == exact
+
+
 class TestTable1:
     def test_small_cell_values(self):
         rows = ja.table1(2, 4, 6)
@@ -381,11 +421,14 @@ class TestTable1:
 
     def test_caps(self):
         with pytest.raises(SizeLimitError):
-            ja.table1(9, 4, 6)
+            ja.table1(13, 4, 6)
         with pytest.raises(SizeLimitError):
             ja.table1(4, 65, 6)
-        with pytest.raises(SizeLimitError):
-            ja.table1(4, 4, 9)
+
+    def test_exact_rows_are_the_divisors_of_8(self):
+        # the whole presentation: every row up to the cap has winding gcd 8
+        expected = [p in (1, 2, 4, 8) for p in range(1, 65)]
+        assert ja.table1(12, 64) == [expected] * 12
 
     def test_low_t_row_is_spuriously_clean(self):
         # with only the relators of R_2, row 3 shows no contradictions

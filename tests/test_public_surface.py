@@ -1,11 +1,17 @@
 """Every public name in ``src/starshift`` has a reader in the toolkit.
 
-A public top-level function or class must be referenced outside its own
-definition: by the package itself, by the benchmark under ``bench/``, or
-by the acceptance suite.  Unit tests do not count, since a name read only
-by its own tests is dead code with a restatement attached; independent
-references used only by tests live in ``tests/oracles.py``.  The files
-are parsed, never imported.
+A public top-level function or class, and a public method of a public
+class, must be referenced outside its own definition: by the package
+itself, by the benchmark under ``bench/``, or by the acceptance suite.
+Unit tests do not count, since a name read only by its own tests is dead
+code with a restatement attached; independent references used only by
+tests live in ``tests/oracles.py``.  The files are parsed, never
+imported.
+
+A method is matched by its attribute name alone, since the parse does
+not know the type of the object it is read on: a dead method escapes
+when a method of the same name is read on another class, as a dead
+``ZSft.to_json`` did while ``SchreierGraph.to_json`` was read.
 """
 
 import ast
@@ -48,24 +54,33 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
+def _public_definitions(tree: ast.Module):
+    """``(qualified name, node)`` of every public top-level function and
+    class, and of every public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
 def unused_public_names(src: Path = SRC) -> list[str]:
-    """``module.name`` of every public top-level definition in the package
-    at ``src`` that nothing in the toolkit reads, sorted."""
+    """``module.name`` of every public definition in the package at
+    ``src`` that nothing in the toolkit reads, sorted."""
     modules = {path.stem: _parse(path) for path in sorted(src.glob("*.py"))}
     outside = set()
     for path in [*sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]:
         outside |= _references(_parse(path), modules=modules)
     unused = []
     for module, tree in modules.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for qualified, node in _public_definitions(tree):
             name = node.name
-            if name.startswith("_") or name in PAPER_FACING or name in outside:
+            if qualified in PAPER_FACING or name in outside:
                 continue
             readers = (_references(other, skip=node) for other in modules.values())
             if not any(name in refs for refs in readers):
-                unused.append(f"{module}.{name}")
+                unused.append(f"{module}.{qualified}")
     return sorted(unused)
 
 
@@ -82,6 +97,20 @@ def test_the_guard_sees_a_dead_name(tmp_path):
     with open(copy / "subshift.py", "a", encoding="utf-8") as handle:
         handle.write("\n\ndef canonical_rotation(word, alphabet):\n    return word\n")
     assert unused_public_names(copy) == ["subshift.canonical_rotation"]
+
+
+def test_the_guard_sees_a_dead_method(tmp_path):
+    # the package with one extra public method that nothing reads
+    copy = tmp_path / "starshift"
+    copy.mkdir()
+    for path in SRC.glob("*.py"):
+        (copy / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    source = (copy / "gray_factor.py").read_text(encoding="utf-8")
+    bits = "    def bits(self, j: int) -> str:\n"
+    dead = "    def as_strings(self) -> list[str]:\n        return []\n\n"
+    assert bits in source
+    (copy / "gray_factor.py").write_text(source.replace(bits, dead + bits), encoding="utf-8")
+    assert unused_public_names(copy) == ["gray_factor.GrayTable.as_strings"]
 
 
 def test_paper_facing_names_exist():
