@@ -164,7 +164,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     core_words.check_word_cap(args.max_n)
     alpha_fn = core_words.alpha_choice
     if args.inject_alpha_bug:
-        alpha_fn = lambda n: "BDC"[(n + 1) % 3]  # negative control
+        alpha_fn = lambda n: core_words.MIDDLE_LETTERS[(n + 1) % 3]  # negative control
     checks = [
         ("w-recursion", lambda: _check_recursion(args.max_n, alpha_fn)),
         ("conjugacy", lambda: _check_conjugacy(args.max_n)),

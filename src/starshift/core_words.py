@@ -27,6 +27,8 @@ from .errors import SizeLimitError
 
 LETTERS = "aBCD"
 GENERATORS = "abcd"
+# the cycle of the middle letter alpha of w_{n+1}: MIDDLE_LETTERS[n % 3]
+MIDDLE_LETTERS = "BDC"
 
 # Cap on the index n of w_n; |w_24| is ~16M letters.
 WORD_CAP = 24
@@ -80,7 +82,7 @@ def alpha_choice(n: int) -> str:
     """Middle letter inserted between two copies of w_n to form w_{n+1}."""
     if n < 1:
         raise ValueError("n must be positive")
-    return "BDC"[n % 3]
+    return MIDDLE_LETTERS[n % 3]
 
 
 @lru_cache(maxsize=None)
@@ -196,7 +198,7 @@ def phase(word: str) -> tuple[int, int] | None:
         return None
     start, m = int(word[0] == "a"), 1  # word[start::2**m] sits at the indices 0 mod 2^m
     while True:
-        rest, sep = word[start :: 2**m], "BDC"[m % 3]
+        rest, sep = word[start :: 2**m], MIDDLE_LETTERS[m % 3]
         first, second = not rest[::2].strip(sep), not rest[1::2].strip(sep)
         if first and second:
             if len(rest) <= 2:

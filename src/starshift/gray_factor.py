@@ -41,9 +41,6 @@ class GrayTable:
     n: int
     codes: np.ndarray = field(repr=False)
 
-    def __len__(self) -> int:
-        return len(self.codes)
-
     def bits(self, j: int) -> str:
         if not 0 <= j < len(self.codes):
             raise ValueError(f"star position {j} out of range")

@@ -15,9 +15,11 @@ repetition of it at once.  Several circular words are checked in one
 pass, their lifts side by side in one table that stores each value as
 its residue plus the total length times its winding, so one composer
 serves one ring and many alike; seeds are powers of their roots by
-squaring, and the check stops where kappa repeats a ring's tables,
-deciding the whole presentation.  Words are validated once, when they
-enter; moves skip the check.
+squaring.  The rings are checked to be circular words when they enter,
+so kappa maps their tables within a finite set, and the check stops
+where it repeats a ring's tables, keyed by k mod 3 and the ring's
+a-table, deciding the whole presentation.  Words are validated once,
+when they enter; moves skip the check.
 """
 
 from __future__ import annotations
@@ -214,64 +216,46 @@ def relator_name(index: int) -> str:
     return f"kappa^{k}({seed})" if k else seed
 
 
-def _relator_levels(perms: dict[str, np.ndarray], t: int | None,
-                    starts: list[int], ends: list[int | None]):
-    """The tables of the relators of :func:`relation_set`, in order,
-    computed lazily from the generator tables ``perms``: first those of
-    the Klein relators, then for each k up to ``t`` (every k for None)
-    those of the two kappa^k seeds.
+def side_by_side_windings(rings: list[str], t: int | None = None) -> list[list[int | None]]:
+    """How each relator of :func:`relation_set` acts on the lift of each
+    circular word in ``rings`` to the Z-cover, all evaluated in one pass.
+
+    Row i lists, in order, the gcd of the winding numbers (R(j) - j) / L
+    of each relator R over the positions j of the cover of ring i, of
+    length L, 0 when all are 0, up to the first relator that moves a
+    starring of ring i itself (recorded as None), or to where kappa
+    repeats its tables, or to kappa^t for an integer t.  Reducing mod pL
+    maps the lifts onto the jump action on ``ring * p``, so R fixes every
+    starring of ``ring * p`` iff p divides its entry.  Read there, the
+    kappa-iterates are exact because kappa is an endomorphism of
+    Z2 * Z2^2 and the Klein relators, checked first, hold there.
 
     kappa^k(r) is never expanded: its table under the tables P is that
     of r under the kappa-images P'_a = P_a P_c P_a, P'_b = P_d,
     P'_c = P_b, P'_d = P_c.  A seed is the square of the square of its
-    root.  Both are exact, by associativity of the composition.  Kappa
-    maps the tables within a finite set, so ring i, from ``starts[i]``,
-    stops at the first level whose four tables on it repeat an earlier
-    level's: ``ends[i]`` goes from None to the count of the relators
-    before it.  The levels end when no ring, here or in the caller, runs.
-    """
-    yield [word_star_permutation(relator, perms) for relator in _KLEIN_RELATORS]
-    # the four int64 tables position by position, ring i's from byte 32 starts[i]
-    bounds = [32 * start for start in starts] + [32 * len(perms["a"])]
-    seen = [set() for _ in starts]
-    for k in count() if t is None else range(t + 1):
-        if k:  # replace the tables by their kappa-images
-            perms = {"a": word_star_permutation("aca", perms),
-                     "b": perms["d"], "c": perms["b"], "d": perms["c"]}
-        key = np.array([perms[g] for g in GENERATORS]).T.tobytes()
-        for i, ring_seen in enumerate(seen):
-            tables = key[bounds[i] : bounds[i + 1]]
-            if ends[i] is None and tables in ring_seen:
-                ends[i] = len(_KLEIN_RELATORS) + len(_SEED_ROOTS) * k
-            ring_seen.add(tables)
-        if None not in ends:
-            return
-        seeds = []
-        for root in _SEED_ROOTS:
-            power = word_star_permutation(root, perms)
-            for _ in range(2):
-                power = word_star_permutation("xx", {"x": power})
-            seeds.append(power)
-        yield seeds
-
-
-def side_by_side_windings(rings: list[str], t: int | None = None) -> list[list[int | None]]:
-    """:func:`relator_windings` of each circular word in ``rings``, all
-    evaluated in one pass over the relator family.
+    root.  Both are exact, by associativity of the composition.
 
     The rings sit side by side in one table of size N, their total
     length.  Ring i at offset o_i has the lift T_i of length L_i
     (:func:`circular_jump_lift`); its value T_i[j] = q L_i + r, with r
     in [0, L_i), is stored as o_i + r + N q: the residue plus N times
     the winding.  :func:`word_star_permutation` on size N then composes
-    on the disjoint union of the rings' covers.  A row stops at its
-    first None, or where its ring's tables repeat, as its ring alone
-    does; the pass ends when every row has stopped.
+    on the disjoint union of the rings' covers.
+
+    Every ring is a :class:`CircularWord`, so its lifts are bijections
+    of its cover and kappa maps its tables within a finite set: a row
+    stops at the first level whose tables on its ring repeat an earlier
+    level's, as its ring alone does, and the pass ends when every row
+    has stopped.  Kappa only rotates the tables of b, c and d, which
+    differ on every such ring, so (k mod 3, the ring's a-table) keys a
+    level's four tables exactly.
     """
     if t is not None and t < 0:
         raise ValueError("t must be non-negative")
-    if not rings or not all(rings):
-        raise ValueError("circular words must be nonempty")
+    if not rings:
+        raise ValueError("no circular words given")
+    for ring in rings:
+        CircularWord(ring)
     sizes = [len(ring) for ring in rings]
     total = sum(sizes)
     starts = list(accumulate(sizes[:-1], initial=0))
@@ -282,19 +266,40 @@ def side_by_side_windings(rings: list[str], t: int | None = None) -> list[list[i
         lifts = lifts + offsets + lifts // lengths * (total - lengths)
     perms = dict(zip(GENERATORS, lifts))
     identity = np.arange(total, dtype=np.int64)
+    # ring i's bytes of an int64 table, and the repeat keys of its levels
+    bounds = [8 * start for start in starts] + [8 * total]
+    seen = [set() for _ in rings]
     shifts = []  # per level, for each relator the gcd of R(x) - x on each row
     ends: list[int | None] = [None] * len(rings)  # the relators each row reads
-    for tables in _relator_levels(perms, t, starts, ends):
-        shifts.append(np.gcd.reduceat(np.array(tables) - identity, starts, axis=1))
+    relators = [word_star_permutation(relator, perms) for relator in _KLEIN_RELATORS]
+    for k in count():
+        read = len(_KLEIN_RELATORS) + len(_SEED_ROOTS) * k
+        shifts.append(np.gcd.reduceat(np.array(relators) - identity, starts, axis=1))
         # the windings of a row are all integers iff the gcd of its shifts
         # is a multiple of N, and their gcd is then that gcd over N
         residues = shifts[-1] % total
         if np.count_nonzero(residues):
-            read = sum(map(len, shifts))
             for i in np.flatnonzero(residues.any(axis=0)).tolist():
                 ends[i] = ends[i] or read
-            if None not in ends:
-                break
+        if None not in ends or k - 1 == t:  # or the kappa^t seeds were the last
+            break
+        if k:  # replace the tables by their kappa-images
+            perms = {"a": word_star_permutation("aca", perms),
+                     "b": perms["d"], "c": perms["b"], "d": perms["c"]}
+        a_table = perms["a"].tobytes()
+        for i, ring_seen in enumerate(seen):
+            key = (k % 3, a_table[bounds[i] : bounds[i + 1]])
+            if key in ring_seen:
+                ends[i] = ends[i] or read
+            ring_seen.add(key)
+        if None not in ends:
+            break
+        relators = []
+        for root in _SEED_ROOTS:
+            power = word_star_permutation(root, perms)
+            for _ in range(2):
+                power = word_star_permutation("xx", {"x": power})
+            relators.append(power)
     rows = []
     for row, end in zip(np.concatenate(shifts).T.tolist(), ends):
         windings = []
@@ -307,37 +312,17 @@ def side_by_side_windings(rings: list[str], t: int | None = None) -> list[list[i
     return rows
 
 
-def relator_windings(letters: str, t: int | None = None) -> list[int | None]:
-    """How each relator of :func:`relation_set` acts on the lift of the
-    circular word ``letters`` to the Z-cover, in order, up to the first
-    that moves a starring of ``letters`` itself (recorded as None), or
-    to where kappa repeats its tables, or to kappa^t for an integer t.
-
-    A relator R fixing every starring of ``letters`` moves position j of
-    the cover by a multiple of the length L; its entry is the gcd of the
-    winding numbers (R(j) - j) / L, 0 when all are 0.  Reducing mod pL
-    maps the lifts onto the jump action on ``letters * p``, so R fixes
-    every starring of ``letters * p`` iff p divides its entry.
-
-    This is the one-ring view of :func:`side_by_side_windings`.  Read on
-    ``letters * p``, its kappa-iterates are exact because kappa is an
-    endomorphism of Z2 * Z2^2 and the Klein relators, checked first,
-    hold there.
-    """
-    return side_by_side_windings([letters], t)[0]
-
-
 def moving_relator(letters: str, t: int | None = None, p: int = 1) -> int | None:
     """Index in :func:`relation_set` of the first relator that moves a
     starring of the circular word ``letters * p``, or None: exact when
     ``t`` is None, else among the relators up to the kappa^t seeds.
 
-    Read from :func:`relator_windings` of ``letters``: the first relator
-    whose entry is None or not a multiple of p.
+    Read from the row of ``letters`` in :func:`side_by_side_windings`:
+    the first relator whose entry is None or not a multiple of p.
     """
     if p < 1:
         raise ValueError("p must be positive")
-    windings = relator_windings(letters, t)
+    windings = side_by_side_windings([letters], t)[0]
     return next((i for i, w in enumerate(windings) if w is None or w % p), None)
 
 
@@ -346,11 +331,10 @@ def table1(n_max: int = 6, p_max: int = 50, t: int | None = None) -> list[list[b
 
     Entry [n-1][p-1] is True iff every relator (up to kappa^t for an
     integer t) fixes all starrings of the circular repetition, that is
-    iff p divides the gcd of the row's :func:`relator_windings`: one
-    lifted evaluation of the rings w_n alpha side by side
-    (:func:`side_by_side_windings`) serves every row and every p.  That
-    gcd is 8 (0 below t = n), and the ones sit at its divisors p in
-    {1, 2, 4, 8}.
+    iff p divides the gcd of the row's windings: one lifted evaluation
+    of the rings w_n alpha side by side (:func:`side_by_side_windings`)
+    serves every row and every p.  That gcd is 8 (0 below t = n), and
+    the ones sit at its divisors p in {1, 2, 4, 8}.
     """
     caps = TABLE_CAPS
     if not (1 <= n_max <= caps[0] and 1 <= p_max <= caps[1]):

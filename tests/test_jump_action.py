@@ -271,7 +271,7 @@ class TestMovingRelator:
         # has gcd 8, kappa^n((adacac)^4) 24 and both kappa^(n+1) seeds 16,
         # so row n first fails at k = n, exactly for p not dividing 8
         base = ring(n)
-        windings = ja.relator_windings(base, 8)
+        windings = ja.side_by_side_windings([base], 8)[0]
         first = 5 + 2 * n  # index of kappa^n((ad)^4) in relation_set(8)
         assert windings[:first] == [0] * first
         assert windings[first : first + 4] == [8, 24, 16, 16][: len(windings) - first]
@@ -293,11 +293,17 @@ class TestMovingRelator:
             ja.moving_relator("aD", 6, 0)
 
     def test_rings_must_be_nonempty(self):
-        for rings in ([], [""], ["aD", ""]):
+        # and circular words: at t = None a ring that is not would never
+        # repeat its tables, so the t = None calls come last
+        for rings in ([], [""], ["aD", ""], ["aa"], ["a"], ["aD", "aBB"], ["aBa"], ["xyz"]):
             with pytest.raises(ValueError):
                 ja.side_by_side_windings(rings, 6)
-        with pytest.raises(ValueError):
-            ja.moving_relator("", 6)
+        for letters in ("", "aa", "xyz"):
+            with pytest.raises(ValueError):
+                ja.moving_relator(letters, 8)
+        for letters in ("a", "B", "aa"):
+            with pytest.raises(ValueError):
+                ja.moving_relator(letters)
 
 
 class TestSideBySide:
@@ -319,7 +325,7 @@ class TestSideBySide:
         rings = _random_rings(random.Random(seed), 10)
         for t in (0, 1, 4, ORACLE_T, None):
             together = ja.side_by_side_windings(rings, t)
-            assert together == [ja.relator_windings(ring, t) for ring in rings], t
+            assert together == [ja.side_by_side_windings([ring], t)[0] for ring in rings], t
         # rows stop at different relators, and some never stop
         stops = {len(row) for row in together if row[-1] is None}
         assert len(stops) >= 2 and any(None not in row for row in together)
@@ -382,16 +388,20 @@ class TestRelatorFamilyCost:
         assert one_column["letters"] <= 11 + 9 * 32 + 8 * 3
 
     def test_table1_composes_as_often_as_one_ring(self, composed):
-        ja.relator_windings(ring(6), 8)
-        alone = list(composed)
-        composed.clear()
-        ja.table1(6, ja.TABLE_CAPS[1], 8)
-        assert composed == alone
-        # the Klein relators (11 letters); for each of k = 0..8 the roots ad
-        # and adacac, each squared twice (8 + 8 letters); for each of
-        # k = 1..8 the kappa-image aca of the a-table
-        assert len(alone) == 5 + 9 * 6 + 8
-        assert sum(map(len, alone)) == 11 + 9 * 16 + 8 * 3
+        # exact, ring 6 reads the levels k = 0..10 and stops at k = 11,
+        # where its kappa-image tables repeat those of k = 8
+        for t, levels, images in ((8, 9, 8), (None, 11, 11)):
+            composed.clear()
+            ja.side_by_side_windings([ring(6)], t)
+            alone = list(composed)
+            composed.clear()
+            ja.table1(6, ja.TABLE_CAPS[1], t)
+            assert composed == alone, t
+            # the Klein relators (11 letters); for each level the roots ad
+            # and adacac, each squared twice (8 + 8 letters); for each of
+            # k = 1..8 (or 1..11) the kappa-image aca of the a-table
+            assert len(alone) == 5 + levels * 6 + images, t
+            assert sum(map(len, alone)) == 11 + levels * 16 + images * 3, t
 
 
 class TestRepeatingLevels:
@@ -402,14 +412,14 @@ class TestRepeatingLevels:
     def test_levels_until_the_tables_repeat(self, composed, n):
         # on w_n alpha the tables have pre-period n + 2 and period 3, so
         # levels 0..n+4 are distinct and level n+5 repeats level n+2
-        windings = ja.relator_windings(ring(n))
+        windings = ja.side_by_side_windings([ring(n)])[0]
         levels = composed.count("ad")  # one root per level
         assert levels == n + 5
         assert len(windings) == 5 + 2 * levels
         exact = list(composed)
         composed.clear()
         # an exponent past the repeat composes nothing more
-        assert ja.relator_windings(ring(n), 10**6) == windings
+        assert ja.side_by_side_windings([ring(n)], 10**6)[0] == windings
         assert composed == exact
 
 

@@ -12,9 +12,15 @@ A method is matched by its attribute name alone, since the parse does
 not know the type of the object it is read on: a dead method escapes
 when a method of the same name is read on another class, as a dead
 ``ZSft.to_json`` did while ``SchreierGraph.to_json`` was read.
+
+The other way round, every name the README shows in backticks, as a
+snake_case name or as a call such as ``ring(n)``, is an attribute of a
+module of the package or of one of its public classes.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,3 +127,46 @@ def test_paper_facing_names_exist():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     assert set(PAPER_FACING) <= defined
+
+
+# a snake_case name whose parts all have two characters or more, so that
+# the indices of w_n or k_max are not read, or a call without a dot
+_SNAKE_NAME = re.compile(r"[a-z][a-z0-9]+(?:_[a-z0-9]{2,})+")
+_CALL = re.compile(r"([A-Za-z_]\w*)\(.*\)")
+
+
+def readme_names(text: str) -> set[str]:
+    """The names in the inline code spans of the markdown ``text`` that
+    read as package names: snake_case names, and calls without a dot."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)  # fenced blocks
+    names = set()
+    for span in re.findall(r"`([^`\n]+)`", text):
+        if _SNAKE_NAME.fullmatch(span):
+            names.add(span)
+        elif call := _CALL.fullmatch(span):
+            names.add(call.group(1))
+    return names
+
+
+def _package_attributes() -> set[str]:
+    found = set()
+    for path in SRC.glob("[!_]*.py"):
+        module = importlib.import_module(f"starshift.{path.stem}")
+        for name, value in vars(module).items():
+            found.add(name)
+            if isinstance(value, type) and not name.startswith("_"):
+                found.update(dir(value))
+    return found
+
+
+def test_readme_names_exist():
+    names = readme_names((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert "ring" in names and "side_by_side_windings" in names
+    assert sorted(names - _package_attributes()) == []
+
+
+def test_the_readme_check_sees_a_stale_name():
+    text = "`w_n`, `k_max`, `relator_windings(letters, t=None)` and `relator_levels`"
+    stale = {"relator_windings", "relator_levels"}
+    assert readme_names(text) == stale
+    assert readme_names(text) - _package_attributes() == stale
