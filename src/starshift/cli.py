@@ -18,15 +18,9 @@ import numpy as np
 
 from . import core_words, full_group, gray_factor, jump_action, subshift, tree_action
 from .errors import SizeLimitError, StarshiftError
-from .full_group import Window
-from .jump_action import CircularStarredWord, CircularWord
+from .full_group import SCHREIER_LOG2_CAP, Window
 
 EXPECTED_POWERS = (1, 2, 4, 8)
-
-# at most 2^SCHREIER_LOG2_CAP starring positions p * 2^n in an exported graph:
-# every vertex is labelled by its whole word, so the output grows with the
-# square of the positions (2^11 write 24 MiB in 0.6 s, 2^12 already 96 MiB)
-SCHREIER_LOG2_CAP = 11
 
 
 def _write(path: str | None, text: str) -> None:
@@ -187,6 +181,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_schreier(args: argparse.Namespace) -> int:
+    if args.require_action and not args.circular:
+        raise StarshiftError("--require-action checks circular starrings: "
+                             "it needs --circular")
+    # the cap of schreier_graph, read before any word or relator table is built
     copies = args.p if args.circular else 1
     if args.n > SCHREIER_LOG2_CAP or copies > 2 ** (SCHREIER_LOG2_CAP - args.n):
         raise SizeLimitError(f"a graph on {copies} * 2^{args.n} starrings "
@@ -201,11 +199,9 @@ def cmd_schreier(args: argparse.Namespace) -> int:
                     f"action not well-defined: relator {relator} moves a starring\n"
                 )
                 return 1
-        word = CircularWord(ring * args.p)
-        vertices = [CircularStarredWord(word, s) for s in range(len(word))]
-    else:
-        vertices = jump_action.orbit_of_starrings(core_words.build_w(args.n))
-    graph = full_group.schreier_graph(vertices)
+    graph = full_group.schreier_graph(
+        ring * args.p if args.circular else core_words.build_w(args.n), args.circular
+    )
     _write(args.out, graph.to_dot() if args.format == "dot" else graph.to_json())
     return 0
 
@@ -226,8 +222,7 @@ def cmd_stabilizer(args: argparse.Namespace) -> int:
     letters = core_words.build_w(args.source_n)
     reach = 2 * args.budget + 8
     if len(letters) < 2 * reach + 1:
-        sys.stderr.write("source word too short for the requested budget\n")
-        return 2
+        raise StarshiftError("source word too short for the requested budget")
     rng = random.Random(args.seed)
     origin = rng.randrange(reach, len(letters) - reach)
     hidden = Window(letters, origin)

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The command line reports every :class:`StarshiftError` as one stderr
+line, ``error: <message>``, and exits 2: its refusals of sizes and of
+flags that do not fit together all go that one way.
+"""
 
 
 class StarshiftError(Exception):
@@ -15,10 +20,6 @@ class MarginExhaustedError(StarshiftError):
 
 class NotLevelTwoTrivialError(StarshiftError):
     """A group word does not fix the first two tree levels pointwise."""
-
-
-class ClosureError(StarshiftError):
-    """A vertex set is not closed under the generator action."""
 
 
 class DisjointnessError(StarshiftError):

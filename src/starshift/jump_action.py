@@ -5,21 +5,21 @@ generator jumps the star across an adjacent letter from its jump set:
 
     a over a,   b over C or D,   c over B or D,   d over B or C.
 
-:func:`star_step` is that rule, for stars and window origins alike.  On
-alternating words at most one neighbor qualifies, so the rule is a
-well-defined involution for each generator.  Read cyclically it acts on
-circular words; the permutation tables are its vectorised view, and
-the relator family is checked on them through kappa, never expanded, on
-the lift of a circular word to the Z-cover, which serves every p-fold
-repetition of it at once.  Several circular words are checked in one
-pass, their lifts side by side in one table that stores each value as
-its residue plus the total length times its winding, so one composer
-serves one ring and many alike; seeds are powers of their roots by
-squaring.  The rings are checked to be circular words when they enter,
-so kappa maps their tables within a finite set, and the check stops
-where it repeats a ring's tables, keyed by k mod 3 and the ring's
-a-table, deciding the whole presentation.  Words are validated once,
-when they enter; moves skip the check.
+:func:`star_step` is that rule, for stars, window origins and the edges
+of Schreier graphs alike.  On alternating words at most one neighbor
+qualifies, so the rule is a well-defined involution for each generator.
+Read cyclically it acts on circular words; the permutation tables are
+its vectorised view, and the relator family is checked on them through
+kappa, never expanded, on the lift of a circular word to the Z-cover,
+which serves every p-fold repetition of it at once.  Several circular
+words are checked in one pass, their lifts side by side in one table
+that stores each value as its residue plus the total length times its
+winding, so one composer serves one ring and many alike; seeds are
+powers of their roots by squaring.  The rings are checked to be circular
+words when they enter, so kappa maps their tables within a finite set,
+and the check stops where it repeats a ring's tables, keyed by k mod 3
+and the ring's a-table, deciding the whole presentation.  Words are
+validated once, when they enter; moves skip the check.
 """
 
 from __future__ import annotations
@@ -32,16 +32,13 @@ from math import gcd
 import numpy as np
 
 from . import core_words
-from .core_words import (
-    GENERATORS, build_w, is_alternating, is_cyclically_alternating, kappa
-)
+from .core_words import GENERATORS, is_alternating, is_cyclically_alternating, kappa
 from .errors import SizeLimitError
 
 JUMP_SETS = {"a": "a", "b": "CD", "c": "BD", "d": "BC"}
 
 STAR = "*"
 
-ORBIT_CAP = 16
 TABLE_CAPS = (12, 64)  # n_max, p_max
 
 
@@ -88,24 +85,6 @@ class CircularWord:
             raise ValueError("circular word must be nonempty")
         if not is_cyclically_alternating(self.letters):
             raise ValueError(f"{self.letters!r} is not cyclically alternating")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-
-@dataclass(frozen=True)
-class CircularStarredWord:
-    """A circular word with a star; positions live modulo the length."""
-
-    word: CircularWord
-    star: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "star", self.star % len(self.word))
-
-    def __str__(self) -> str:
-        s = self.word.letters
-        return s[: self.star] + STAR + s[self.star :]
 
 
 def star_step(letters: str, j: int, g: str, circular: bool = False) -> int:
@@ -345,28 +324,3 @@ def table1(n_max: int = 6, p_max: int = 50, t: int | None = None) -> list[list[b
         period = None if None in windings else gcd(*windings)
         rows.append([period is not None and period % p == 0 for p in range(1, p_max + 1)])
     return rows
-
-
-def orbit_of_starrings(word: str) -> list[StarredWord]:
-    """Breadth-first orbit of the position-0 starring of a generator word.
-
-    Only the words w_n are accepted, and n beyond ``ORBIT_CAP`` raises
-    SizeLimitError; the closure then consists of all 2^n starrings,
-    listed in deterministic BFS order (generator order a < b < c < d,
-    FIFO queue).
-    """
-    n = len(word).bit_length()
-    if n > ORBIT_CAP:
-        raise SizeLimitError(f"orbit base of length {len(word)} exceeds w_{ORBIT_CAP}")
-    if n < 1 or word != build_w(n):
-        raise ValueError("orbit base must be one of the words w_n")
-    start = StarredWord(word, 0)
-    order = [0]
-    seen = {0}
-    for j in order:  # appending while iterating makes the list a FIFO queue
-        for g in GENERATORS:
-            nxt = star_step(word, j, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-    return [start._moved(j) for j in order]

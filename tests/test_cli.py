@@ -234,6 +234,7 @@ def test_io_error_exit_two(capsys, tmp_path):
         ["schreier", "--n", "1", "--circular", "--p", "1025", "--require-action"],
         ["schreier", "--circular", "--p", "0"],
         ["schreier", "--circular", "--require-action", "--t", "-1"],
+        ["schreier", "--n", "3", "--require-action"],  # would PASS a check never run
         ["stabilizer", "--budget", "-1"],
         ["stabilizer", "--budget", "0"],  # would "verify" the empty string
         ["stabilizer", "--source-n", "0"],
@@ -258,6 +259,20 @@ def test_bad_input_exits_two(capsys, argv):
     assert code == 2
     assert "Traceback" not in err
     assert "PASS" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["schreier", "--n", "3", "--require-action"],
+         "--require-action checks circular starrings: it needs --circular"),
+        (["stabilizer", "--source-n", "3", "--budget", "1"],
+         "source word too short for the requested budget"),
+    ],
+    ids=["schreier", "stabilizer"],
+)
+def test_refusals_are_error_lines(capsys, argv, line):
+    assert run(capsys, *argv) == (2, "", f"error: {line}\n")
 
 
 @pytest.mark.parametrize(

@@ -6,9 +6,9 @@ import pytest
 from oracles import apply_word_by_steps, evaluate_cocycle, schreier_json_by_dumps
 from starshift import full_group as fg, jump_action as ja
 from starshift.core_words import build_w, language_words, ring
-from starshift.errors import ClosureError, MarginExhaustedError, ReconstructionError
+from starshift.errors import MarginExhaustedError, ReconstructionError
 from starshift.full_group import Window, reverse_window
-from starshift.jump_action import CircularStarredWord, CircularWord, StarredWord
+from starshift.jump_action import StarredWord
 
 
 class TestWindow:
@@ -205,7 +205,7 @@ class TestReconstruction:
 
 class TestSchreierGraph:
     def test_two_vertex_graph(self):
-        graph = fg.schreier_graph(ja.orbit_of_starrings("a"))
+        graph = fg.schreier_graph("a")
         assert graph.vertices == ("*a", "a*")
         assert graph.marked == "*a"
         labels = {(s, l, t) for s, l, t in graph.edges}
@@ -215,55 +215,43 @@ class TestSchreierGraph:
                 assert (v, g, v) in labels
 
     def test_dot_output(self):
-        dot = fg.schreier_graph(ja.orbit_of_starrings("a")).to_dot()
+        dot = fg.schreier_graph("a").to_dot()
         assert dot.startswith("graph schreier {")
         assert '"*a" [peripheries=2];' in dot
         assert '"*a" -- "a*" [label="a"];' in dot
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7])
     def test_orbit_graph_connected(self, n):
-        graph = fg.schreier_graph(ja.orbit_of_starrings(build_w(n)))
-        assert len(graph.vertices) == 2**n
-        adjacency = {v: set() for v in graph.vertices}
-        for s, _, t in graph.edges:
-            adjacency[s].add(t)
-            adjacency[t].add(s)
-        seen, frontier = {graph.marked}, [graph.marked]
-        while frontier:
-            frontier = [
-                u for v in frontier for u in adjacency[v] - seen
-            ]
-            seen.update(frontier)
-        assert seen == set(graph.vertices)
+        # w_n, and the circular words (w_n alpha)^p
+        inputs = [(build_w(n), False)] + [(ring(n) * p, True) for p in (1, 2, 3)]
+        for letters, circular in inputs:
+            graph = fg.schreier_graph(letters, circular)
+            assert len(graph.vertices) == len(letters) + (not circular)
+            adjacency = {v: set() for v in graph.vertices}
+            for s, _, t in graph.edges:
+                adjacency[s].add(t)
+                adjacency[t].add(s)
+            seen, frontier = {graph.marked}, [graph.marked]
+            while frontier:
+                frontier = [
+                    u for v in frontier for u in adjacency[v] - seen
+                ]
+                seen.update(frontier)
+            assert seen == set(graph.vertices), (letters, circular)
 
     def test_circular_vertices(self):
-        word = CircularWord("aDaC")
-        starrings = [CircularStarredWord(word, s) for s in range(4)]
-        graph = fg.schreier_graph(starrings)
-        assert len(graph.vertices) == 4
-
-    def test_closure_error(self):
-        partial = ja.orbit_of_starrings(build_w(2))[:2]
-        with pytest.raises(ClosureError) as got:
-            fg.schreier_graph(partial)
-        assert str(got.value) == "vertex set is not generator-closed: missing 'aD*a'"
-        word = CircularWord("aDaC")
-        with pytest.raises(ClosureError) as got:
-            fg.schreier_graph([CircularStarredWord(word, s) for s in (0, 1)])
-        assert str(got.value) == "vertex set is not generator-closed: missing 'aDa*C'"
+        graph = fg.schreier_graph("aDaC", circular=True)
+        assert graph.vertices == ("*aDaC", "a*DaC", "aD*aC", "aDa*C")
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_json_matches_the_encoder_linear(self, n):
-        graph = fg.schreier_graph(ja.orbit_of_starrings(build_w(n)))
+        graph = fg.schreier_graph(build_w(n))
         assert graph.to_json() == schreier_json_by_dumps(graph)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_json_matches_the_encoder_circular(self, n):
         for p in range(1, 7):
-            word = CircularWord(ring(n) * p)
-            graph = fg.schreier_graph(
-                [CircularStarredWord(word, s) for s in range(len(word.letters))]
-            )
+            graph = fg.schreier_graph(ring(n) * p, circular=True)
             assert graph.to_json() == schreier_json_by_dumps(graph), p
 
     def test_json_escapes_like_the_encoder(self):
@@ -279,7 +267,7 @@ class TestSchreierGraph:
     def test_json_roundtrip(self):
         import json
 
-        graph = fg.schreier_graph(ja.orbit_of_starrings("aDa"))
+        graph = fg.schreier_graph("aDa")
         payload = json.loads(graph.to_json())
         assert payload["marked"] == "*aDa"
         assert len(payload["vertices"]) == 4

@@ -13,12 +13,7 @@ from starshift import full_group as fg, jump_action as ja, subshift
 from starshift.cli import main
 from starshift.core_words import build_w, ring
 from starshift.errors import SizeLimitError
-from starshift.jump_action import (
-    CircularStarredWord,
-    CircularWord,
-    StarredWord,
-    parse_starred,
-)
+from starshift.jump_action import CircularWord, StarredWord, parse_starred
 
 
 def test_jump_table_shape():
@@ -116,10 +111,6 @@ class TestStarStep:
 
 
 class TestCircular:
-    def test_star_reduced_mod_length(self):
-        c = CircularStarredWord(CircularWord("aD"), 2)
-        assert c.star == 0
-
     def test_not_cyclically_alternating(self):
         with pytest.raises(ValueError):
             CircularWord("aDa")  # wraps a-to-a
@@ -449,20 +440,23 @@ class TestTable1:
 
 class TestOrbits:
     def test_smallest_orbit(self):
-        assert [str(s) for s in ja.orbit_of_starrings("a")] == ["*a", "a*"]
+        assert fg.schreier_graph("a").vertices == ("*a", "a*")
 
     @pytest.mark.parametrize("n", [2, 3, 6, 9])
     def test_orbit_is_all_starrings(self, n):
-        orbit = ja.orbit_of_starrings(build_w(n))
-        assert len(orbit) == 2**n
-        assert {s.star for s in orbit} == set(range(2**n))
+        # every starring, in position order, linear and circular
+        for letters, circular in ((build_w(n), False), (ring(n), True)):
+            positions = range(len(letters) + (not circular))
+            vertices = fg.schreier_graph(letters, circular).vertices
+            assert vertices == tuple(letters[:j] + "*" + letters[j:] for j in positions)
 
     def test_rejects_other_words(self):
         with pytest.raises(ValueError):
-            ja.orbit_of_starrings("aB")
+            fg.schreier_graph("aBC")
         with pytest.raises(ValueError):
-            ja.orbit_of_starrings("aDaBaDa")  # alternating but not a w_n
+            fg.schreier_graph("aDa", circular=True)  # wraps a-to-a
 
     def test_cap_is_a_size_limit(self):
+        assert len(fg.schreier_graph("aD" * 1024, circular=True).vertices) == 2**11
         with pytest.raises(SizeLimitError):
-            ja.orbit_of_starrings(build_w(ja.ORBIT_CAP + 1))
+            fg.schreier_graph("aD" * 1025, circular=True)
