@@ -184,6 +184,8 @@ def cmd_schreier(args: argparse.Namespace) -> int:
     if args.require_action and not args.circular:
         raise StarshiftError("--require-action checks circular starrings: "
                              "it needs --circular")
+    if args.p != 1 and not args.circular:
+        raise StarshiftError("--p counts circular repetitions: it needs --circular")
     # the cap of schreier_graph, read before any word or relator table is built
     copies = args.p if args.circular else 1
     if args.n > SCHREIER_LOG2_CAP or copies > 2 ** (SCHREIER_LOG2_CAP - args.n):

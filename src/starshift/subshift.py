@@ -7,8 +7,8 @@ follower automaton has the (order-1)-blocks as states and the
 order-blocks as edges.  After trimming states without incoming or
 outgoing edges, bi-infinite paths through the automaton are exactly the
 configurations, so language queries reduce to path enumeration, and
-periodic points to the closed paths that spell a necklace, which lists
-each orbit once.
+periodic points to the closed paths that spell a necklace, walked once
+per orbit from its origin state.
 
 Alphabet symbols are single characters and words are strings, matching
 the rest of the package.
@@ -121,6 +121,23 @@ class ZSft:
         )
 
     @cached_property
+    def _prenecklaces(self) -> dict[str, int]:
+        """The states that are prenecklaces in the alphabet's order, each
+        with the period of its longest Lyndon prefix: the origin states
+        of the periodic points, where their necklace search starts."""
+        seeds = {}
+        for state in self._automaton:
+            key, lyn = self._key(state), 1
+            for i in range(1, len(key)):
+                if key[i] != key[i - lyn]:
+                    if key[i] < key[i - lyn]:
+                        break
+                    lyn = i + 1
+            else:
+                seeds[state] = lyn
+        return seeds
+
+    @cached_property
     def _rank_table(self) -> dict[int, str]:
         return rank_table(self.alphabet)
 
@@ -166,39 +183,67 @@ def sft_approximation(order: int) -> ZSft:
 def periodic_points(sft: ZSft, p: int) -> list[str]:
     """All period-p orbits, each as the least rotation of its repeating word.
 
-    A period-p point is a closed length-p path in the follower
-    automaton.  The search extends only prenecklaces under the
-    alphabet's order (the rule of Fredricksen, Kessler and Maiorana):
-    ``lyn`` is the period of the word's longest Lyndon prefix, a letter
-    below the one ``lyn`` places back is pruned, and at length p the
-    word is a necklace iff ``lyn`` divides p.  The start state is the
-    last order-1 letters of ``word^Z``, so each orbit is found once,
-    already as its least rotation.  The list is sorted in the
-    alphabet's order and empty when no such point exists.
+    A period-p orbit is that of ``w^Z`` for one necklace ``w`` of length
+    p, its least rotation in the alphabet's order.  Its walk through the
+    follower automaton starts at its origin state, the first m = order-1
+    letters of ``w^Z``.  That state is a prenecklace, so walks start only
+    at the prenecklace states (``ZSft._prenecklaces``), and each orbit is
+    walked once: from the one state that its own letters make.
+
+    When p >= m the origin state is ``w[:m]``.  The search extends it
+    through the automaton by prenecklaces only (the rule of Fredricksen,
+    Kessler and Maiorana): ``lyn`` is the period of the word's longest
+    Lyndon prefix, a letter below the one ``lyn`` places back is pruned,
+    and at length p the word is a necklace iff ``lyn`` divides p.  It is
+    kept when reading ``w[:m]`` from the end state ``w[-m:]`` closes the
+    walk.  When p < m the origin state s already holds the whole period,
+    and there is nothing to search.  A prenecklace has period ``lyn``, so
+    when ``lyn`` divides p, s is p-periodic and ``s[:p]`` is a necklace.
+    It is kept when the automaton reads from s the p letters that follow
+    s in ``w^Z``, which are the last p letters of s.  The list is sorted
+    in the alphabet's order and empty when no such point exists.
     """
     if p < 1:
         raise ValueError("p must be positive")
     if p > PERIOD_CAP:
         raise SizeLimitError(f"period {p} exceeds the cap {PERIOD_CAP}")
     trans = sft._automaton
+    seeds = sft._prenecklaces
+    m = sft.order - 1
+    if p < m:
+        found = [
+            s[:p]
+            for s, lyn in seeds.items()
+            if p % lyn == 0 and _reads(trans, s, s[-p:])
+        ]
+        return sorted(found, key=sft._key)
     rank = {c: i for i, c in enumerate(sft.alphabet)}
-    found: list[str] = []
-    for start in trans:
-        stack = [(t, c, 1) for c, t in trans[start].items()]
-        while stack:
-            state, word, lyn = stack.pop()
-            i = len(word)
-            if i == p:
-                if state == start and p % lyn == 0:
-                    found.append(word)
-                continue
-            back = rank[word[i - lyn]]
-            for c, t in trans[state].items():
-                if rank[c] > back:
-                    stack.append((t, word + c, i + 1))
-                elif rank[c] == back:
-                    stack.append((t, word + c, lyn))
+    found = []
+    stack = [(s, s, lyn) for s, lyn in seeds.items()]
+    while stack:
+        state, word, lyn = stack.pop()
+        i = len(word)
+        if i == p:
+            if p % lyn == 0 and _reads(trans, state, word[:m]):
+                found.append(word)
+            continue
+        back = rank[word[i - lyn]] if i else -1  # an order-1 SFT's empty state
+        for c, t in trans[state].items():
+            r = rank[c]
+            if r > back:
+                stack.append((t, word + c, i + 1))
+            elif r == back:
+                stack.append((t, word + c, lyn))
     return sorted(found, key=sft._key)
+
+
+def _reads(trans: dict[str, dict[str, str]], state: str, letters: str) -> bool:
+    """Whether the automaton reads ``letters`` from ``state``."""
+    for c in letters:
+        state = trans[state].get(c)
+        if state is None:
+            return False
+    return True
 
 
 def periodic_points_jsonl(points: dict[int, list[str]]) -> str:

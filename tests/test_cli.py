@@ -235,6 +235,7 @@ def test_io_error_exit_two(capsys, tmp_path):
         ["schreier", "--circular", "--p", "0"],
         ["schreier", "--circular", "--require-action", "--t", "-1"],
         ["schreier", "--n", "3", "--require-action"],  # would PASS a check never run
+        ["schreier", "--n", "2", "--p", "5"],  # would print the linear graph of w_2
         ["stabilizer", "--budget", "-1"],
         ["stabilizer", "--budget", "0"],  # would "verify" the empty string
         ["stabilizer", "--source-n", "0"],
@@ -266,10 +267,12 @@ def test_bad_input_exits_two(capsys, argv):
     [
         (["schreier", "--n", "3", "--require-action"],
          "--require-action checks circular starrings: it needs --circular"),
+        (["schreier", "--n", "2", "--p", "5"],
+         "--p counts circular repetitions: it needs --circular"),
         (["stabilizer", "--source-n", "3", "--budget", "1"],
          "source word too short for the requested budget"),
     ],
-    ids=["schreier", "stabilizer"],
+    ids=["schreier", "schreier-p", "stabilizer"],
 )
 def test_refusals_are_error_lines(capsys, argv, line):
     assert run(capsys, *argv) == (2, "", f"error: {line}\n")

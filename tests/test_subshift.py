@@ -104,9 +104,9 @@ class TestApproximation:
 
 
 def _scan_cases():
-    # every (order, p) criterion 05 visits for p <= 14, stopping where the
+    # every (order, p) criterion 05 visits for p <= 16, stopping where the
     # count says the approximation has no period-p point
-    for p in range(1, 15):
+    for p in range(1, 17):
         order = 2
         while order <= 8 * p:
             x = sm.sft_approximation(order)
@@ -127,7 +127,7 @@ def _union_cases():
     yield from ((union, p) for p in range(1, 2 * union.order + 1))
 
 
-def _random_cases():
+def _random_sfts():
     rng = random.Random(17)
     for _ in range(50):
         alphabet = rng.choice(("01", "012"))
@@ -135,7 +135,11 @@ def _random_cases():
             "".join(rng.choices(alphabet, k=rng.randint(1, 4)))
             for _ in range(rng.randint(1, 5))
         ]
-        x = ZSft.from_forbidden(alphabet, forbidden)
+        yield ZSft.from_forbidden(alphabet, forbidden)
+
+
+def _random_cases():
+    for x in _random_sfts():
         yield from ((x, p) for p in range(1, 11))
 
 
@@ -144,6 +148,13 @@ _POINT_CASES = {
     "comb": _comb_cases,
     "union": _union_cases,
     "random": _random_cases,
+}
+
+
+_REGIME_SFTS = {
+    "approximation": lambda: (sm.sft_approximation(order) for order in range(3, 11)),
+    "comb": lambda: (sm.comb_sft([WangTile("T", "x", "x")], k) for k in (2, 3, 4)),
+    "random": _random_sfts,
 }
 
 
@@ -214,6 +225,16 @@ class TestPeriodicPoints:
                 assert word == canonical_rotation_by_tuples(word, x.alphabet)
                 ring = word * (x.order // p + 2)
                 assert all(ring[i : i + x.order] in x.blocks for i in range(p))
+
+    @pytest.mark.parametrize("family", sorted(_REGIME_SFTS))
+    def test_periods_around_the_origin_state(self, family):
+        # m = order - 1 letters make the origin state: below p = m it holds
+        # the whole period, from p = m on the search extends it
+        for x in _REGIME_SFTS[family]():
+            m = x.order - 1
+            for p in range(max(m - 1, 1), m + 2):
+                expected = periodic_points_by_product(x, p)
+                assert sm.periodic_points(x, p) == expected, (family, x.order, p)
 
     def test_alternating_count_at_order_two(self):
         # the necklaces of the eight letters between the `a`s, over BCD
