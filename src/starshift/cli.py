@@ -156,11 +156,8 @@ def _check_minimality(max_n: int) -> bool:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     core_words.check_word_cap(args.max_n)
-    alpha_fn = core_words.alpha_choice
-    if args.inject_alpha_bug:
-        alpha_fn = lambda n: core_words.MIDDLE_LETTERS[(n + 1) % 3]  # negative control
     checks = [
-        ("w-recursion", lambda: _check_recursion(args.max_n, alpha_fn)),
+        ("w-recursion", lambda: _check_recursion(args.max_n, core_words.alpha_choice)),
         ("conjugacy", lambda: _check_conjugacy(args.max_n)),
         ("gray-tables", lambda: _check_gray_tables(args.max_n)),
         ("factor-tower", lambda: _check_factor_tower(args.max_n)),
@@ -194,7 +191,7 @@ def cmd_schreier(args: argparse.Namespace) -> int:
     if args.circular:
         ring = core_words.ring(args.n)
         if args.require_action:
-            failing = jump_action.moving_relator(ring, args.t, args.p)
+            failing = jump_action.moving_relator(ring, p=args.p)
             if failing is not None:
                 relator = jump_action.relator_name(failing)
                 sys.stderr.write(
@@ -350,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant checks")
     p.add_argument("--max-n", type=_at_least(1), default=10)
-    p.add_argument("--inject-alpha-bug", action="store_true",
-                   help=argparse.SUPPRESS)  # negative control for tests
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
@@ -359,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(1), default=3)
     p.add_argument("--circular", action="store_true")
     p.add_argument("--p", type=_at_least(1), default=1)
-    p.add_argument("--t", type=_at_least(0), default=None)
     p.add_argument("--require-action", action="store_true",
                    help="fail unless the relators fix every circular starring")
     p.add_argument("--format", choices=("dot", "json"), default="dot")

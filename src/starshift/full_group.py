@@ -27,7 +27,7 @@ from .core_words import (
     GENERATORS, LETTERS, free_reduce, is_alternating, language_contains, lex_key
 )
 from .errors import MarginExhaustedError, ReconstructionError, SizeLimitError
-from .jump_action import JUMP_SETS, STAR, CircularWord, star_step
+from .jump_action import JUMP_SETS, STAR, check_circular, star_step
 
 # Letter at the origin -> generator realizing one step of the shift.
 SHIFT_GENERATOR = {"a": "a", "B": "c", "C": "d", "D": "b"}
@@ -273,7 +273,7 @@ def schreier_graph(letters: str, circular: bool = False) -> SchreierGraph:
         raise SizeLimitError(f"a graph on {positions} starrings exceeds "
                              f"the cap of 2^{SCHREIER_LOG2_CAP}")
     if circular:
-        CircularWord(letters)
+        check_circular(letters)
     elif not is_alternating(letters):
         raise ValueError(f"{letters!r} is not alternating")
     edges = set()

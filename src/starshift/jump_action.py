@@ -74,17 +74,13 @@ def parse_starred(text: str) -> StarredWord:
     return StarredWord(text.replace(STAR, ""), star)
 
 
-@dataclass(frozen=True)
-class CircularWord:
-    """A nonempty word read cyclically; alternation wraps around the end."""
-
-    letters: str
-
-    def __post_init__(self):
-        if not self.letters:
-            raise ValueError("circular word must be nonempty")
-        if not is_cyclically_alternating(self.letters):
-            raise ValueError(f"{self.letters!r} is not cyclically alternating")
+def check_circular(letters: str) -> None:
+    """Raise ValueError unless ``letters`` is a circular word: nonempty,
+    and alternating when read cyclically, across the end as well."""
+    if not letters:
+        raise ValueError("circular word must be nonempty")
+    if not is_cyclically_alternating(letters):
+        raise ValueError(f"{letters!r} is not cyclically alternating")
 
 
 def star_step(letters: str, j: int, g: str, circular: bool = False) -> int:
@@ -221,7 +217,7 @@ def side_by_side_windings(rings: list[str], t: int | None = None) -> list[list[i
     the winding.  :func:`word_star_permutation` on size N then composes
     on the disjoint union of the rings' covers.
 
-    Every ring is a :class:`CircularWord`, so its lifts are bijections
+    Every ring passes :func:`check_circular`, so its lifts are bijections
     of its cover and kappa maps its tables within a finite set: a row
     stops at the first level whose tables on its ring repeat an earlier
     level's, as its ring alone does, and the pass ends when every row
@@ -234,7 +230,7 @@ def side_by_side_windings(rings: list[str], t: int | None = None) -> list[list[i
     if not rings:
         raise ValueError("no circular words given")
     for ring in rings:
-        CircularWord(ring)
+        check_circular(ring)
     sizes = [len(ring) for ring in rings]
     total = sum(sizes)
     starts = list(accumulate(sizes[:-1], initial=0))

@@ -45,7 +45,7 @@ from starshift.errors import MarginExhaustedError, SizeLimitError
 from starshift.full_group import CocyclePiece
 from starshift.gray_factor import natural_decomposition, phi
 from starshift.jump_action import (
-    CircularWord,
+    check_circular,
     circular_jump_permutation,
     linear_jump_permutation,
     relation_set,
@@ -127,17 +127,18 @@ def comb_forbidden_by_rules(tiles, k: int) -> list[str]:
     return words
 
 
-def relator_fixes_all_starrings(relator: str, base: str | CircularWord) -> bool:
-    """True iff the expanded relator fixes every starring of the base word.
+def relator_fixes_all_starrings(relator: str, letters: str, circular: bool = False) -> bool:
+    """True iff the expanded relator fixes every starring of ``letters``.
 
-    Linear bases have len+1 starrings, circular ones len starrings.
+    Linear words have len+1 starrings, circular ones len starrings.
     """
-    if isinstance(base, CircularWord):
-        perms = {g: circular_jump_permutation(base.letters, g) for g in GENERATORS}
+    if circular:
+        check_circular(letters)
+        perms = {g: circular_jump_permutation(letters, g) for g in GENERATORS}
     else:
-        if not is_alternating(base):
-            raise ValueError(f"{base!r} is not alternating")
-        perms = {g: linear_jump_permutation(base, g) for g in GENERATORS}
+        if not is_alternating(letters):
+            raise ValueError(f"{letters!r} is not alternating")
+        perms = {g: linear_jump_permutation(letters, g) for g in GENERATORS}
     identity = np.arange(len(next(iter(perms.values()))), dtype=np.int64)
     return np.array_equal(_compose(relator, perms), identity)
 
@@ -327,7 +328,7 @@ def pseudo_orbit_by_scan(n: int, t: int = 6) -> PseudoOrbitReport:
         host_language_contains(rep[s : s + period]) and rep[s : s + period] in host
         for s in range(period)
     )
-    check_ii = all(relator_fixes_all_starrings(r, CircularWord(ring)) for r in relation_set(t))
+    check_ii = all(relator_fixes_all_starrings(r, ring, circular=True) for r in relation_set(t))
     check_iii = all(
         not host_language_contains(rep[s : s + word_len]) for s in range(period)
     )

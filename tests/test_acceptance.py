@@ -47,7 +47,7 @@ class Criterion:
 
 def test_criterion_01_table1_reproduction():
     crit = Criterion(1, "table1 reproduction", 60)
-    rows = ja.table1(6, 50, 6)
+    rows = ja.table1(6, 50)
     pattern_ok = rows == [
         [p in (1, 2, 4, 8) for p in range(1, 51)] for _ in range(6)
     ]

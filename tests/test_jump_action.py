@@ -13,7 +13,7 @@ from starshift import full_group as fg, jump_action as ja, subshift
 from starshift.cli import main
 from starshift.core_words import build_w, ring
 from starshift.errors import SizeLimitError
-from starshift.jump_action import CircularWord, StarredWord, parse_starred
+from starshift.jump_action import StarredWord, check_circular, parse_starred
 
 
 def test_jump_table_shape():
@@ -112,8 +112,12 @@ class TestStarStep:
 
 class TestCircular:
     def test_not_cyclically_alternating(self):
-        with pytest.raises(ValueError):
-            CircularWord("aDa")  # wraps a-to-a
+        with pytest.raises(ValueError, match="not cyclically alternating"):
+            check_circular("aDa")  # wraps a-to-a
+
+    def test_empty(self):
+        with pytest.raises(ValueError, match="must be nonempty"):
+            check_circular("")
 
     def test_examples(self):
         assert ja.star_step("aD", 0, "a", circular=True) == 1
@@ -148,6 +152,13 @@ class TestHRelations:
         assert np.array_equal(perms["c"][perms["d"]], perms["b"])
 
 
+def test_empty_word_is_the_identity():
+    tables = {g: ja.circular_jump_lift(ring(3), g) for g in "abcd"}
+    identity = ja.word_star_permutation("", tables)
+    assert identity.dtype == np.int64
+    assert identity.tolist() == list(range(len(ring(3))))
+
+
 def test_relation_set_contents():
     rels = ja.relation_set(2)
     assert rels[:5] == ("aa", "bb", "cc", "dd", "bcd")
@@ -178,15 +189,15 @@ class TestRelatorChecks:
     def test_circular_triple_cover_breaks(self):
         # (ad)^4 itself survives on the aD-triangle; its kappa-image is
         # what moves a starring, making the (n=1, p=3) table entry 0
-        c = CircularWord("aD" * 3)
-        assert relator_fixes_all_starrings("adadadad", c)
-        assert not relator_fixes_all_starrings("ac" * 8, c)
+        c = "aD" * 3
+        assert relator_fixes_all_starrings("adadadad", c, circular=True)
+        assert not relator_fixes_all_starrings("ac" * 8, c, circular=True)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_double_cover_well_defined(self, n):
-        c = CircularWord(ring(n) * 2)
+        c = ring(n) * 2
         for r in ja.relation_set(6):
-            assert relator_fixes_all_starrings(r, c)
+            assert relator_fixes_all_starrings(r, c, circular=True)
 
 
 # the oracles expand kappa^t on rings of p * 2^n letters: n <= 8, t <= 8
@@ -234,17 +245,17 @@ class TestMovingRelator:
         base = ring(n)
         family = ja.relation_set(ORACLE_T)
         for p in range(1, 31):
-            word = CircularWord(base * p)
+            word = base * p
             first = next(
                 (i for i, r in enumerate(family)
-                 if not relator_fixes_all_starrings(r, word)),
+                 if not relator_fixes_all_starrings(r, word, circular=True)),
                 None,
             )
             for t in range(ORACLE_T + 1):
                 # relation_set(t) is a prefix of relation_set(8)
                 in_family = first is not None and first < len(ja.relation_set(t))
                 expected = first if in_family else None
-                assert ja.moving_relator(word.letters, t) == expected, (n, p, t)
+                assert ja.moving_relator(word, t) == expected, (n, p, t)
 
     @pytest.mark.parametrize("n", range(1, ORACLE_N + 1))
     def test_matches_the_covers(self, n):

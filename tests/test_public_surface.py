@@ -15,13 +15,18 @@ when a method of the same name is read on another class, as a dead
 
 The other way round, every name the README shows in backticks, as a
 snake_case name or as a call such as ``ring(n)``, is an attribute of a
-module of the package or of one of its public classes.
+module of the package or of one of its public classes, and the README
+synopsis of each subcommand lists exactly the options its parser takes,
+hidden ones included.
 """
 
+import argparse
 import ast
 import importlib
 import re
 from pathlib import Path
+
+from starshift import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "starshift"
@@ -170,3 +175,38 @@ def test_the_readme_check_sees_a_stale_name():
     stale = {"relator_windings", "relator_levels"}
     assert readme_names(text) == stale
     assert readme_names(text) - _package_attributes() == stale
+
+
+def subcommand_options() -> dict[str, set[str]]:
+    """The ``--`` options of each subcommand of the CLI parser, but ``--help``."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {o for a in p._actions for o in a.option_strings if o.startswith("--")}
+        - {"--help"}
+        for name, p in sub.choices.items()
+    }
+
+
+def synopsis_options(text: str) -> dict[str, set[str]]:
+    """The ``--`` options on the synopsis line of each subcommand in the
+    markdown ``text``: the first line that starts ``starshift <name>``."""
+    found = {}
+    for line in text.splitlines():
+        if match := re.match(r"starshift ([a-z0-9-]+)\b", line):
+            found.setdefault(match.group(1), set(re.findall(r"--[a-z][a-z0-9-]*", line)))
+    return found
+
+
+def test_readme_synopses_list_every_option():
+    synopses = synopsis_options((ROOT / "README.md").read_text(encoding="utf-8"))
+    options = subcommand_options()
+    assert {name: synopses.get(name) for name in options} == options
+
+
+def test_the_synopsis_check_sees_a_missing_and_a_stale_option():
+    text = "starshift verify [--max-n 10]\nstarshift verify --max-n 3 --out v.txt\n"
+    assert synopsis_options(text) == {"verify": {"--max-n"}}
+    assert subcommand_options()["verify"] == {"--max-n", "--out"}
+    text = "starshift schreier [--n 3] [--t T]\n"
+    assert synopsis_options(text)["schreier"] - subcommand_options()["schreier"] == {"--t"}

@@ -55,6 +55,15 @@ class TestZSft:
         digest = "4fd5d90a9ee27ee7f8cbef7f8585ce15f87eb9c0d217fd70c0e4acf4579f8a3d"
         assert hashlib.sha256("\n".join(blocks).encode()).hexdigest() == digest
 
+    def test_enumeration_cap_comes_first(self, monkeypatch):
+        # 4^12 = 2^24 blocks of length 12, past the cap of 2^22
+        def refuse(*args, **kwargs):
+            raise AssertionError("from_forbidden enumerated words")
+
+        monkeypatch.setattr(sm, "product", refuse)
+        with pytest.raises(SizeLimitError):
+            ZSft.from_forbidden("aBCD", ["a" * 12])
+
     def test_forbidden_complement_guard(self):
         big = sm.sft_approximation(64)
         with pytest.raises(SizeLimitError):
@@ -346,6 +355,18 @@ class TestComb:
                 continue
             rules = ZSft.from_forbidden(names + [sm.BLANK], comb_forbidden_by_rules(tiles, k))
             assert sm.comb_sft(tiles, k).blocks == rules.blocks, (tiles, k)
+
+    def test_cap_comes_before_any_block(self, monkeypatch):
+        # 2^23 words of length k + 1 = 23 over {T, _}, past the cap of 2^22;
+        # the one SFT built is the tile row, on 2-blocks
+        orders = []
+        build = ZSft.from_blocks
+        monkeypatch.setattr(ZSft, "from_blocks",
+                            lambda alphabet, order, blocks: orders.append(order)
+                            or build(alphabet, order, blocks))
+        with pytest.raises(SizeLimitError):
+            sm.comb_sft([WangTile("T", "x", "x")], 22)
+        assert orders == [2]
 
     def test_blocks_are_written_not_enumerated(self, monkeypatch):
         def refuse(*args, **kwargs):
