@@ -70,19 +70,15 @@ def cmd_table1(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _check_recursion(max_n: int, alpha_fn) -> bool:
-    word = "a"
+def _check_recursion(max_n: int) -> bool:
+    # the Toeplitz law: index i >= 1 carries `a` when i is odd, and D, C, B
+    # as v2(i) runs over 1, 2, 3 (mod 3) otherwise; it fixes every letter
     for n in range(1, max_n + 1):
-        if n > 1:
-            word = word + alpha_fn(n - 1) + word
-        ok = (
-            word == core_words.build_w(n)
-            and len(word) == 2**n - 1
-            and word == word[::-1]
-            and core_words.is_alternating(word)
-            and word[0] == "a"
-        )
-        if not ok:
+        word = core_words.build_w(n)
+        # the letters at the indices i with v2(i) = j, other than the law's
+        off_law = (word[2**j - 1 :: 2 ** (j + 1)].strip("BDC"[j % 3] if j else "a")
+                   for j in range(n))
+        if len(word) != 2**n - 1 or any(off_law):
             return False
     return True
 
@@ -157,7 +153,7 @@ def _check_minimality(max_n: int) -> bool:
 def cmd_verify(args: argparse.Namespace) -> int:
     core_words.check_word_cap(args.max_n)
     checks = [
-        ("w-recursion", lambda: _check_recursion(args.max_n, core_words.alpha_choice)),
+        ("w-recursion", lambda: _check_recursion(args.max_n)),
         ("conjugacy", lambda: _check_conjugacy(args.max_n)),
         ("gray-tables", lambda: _check_gray_tables(args.max_n)),
         ("factor-tower", lambda: _check_factor_tower(args.max_n)),

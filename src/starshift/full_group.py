@@ -70,9 +70,6 @@ class Window:
         if not language_contains(self.letters):
             raise ValueError("window content is not a language word")
 
-    def __str__(self) -> str:
-        return self.letters[: self.origin] + "|" + self.letters[self.origin :]
-
 
 def _window(letters: str, origin: int, margin: int) -> Window:
     # internal: the letters were validated when the walk's window was built,

@@ -92,28 +92,23 @@ def natural_decomposition(x: Window, n: int) -> list[int]:
 
 
 def psi_tower(k_max: int, x: Window) -> list[str]:
-    """``[psi(k, x) for k in 1..k_max]`` from one :func:`core_words.phase`
-    parse of the window.
+    """``[psi(k, x) for k in 1..k_max]`` from the natural w_{k_max+1}
+    blocks of :func:`natural_decomposition`.
 
-    At each k the natural w_{k+1} block at the origin is the one starting
-    at the offset o = 1 - r modulo 2^{k+1} with o <= origin, r being the
-    index of the first letter; each value is read off its own block.  The
-    block of level k_max contains those of every lower level, so the
-    tower raises exactly when ``psi(k_max, x)`` does, with its message.
+    All natural blocks of one level start at offsets congruent modulo
+    their span, so ``at``, the index of the letter at the origin less 1,
+    is known modulo 2^{k_max+1} from the origin and the first offset.
+    At each k the block at the origin starts at the offset o with
+    o = origin - (at mod 2^{k+1}), and the value is read off its star
+    position.  The block of level k_max contains those of every lower
+    level, so the tower raises exactly when ``psi(k_max, x)`` does.
     """
     if k_max < 1:
         raise ValueError("k must be positive")
-    r, m = phase(x.letters)
-    if m < k_max + 1:
-        raise MarginExhaustedError(
-            f"window too small to identify the natural w_{m + 1} blocks"
-        )
+    offsets = natural_decomposition(x, k_max + 1)
     span = 2 ** (k_max + 1)
-    last = len(x.letters) + 1 - span  # the last offset of a fully visible block
-    if (1 - r) % span > last:
-        raise MarginExhaustedError(f"no full w_{k_max + 1} block visible in the window")
-    at = x.origin - 1 + r  # index of the letter at the origin, less 1
-    if not 0 <= x.origin - at % span <= last:
+    at = x.origin - offsets[0]
+    if not offsets[0] <= x.origin - at % span <= offsets[-1]:
         raise MarginExhaustedError(
             f"the w_{k_max + 1} block at the origin is not fully inside the window"
         )

@@ -58,22 +58,16 @@ class ZSft:
         cls, alphabet: tuple[str, ...] | str, forbidden: list[str] | tuple[str, ...]
     ) -> "ZSft":
         """SFT avoiding the given words (lengths may be mixed), kept as its
-        admissible blocks of the longest forbidden length."""
+        admissible blocks: the words of the longest forbidden length that
+        contain none of them, from the one enumeration of order-words."""
         alphabet = tuple(alphabet)
         bad = tuple(sorted(set(forbidden)))
         for w in bad:
             if not w:
                 raise ValueError("cannot forbid the empty word")
         order = max((len(w) for w in bad), default=1)
-        if len(alphabet) ** order > _ENUM_CAP:
-            raise SizeLimitError(
-                f"enumerating blocks of length {order} over {len(alphabet)} symbols"
-                " is too large; construct from admissible blocks instead"
-            )
         blocks = frozenset(
-            "".join(u)
-            for u in product(alphabet, repeat=order)
-            if not any(b in "".join(u) for b in bad)
+            u for u in _order_words(alphabet, order) if not any(b in u for b in bad)
         )
         return cls(alphabet, order, blocks)
 
@@ -109,16 +103,10 @@ class ZSft:
 
     @property
     def forbidden(self) -> tuple[str, ...]:
-        """The order-words that are not admissible blocks, sorted."""
-        if len(self.alphabet) ** self.order > _ENUM_CAP:
-            raise SizeLimitError("complementing the block set is too large")
-        return tuple(
-            sorted(
-                "".join(u)
-                for u in product(self.alphabet, repeat=self.order)
-                if "".join(u) not in self.blocks
-            )
-        )
+        """The order-words that are not admissible blocks, sorted; read
+        from the enumeration that :meth:`from_forbidden` filters."""
+        words = _order_words(self.alphabet, self.order)
+        return tuple(sorted(u for u in words if u not in self.blocks))
 
     @cached_property
     def _prenecklaces(self) -> dict[str, int]:
@@ -166,6 +154,16 @@ class ZSft:
         return set().union(*out.values()) if out else set()
 
 
+def _order_words(alphabet: tuple[str, ...], order: int):
+    """Every word of length ``order`` over the alphabet, one at a time;
+    SizeLimitError, before the first, when there are more than _ENUM_CAP."""
+    if len(alphabet) ** order > _ENUM_CAP:
+        raise SizeLimitError(
+            f"the {len(alphabet)}^{order} words of length {order} are too many to enumerate"
+        )
+    return map("".join, product(alphabet, repeat=order))
+
+
 def sft_approximation(order: int) -> ZSft:
     """The SFT whose forbidden words are the non-language words of one length.
 
@@ -186,46 +184,32 @@ def periodic_points(sft: ZSft, p: int) -> list[str]:
     A period-p orbit is that of ``w^Z`` for one necklace ``w`` of length
     p, its least rotation in the alphabet's order.  Its walk through the
     follower automaton starts at its origin state, the first m = order-1
-    letters of ``w^Z``.  That state is a prenecklace, so walks start only
-    at the prenecklace states (``ZSft._prenecklaces``), and each orbit is
-    walked once: from the one state that its own letters make.
-
-    When p >= m the origin state is ``w[:m]``.  The search extends it
-    through the automaton by prenecklaces only (the rule of Fredricksen,
-    Kessler and Maiorana): ``lyn`` is the period of the word's longest
-    Lyndon prefix, a letter below the one ``lyn`` places back is pruned,
-    and at length p the word is a necklace iff ``lyn`` divides p.  It is
-    kept when reading ``w[:m]`` from the end state ``w[-m:]`` closes the
-    walk.  When p < m the origin state s already holds the whole period,
-    and there is nothing to search.  A prenecklace has period ``lyn``, so
-    when ``lyn`` divides p, s is p-periodic and ``s[:p]`` is a necklace.
-    It is kept when the automaton reads from s the p letters that follow
-    s in ``w^Z``, which are the last p letters of s.  The list is sorted
-    in the alphabet's order and empty when no such point exists.
+    letters of ``w^Z``, which is a prenecklace; so walks start only at
+    the prenecklace states (``ZSft._prenecklaces``), and each orbit is
+    walked once.  A walk extends its word by prenecklaces only (the rule
+    of Fredricksen, Kessler and Maiorana): ``lyn`` is the period of the
+    word's longest Lyndon prefix, and a letter below the one ``lyn``
+    places back is pruned.  Once the word holds i >= p letters it stops:
+    it is p-periodic iff ``lyn`` divides p, and then ``word[:p]`` is kept
+    when the automaton reads, from the end state, the m letters that
+    follow it in ``w^Z``.  The list is sorted in the alphabet's order and
+    empty when no such point exists.
     """
     if p < 1:
         raise ValueError("p must be positive")
     if p > PERIOD_CAP:
         raise SizeLimitError(f"period {p} exceeds the cap {PERIOD_CAP}")
     trans = sft._automaton
-    seeds = sft._prenecklaces
     m = sft.order - 1
-    if p < m:
-        found = [
-            s[:p]
-            for s, lyn in seeds.items()
-            if p % lyn == 0 and _reads(trans, s, s[-p:])
-        ]
-        return sorted(found, key=sft._key)
     rank = {c: i for i, c in enumerate(sft.alphabet)}
     found = []
-    stack = [(s, s, lyn) for s, lyn in seeds.items()]
+    stack = [(s, s, lyn) for s, lyn in sft._prenecklaces.items()]
     while stack:
         state, word, lyn = stack.pop()
         i = len(word)
-        if i == p:
-            if p % lyn == 0 and _reads(trans, state, word[:m]):
-                found.append(word)
+        if i >= p:
+            if p % lyn == 0 and _reads(trans, state, word[i - p : i - p + m]):
+                found.append(word[:p])
             continue
         back = rank[word[i - lyn]] if i else -1  # an order-1 SFT's empty state
         for c, t in trans[state].items():

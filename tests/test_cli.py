@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import periodic_points_by_product
-from starshift import cli, core_words, gray_factor, subshift
+from starshift import cli, core_words, gray_factor, jump_action, subshift
 from starshift.cli import main
 
 
@@ -62,18 +62,52 @@ class TestVerify:
     def test_trivial_run_passes(self, capsys):
         assert run(capsys, "verify", "--max-n", "1")[0] == 0
 
-    def test_negative_control(self, capsys, monkeypatch):
-        # the middle letters one step out of their cycle D, C, B
-        def wrong_alpha(n):
-            return core_words.MIDDLE_LETTERS[(n + 1) % 3]
+    @pytest.fixture
+    def fresh_word_caches(self):
+        # w_n and language membership are cached by n and by word: a run
+        # under a patched letter cycle must neither read nor leave them
+        caches = core_words._build_w, core_words.language_contains
+        for cached in caches:
+            cached.cache_clear()
+        yield
+        for cached in caches:
+            cached.cache_clear()
 
-        assert cli._check_recursion(3, core_words.alpha_choice)
-        assert not cli._check_recursion(3, wrong_alpha)
-        check = cli._check_recursion
-        monkeypatch.setattr(cli, "_check_recursion", lambda max_n, _: check(max_n, wrong_alpha))
+    def test_negative_control(self, capsys, monkeypatch, fresh_word_caches):
+        # the middle letters one step out of their cycle D, C, B
+        monkeypatch.setattr(core_words, "MIDDLE_LETTERS", "BCD")
         code, out, _ = run(capsys, "verify", "--max-n", "3")
         assert code == 1
         assert "w-recursion      FAIL" in out
+
+    @pytest.mark.parametrize("check, module, name, mutant", [
+        # b and c trade their jump tables
+        ("conjugacy", jump_action, "linear_jump_permutation",
+         lambda real: lambda w, g: real(w, {"b": "c", "c": "b"}.get(g, g))),
+        # the first two star positions trade their codes
+        ("gray-tables", gray_factor, "phi",
+         lambda real: lambda n: gray_factor.GrayTable(n, real(n).codes[[1, 0, *range(2, 2**n)]])),
+        # the right-hand one of a window and its mirror reads complemented bits
+        ("factor-tower", gray_factor, "psi_tower",
+         lambda real: lambda k, x: [
+             v if 2 * x.origin < len(x.letters) else v.translate(str.maketrans("01", "10"))
+             for v in real(k, x)
+         ]),
+        # the same on a window and its mirror, but not prefix-nested
+        ("factor-tower", gray_factor, "psi_tower",
+         lambda real: lambda k, x: real(k, x)[::-1]),
+        # one factor missing
+        ("language-equivalence", core_words, "language_words",
+         lambda real: lambda length: real(length)[1:]),
+        # a word without w_n among the factors of length 2^(n+1) - 1
+        ("minimality", core_words, "language_words",
+         lambda real: lambda length: [*real(length), "a" * length]),
+    ], ids=["conjugacy", "gray-tables", "mirror", "nesting", "language", "minimality"])
+    def test_each_check_fails_on_its_mutant(self, capsys, monkeypatch, check, module, name, mutant):
+        monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+        code, out, _ = run(capsys, "verify", "--max-n", "6")
+        assert code == 1
+        assert f"{check:16s} FAIL" in out
 
     @pytest.mark.parametrize("max_n", range(1, 5))
     def test_factor_tower_compares_towers(self, capsys, monkeypatch, max_n):

@@ -302,3 +302,12 @@ class TestPhase:
             found = {(s + 1) % 2 ** (m + 1) for s in placements(u)}
             assert {i % 2**m for i in found} == {r}, u
             assert len(found) == 2 or m >= PLACEMENT_BITS, u
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: cw.alpha_choice(0), ValueError, "n must be positive"),
+    (lambda: cw.language_words(-1), ValueError, "length must be non-negative"),
+], ids=["alpha_choice", "language_words"])
+def test_argument_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

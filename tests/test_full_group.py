@@ -272,3 +272,16 @@ class TestSchreierGraph:
         assert payload["marked"] == "*aDa"
         assert len(payload["vertices"]) == 4
         assert all(len(e) == 3 for e in payload["edges"])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Window("aDa", 4), ValueError, "origin 4 out of range"),
+    (lambda: fg.shift_as_tfg(Window(build_w(5), 10, 0)), MarginExhaustedError,
+     "margin 0 too small to shift"),
+    (lambda: fg.reconstruct_from_stabilizer(
+        fg.window_stabilizer_oracle(Window(build_w(5), 10)), -1),
+     ValueError, "budget must be non-negative"),
+], ids=["Window", "shift_as_tfg", "reconstruct_from_stabilizer"])
+def test_argument_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -229,3 +229,16 @@ class TestSixFiberWitnesses:
     def test_cap(self):
         with pytest.raises(SizeLimitError):
             gf.six_fiber_witnesses(17)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: gf.phi(0), ValueError, "n must be positive"),
+    (lambda: gf.natural_decomposition(Window(build_w(5), 10), 0), ValueError,
+     "n must be positive"),
+    (lambda: gf.six_fiber_witnesses(0), ValueError, "m must be positive"),
+    (lambda: gf.phi(2).bits(4), ValueError, "star position 4 out of range"),
+    (lambda: gf.phi(2).bits(-1), ValueError, "star position -1 out of range"),
+], ids=["phi", "natural_decomposition", "six_fiber_witnesses", "bits-past-end", "bits-negative"])
+def test_argument_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

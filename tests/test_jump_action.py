@@ -471,3 +471,12 @@ class TestOrbits:
         assert len(fg.schreier_graph("aD" * 1024, circular=True).vertices) == 2**11
         with pytest.raises(SizeLimitError):
             fg.schreier_graph("aD" * 1025, circular=True)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: StarredWord("aDa", 4), ValueError, "star 4 out of range for 'aDa'"),
+    (lambda: ja.relation_set(-1), ValueError, "t must be non-negative"),
+], ids=["StarredWord", "relation_set"])
+def test_argument_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -422,3 +422,23 @@ class TestPseudoOrbit:
         monkeypatch.setattr(sm, "language_contains", counting)
         sm.pseudo_orbit_demo(6)
         assert len(calls) <= 64 * 10
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ZSft(("a",), 0, frozenset()), ValueError, "order must be positive"),
+    (lambda: ZSft(("ab",), 1, frozenset()), ValueError,
+     "alphabet symbols must be single characters: 'ab'"),
+    (lambda: ZSft(("a", "b"), 2, frozenset({"a"})), ValueError, "bad admissible block 'a'"),
+    (lambda: ZSft.from_forbidden("ab", [""]), ValueError, "cannot forbid the empty word"),
+    (lambda: sm.sft_approximation(3).words(-1), ValueError, "length must be non-negative"),
+    (lambda: sm.sft_approximation(0), ValueError, "order must be positive"),
+    (lambda: sm.periodic_points(sm.sft_approximation(3), 0), ValueError, "p must be positive"),
+    (lambda: sm.pseudo_orbit_demo(0), ValueError, "n must be positive"),
+    (lambda: WangTile("_", "x", "x"), ValueError, "tile names are single characters"),
+    (lambda: sm.comb_sft([WangTile("T", "x", "x"), WangTile("T", "y", "y")], 2), ValueError,
+     "tile names must be distinct"),
+], ids=["order", "symbol", "block", "from_forbidden", "words", "sft_approximation",
+        "periodic_points", "pseudo_orbit_demo", "WangTile", "comb_sft"])
+def test_argument_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

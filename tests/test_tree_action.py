@@ -179,3 +179,12 @@ def test_word_permutation_consistent_with_act_word():
         for v in range(1 << m):
             s = format(v, f"0{m}b")
             assert ta.act_word(word, s) == format(int(perm[v]), f"0{m}b")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ta.is_trivial_up_to_depth("aa", 0), ValueError, "depth must be positive"),
+    (lambda: ta.quadrant_support("aa", 1), ValueError, "depth must be at least 2"),
+], ids=["is_trivial_up_to_depth", "quadrant_support"])
+def test_argument_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
