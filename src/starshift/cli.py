@@ -87,6 +87,8 @@ def _check_conjugacy(max_n: int) -> bool:
     for n in range(1, min(max_n, 14) + 1):
         codes = gray_factor.phi(n).codes
         w = core_words.build_w(n)
+        if len(w) != 2**n - 1:  # the tables would not index the 2^n codes
+            return False
         for g in "abcd":
             jumps = jump_action.linear_jump_permutation(w, g)
             trees = tree_action.level_permutation(g, n)

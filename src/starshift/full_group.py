@@ -13,7 +13,8 @@ a move right of the origin is one application of sigma, i.e. the
 letters slide one step to the left past the marked point.
 
 The Schreier graph of a word, linear or circular, is every starring of
-it joined by the same rule, each vertex indexed by its star position.
+it joined by the same rule, read from its jump tables, each vertex
+indexed by its star position.
 """
 
 from __future__ import annotations
@@ -23,11 +24,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
+import numpy as np
+
 from .core_words import (
     GENERATORS, LETTERS, free_reduce, is_alternating, language_contains, lex_key
 )
 from .errors import MarginExhaustedError, ReconstructionError, SizeLimitError
-from .jump_action import JUMP_SETS, STAR, check_circular, star_step
+from .jump_action import (
+    JUMP_SETS, STAR, check_circular, circular_jump_permutation, linear_jump_permutation,
+    star_step,
+)
 
 # Letter at the origin -> generator realizing one step of the shift.
 SHIFT_GENERATOR = {"a": "a", "B": "c", "C": "d", "D": "b"}
@@ -216,21 +222,21 @@ def vorobets_key(x: Window) -> Window:
 @dataclass(frozen=True)
 class SchreierGraph:
     """Orbit graph: one vertex per starred word, edges labeled by the
-    generator moving one to the other, the basepoint marked."""
+    generator moving one to the other, the basepoint marked.  Both
+    exports are assembled from their parts in one join."""
 
     vertices: tuple[str, ...]
     marked: str
     edges: tuple[tuple[str, str, str], ...]  # (source, label, target)
 
     def to_dot(self) -> str:
-        lines = ["graph schreier {"]
+        parts = ["graph schreier {"]
         for v in self.vertices:
-            attrs = ' [peripheries=2]' if v == self.marked else ""
-            lines.append(f'  "{v}"{attrs};')
+            parts += ('\n  "', v, '" [peripheries=2];' if v == self.marked else '";')
         for src, label, dst in self.edges:
-            lines.append(f'  "{src}" -- "{dst}" [label="{label}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            parts += ('\n  "', src, '" -- "', dst, '" [label="', label, '"];')
+        parts.append("\n}\n")
+        return "".join(parts)
 
     def to_json(self) -> str:
         """The graph as ``json.dumps(payload, indent=2, sort_keys=True)``
@@ -238,32 +244,37 @@ class SchreierGraph:
         directly: each name is quoted once, not once per edge endpoint."""
         names = {self.marked, *self.vertices, *(x for e in self.edges for x in e)}
         quoted = {name: json.dumps(name) for name in names}
-        edges = [
-            f"[\n      {quoted[src]},\n      {quoted[label]},\n      {quoted[dst]}\n    ]"
-            for src, label, dst in self.edges
-        ]
-        vertices = [quoted[v] for v in self.vertices]
-        return (
-            f'{{\n  "edges": {_json_array(edges)},\n  "marked": {quoted[self.marked]},'
-            f'\n  "vertices": {_json_array(vertices)}\n}}\n'
-        )
-
-
-def _json_array(items: list[str]) -> str:
-    # encoded items as a value of the top-level object, in the indent=2 layout
-    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+        # an item of an array of the top-level object opens with "\n    ",
+        # after a comma from the second on; a nonempty array closes on "\n  ]"
+        parts = ['{\n  "edges": [']
+        sep = "\n    [\n      "
+        for src, label, dst in self.edges:
+            parts += (sep, quoted[src], ",\n      ", quoted[label], ",\n      ",
+                      quoted[dst], "\n    ]")
+            sep = ",\n    [\n      "
+        parts += ("\n  ]" if self.edges else "]", ',\n  "marked": ', quoted[self.marked],
+                  ',\n  "vertices": [')
+        sep = "\n    "
+        for v in self.vertices:
+            parts += (sep, quoted[v])
+            sep = ",\n    "
+        parts.append("\n  ]\n}\n" if self.vertices else "]\n}\n")
+        return "".join(parts)
 
 
 def schreier_graph(letters: str, circular: bool = False) -> SchreierGraph:
-    """The orbit graph of every starring of ``letters``, joined by :func:`star_step`.
+    """The orbit graph of every starring of ``letters``, its edges read
+    from the jump tables, the vectorised view of :func:`star_step`.
 
     The vertices are the starrings in position order, [0, len] for a
     linear word and [0, len) for a circular one, the first one marked;
     every letter is jumped by some generator, so this is the whole orbit
-    of any of them.  Parallel edges with identical labels are merged;
-    self-loops are kept, since they record stabilizer generators.  The
-    letters must be alternating, cyclically so when ``circular``, and
-    more than 2^``SCHREIER_LOG2_CAP`` positions raise SizeLimitError.
+    of any of them.  Each table is an involution, so every edge is kept
+    once, from its lower end, self-loops included, since they record
+    stabilizer generators; the edges are sorted by their ends, then by
+    generator.  The letters must be alternating, cyclically so when
+    ``circular``, and more than 2^``SCHREIER_LOG2_CAP`` positions raise
+    SizeLimitError.
     """
     positions = len(letters) + (not circular)
     if positions > 2**SCHREIER_LOG2_CAP:
@@ -273,14 +284,20 @@ def schreier_graph(letters: str, circular: bool = False) -> SchreierGraph:
         check_circular(letters)
     elif not is_alternating(letters):
         raise ValueError(f"{letters!r} is not alternating")
-    edges = set()
-    for j in range(positions):
-        for g in GENERATORS:
-            t = star_step(letters, j, g, circular)
-            edges.add((min(j, t), max(j, t), g))
+    jump_table = circular_jump_permutation if circular else linear_jump_permutation
+    at = np.arange(positions, dtype=np.int64)
+    keys = []
+    for index, g in enumerate(GENERATORS):
+        t = jump_table(letters, g)
+        keep = at <= t
+        # sorting (lower end, upper end, generator) is sorting this key
+        keys.append((at[keep] * positions + t[keep]) * len(GENERATORS) + index)
+    ends, generators = np.divmod(np.sort(np.concatenate(keys)), len(GENERATORS))
+    lows, highs = np.divmod(ends, positions)
     names = [letters[:j] + STAR + letters[j:] for j in range(positions)]
     return SchreierGraph(
         vertices=tuple(names),
         marked=names[0],
-        edges=tuple((names[a], g, names[b]) for a, b, g in sorted(edges)),
+        edges=tuple((names[lo], GENERATORS[g], names[hi])
+                    for lo, g, hi in zip(lows.tolist(), generators.tolist(), highs.tolist())),
     )

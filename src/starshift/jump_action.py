@@ -5,21 +5,22 @@ generator jumps the star across an adjacent letter from its jump set:
 
     a over a,   b over C or D,   c over B or D,   d over B or C.
 
-:func:`star_step` is that rule, for stars, window origins and the edges
-of Schreier graphs alike.  On alternating words at most one neighbor
-qualifies, so the rule is a well-defined involution for each generator.
-Read cyclically it acts on circular words; the permutation tables are
-its vectorised view, and the relator family is checked on them through
-kappa, never expanded, on the lift of a circular word to the Z-cover,
-which serves every p-fold repetition of it at once.  Several circular
-words are checked in one pass, their lifts side by side in one table
-that stores each value as its residue plus the total length times its
-winding, so one composer serves one ring and many alike; seeds are
-powers of their roots by squaring.  The rings are checked to be circular
-words when they enter, so kappa maps their tables within a finite set,
-and the check stops where it repeats a ring's tables, keyed by k mod 3
-and the ring's a-table, deciding the whole presentation.  Words are
-validated once, when they enter; moves skip the check.
+:func:`star_step` is that rule, for stars and window origins alike.  On
+alternating words at most one neighbor qualifies, so the rule is a
+well-defined involution for each generator.  Read cyclically it acts on
+circular words.  The permutation tables are its vectorised view: the
+Schreier graphs read their edges from them, and the relator family is
+checked on them through kappa, never expanded, on the lift of a
+circular word to the Z-cover, which serves every p-fold repetition of
+it at once.  Several circular words are checked in one pass, their
+lifts side by side in one table that stores each value as its residue
+plus the total length times its winding, so one composer serves one
+ring and many alike; seeds are powers of their roots by squaring.  The
+rings are checked to be circular words when they enter, so kappa maps
+their tables within a finite set, and the check stops where it repeats
+a ring's tables, keyed by k mod 3 and the ring's a-table, deciding the
+whole presentation.  Words are validated once, when they enter; moves
+skip the check.
 """
 
 from __future__ import annotations

@@ -17,12 +17,14 @@ read from where a window's letters occur in w_16, where the library
 parses the letters instead; the tower of factor-map values is read one
 k at a time from the offsets of the natural blocks.  Least rotations
 are chosen among all rotations by their tuples of ranks, where the
-library reaches them as necklaces.  Group
-words are reduced letter by letter on a stack, where the library first
-checks whether they already are, window walks fold single jump moves
-with the margin rule applied at every step, and orbit graphs are
-serialised by ``json.dumps``.  The tree action is read from the leading
-block of ones of each vertex, one bit string at a time, where the
+library reaches them as necklaces.  Group words are reduced letter by
+letter on a stack, where the library first checks whether they already
+are, window walks fold single jump moves with the margin rule applied
+at every step, orbit graphs are joined one jump move per position and
+generator, where the library reads the jump tables, and they are
+serialised by ``json.dumps`` and line by line in DOT, where the library
+assembles each export in one join.  The tree action is read from the
+leading block of ones of each vertex, one bit string at a time, where the
 library follows the sections of the wreath recursion.  The expanded
 kappa^k, the fixed point of the letterwise substitution tau, the cocycle
 evaluation that checks its pieces partition the neighborhoods, and the
@@ -486,6 +488,33 @@ def apply_word_by_steps(word: str, x) -> tuple[str, int, int]:
         margin -= moved != origin
         origin = moved
     return x.letters, origin, margin
+
+
+def schreier_edges_by_steps(letters: str, circular: bool = False) -> tuple[tuple[str, ...], ...]:
+    """The edges of the orbit graph of every starring of ``letters``, one
+    :func:`star_step` per position and generator, merged as a set of
+    (lower end, upper end, generator) and sorted, each end named by its
+    starred word."""
+    positions = len(letters) + (not circular)
+    edges = set()
+    for j in range(positions):
+        for g in GENERATORS:
+            t = star_step(letters, j, g, circular)
+            edges.add((min(j, t), max(j, t), g))
+    names = [letters[:j] + "*" + letters[j:] for j in range(positions)]
+    return tuple((names[a], g, names[b]) for a, b, g in sorted(edges))
+
+
+def schreier_dot_by_lines(graph) -> str:
+    """An orbit graph in DOT, written line by line."""
+    lines = ["graph schreier {"]
+    for v in graph.vertices:
+        attrs = " [peripheries=2]" if v == graph.marked else ""
+        lines.append(f'  "{v}"{attrs};')
+    for src, label, dst in graph.edges:
+        lines.append(f'  "{src}" -- "{dst}" [label="{label}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def schreier_json_by_dumps(graph) -> str:

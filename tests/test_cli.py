@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -109,6 +110,14 @@ class TestVerify:
         assert code == 1
         assert f"{check:16s} FAIL" in out
 
+    def test_conjugacy_fails_on_a_word_of_the_wrong_length(self, capsys, monkeypatch):
+        # w_n alpha: one star position more than phi(n) has codes
+        build = core_words.build_w
+        monkeypatch.setattr(core_words, "build_w", lambda n: build(n) + core_words.alpha_choice(n))
+        code, out, _ = run(capsys, "verify", "--max-n", "6")
+        assert code == 1
+        assert "conjugacy        FAIL" in out
+
     @pytest.mark.parametrize("max_n", range(1, 5))
     def test_factor_tower_compares_towers(self, capsys, monkeypatch, max_n):
         # w_3 and w_4 have no origin with the margin 8 of a depth-1 tower:
@@ -123,6 +132,71 @@ class TestVerify:
         assert code == 0 and "factor-tower     PASS" in out
         assert len(calls) == 32 and set(calls) == {1}
 
+
+# sha256 of `schreier` stdout, which stays byte-identical for identical
+# flags: --n N --format F, and --circular --n N --p P --format F
+SCHREIER_LINEAR_SHA256 = {
+    ("dot", 1): "201140965b47b3b567bfe30dca795e424d6dbd8eea9618de785a85a135f2b79c",
+    ("dot", 2): "1c47a7d24d9b238ecb80c932630e5cf21cffa3feba476b350a0806d4f2f03c71",
+    ("dot", 3): "66b8574b3ec5f247d511ce5883e0c102520d236f6313b35a7f1918f9f38f821c",
+    ("dot", 4): "bd7e1603c404e9c12fbbdefdf65fa1dc7a3cec6ab4e79a0b742ebb0aeceb64c8",
+    ("dot", 5): "41b95c88306ac513e085de2fb078fe2be664e417240ae1a0a4f880ac726a93c5",
+    ("dot", 6): "a203dfaa12bea59b863114737943b0426df76262fb41dc13fab009e8e16035f2",
+    ("dot", 7): "53764ac5f8d5880484193eab3ed455768db9781b8a618a9e5251fba646bdfec5",
+    ("dot", 8): "d5eb6e2ea3d873d372024fef00ab7b732cd13eb510660d7cd480909da6c14ddc",
+    ("dot", 9): "254e3d606985509adaaa46dfab8a738c9e9e466c9a44baf302f5ac234aae750f",
+    ("dot", 10): "6465600d034d9bbc9800f24aa2fa6182f52214328529cc6e5e2395bdd76b18c1",
+    ("dot", 11): "6bd5de89c19ee287225fe124f1cf1923128c99ec37adf7a9f4c30fee5fa0673d",
+    ("json", 1): "4250fb947ea3c17bb0606f89b6f044405ec13a8dcb82fa10b839f1cf35605263",
+    ("json", 2): "8c9aec18f37fe6dce9817f30d6a55a5b5325f6305734da04c733994acdee655f",
+    ("json", 3): "93fd4f0bfa25890f2311674bb068a4fd162e59aa8012ae1a3dfabdb11d97af50",
+    ("json", 4): "e2eb0365c6350147a89aa711150f10ebdf72ad67df62591c6f5d3700330ee9bc",
+    ("json", 5): "999d2d467dc9bd3337f24a1cd47bbe0f2db2ea87919e02e307e7b4153d3b5f02",
+    ("json", 6): "8cac91642de5dc84d9ffc18701b6b3d2a135165d6b68f856a775f2f83d30f3eb",
+    ("json", 7): "818d3650fd279cc15ed126e04c5074a79be9ff8e854efbc5c15b8196a9e97245",
+    ("json", 8): "c55cf2454552e00fb3cec709a09a16bbcfb638d4c97012117f56873c67bc105d",
+    ("json", 9): "77567fcb452bbd656d058ec3898549475d830109392e9a15abacd8fb6fc9eb36",
+    ("json", 10): "74f607f9c19099558fa76d3aaed1647dc261320589b4c86afddf20b770aadafd",
+    ("json", 11): "561da5f917a70a18d7bbbcf26f71a4dc8a591d668ebbdafe41de0b6c8f40f1e8",
+}
+SCHREIER_CIRCULAR_SHA256 = {
+    ("dot", 1, 1): "7f6b1cc269bace5ac1520a66a1be5aba73ab9b0501db5d1cfe6ebcffc1e142ad",
+    ("dot", 1, 2): "afdb0fcc0747c1f245ec6203808729ea1764338359fcf42d355be73cf35128ed",
+    ("dot", 1, 3): "20f04de70aa253d7d4c241da4b0158af7cf12e4ede3230bc42b689da0e865489",
+    ("dot", 2, 1): "c9ee084050ce66f9ecf33f9d1a9e5bd07b4712e07859ff11f451240c2c8e7e3d",
+    ("dot", 2, 2): "167de914054d67ac17c35e984629b9603d64ddf985c385d9d18ae9801072a26b",
+    ("dot", 2, 3): "769811dba32b2c29fdbf097e6fd9f90611de13b7dd1aa30f6be618152257b86f",
+    ("dot", 3, 1): "282ec89182a1f257348aa00593be616dc55ffd6a8655385ddf5146ec90e2ec72",
+    ("dot", 3, 2): "93ba5288297421da5f302d6f57478e9d219c82cf968ea6d2b8b626aaa8b12967",
+    ("dot", 3, 3): "5a2295408e4e0de07496fd2d793d314a51ceee678613625199854dfa0b44fa8d",
+    ("dot", 4, 1): "f7262f97febf4edf4becb93be3698ff57d6a301d2665dd6655243d348feb3bdb",
+    ("dot", 4, 2): "29a443c02bb8b3409b174b8efdb0e0ed5016bb48351e4e30454da6feae04331b",
+    ("dot", 4, 3): "85a5c157c265050dd9184aba82c24e0ad7f0a8b318e8a737cf50db1d9c735b86",
+    ("dot", 5, 1): "fa3050b2faca123c565d95b88b2df05d64211e9437115c2d6fc2e89d3273a117",
+    ("dot", 5, 2): "88cb0afcf3c09bf3111915c21b663285b267270887b6a3e53b61513ee09a08dc",
+    ("dot", 5, 3): "dcb7001724d60368d37fcf2d227b5f8cfc392b06c6aed7ac289838c65dc7534b",
+    ("dot", 6, 1): "6c548a1c8e4cbce2a26c2c42839196c1464cf660036695cd0535cace8b4076fe",
+    ("dot", 6, 2): "138100973fca8ca1784e441ad1d9a8d42fc372b1a3fb1ef9244969d6629139fa",
+    ("dot", 6, 3): "a1b5b8ebeedd60979a63fa6064a5a251c03fb320ae4f2d3562fbe619a8acd1e6",
+    ("json", 1, 1): "51f7c3a73c38db8492cfbe2f955d56450fb60147f02c85b223298651eb264c67",
+    ("json", 1, 2): "2b8e2dbd5976f6302a945a557caa34cdc1990d43075ac62697ba5e93e25f678e",
+    ("json", 1, 3): "645a413af6c6d38f8e090e3af35b0c11583311e1a183f8a35c863340f6b82ec4",
+    ("json", 2, 1): "1f5a52a53b05d6ca9be35f22add540362eaddd086d1a27f75dba369878261367",
+    ("json", 2, 2): "b1506393f745ef9f5e239c117516914a413e5deef46d7df91a34406a1ecf0d53",
+    ("json", 2, 3): "c0545303ae1f1168c94d9f236e76fd070e19c51bb9e8e4e2e6464282b6ed537c",
+    ("json", 3, 1): "e8b0a842cf7eae643e1bc07f8af088c1b7f2c4608585426bec4f979b867b1958",
+    ("json", 3, 2): "8e9ea0b030a3ca979d3d658489aab80fde607f76dbd6e13d15fab42ff43fd538",
+    ("json", 3, 3): "d6bbb89ef7a8ec9808d5ff9185cda5b2e7be9511f8b0e72800dae74a5ebfc1ad",
+    ("json", 4, 1): "fbb01d3ed9fd6b036eaecb766f4cfd352f8eab2a4e7e82e427cf10606d1baa36",
+    ("json", 4, 2): "6b875f16b624afe32bebb2be8ac9b16891195b8e37c151175861563815a64abd",
+    ("json", 4, 3): "30fa06fa16f57db5bab7d5c2cb8b4273c9a966e5cd4bbfa0191dd8387c90e79d",
+    ("json", 5, 1): "1aa834de78031b47cba00fa4aaddfa6e4c0370cb65680a0e71be19141f5f97bb",
+    ("json", 5, 2): "000310aef5eb1536f6014fcb1de63a01213df66b18ad3f424a4244c3fdfa9a42",
+    ("json", 5, 3): "cc25424701c6f07f1fba39449a7bd81c515eb9461d858793e89492811df5161f",
+    ("json", 6, 1): "7d76c326f3080a940dfecd502902598390618c07bc0f105120bd6a91bbb7132e",
+    ("json", 6, 2): "bf1503083923af75fb9fcbf27f64afee5c66c1c24ecac53a31efc347f52419c6",
+    ("json", 6, 3): "2ab63f79c24d8e3cf2caaf904725f32c47ee256e0c5b90d547aa5c47050df9c0",
+}
 
 class TestSchreier:
     def test_linear_dot(self, capsys):
@@ -152,6 +226,26 @@ class TestSchreier:
         payload = json.loads(out)
         assert code == 0
         assert payload["vertices"] == ["*a", "a*"]
+
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    def test_linear_stdout_is_pinned(self, capsys, fmt):
+        for n in range(1, 12):
+            code, out, _ = run(capsys, "schreier", "--n", str(n), "--format", fmt)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == SCHREIER_LINEAR_SHA256[fmt, n], n
+
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    @pytest.mark.parametrize("require", [[], ["--require-action"]], ids=["plain", "require"])
+    def test_circular_stdout_is_pinned(self, capsys, fmt, require):
+        for n in range(1, 7):
+            for p in range(1, 4):
+                code, out, _ = run(capsys, "schreier", "--circular", "--n", str(n),
+                                   "--p", str(p), "--format", fmt, *require)
+                if require and p == 3:  # a relator moves a starring of (w_n alpha)^3
+                    assert code == 1 and out == "", n
+                    continue
+                digest = hashlib.sha256(out.encode()).hexdigest()
+                assert code == 0 and digest == SCHREIER_CIRCULAR_SHA256[fmt, n, p], (n, p)
 
 
 class TestPseudoOrbit:

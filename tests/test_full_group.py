@@ -3,7 +3,10 @@ import random
 
 import pytest
 
-from oracles import apply_word_by_steps, evaluate_cocycle, schreier_json_by_dumps
+from oracles import (
+    apply_word_by_steps, evaluate_cocycle, schreier_dot_by_lines, schreier_edges_by_steps,
+    schreier_json_by_dumps,
+)
 from starshift import full_group as fg, jump_action as ja
 from starshift.core_words import build_w, language_words, ring
 from starshift.errors import MarginExhaustedError, ReconstructionError
@@ -203,7 +206,48 @@ class TestReconstruction:
         assert got == (rightward if letters[j] != "a" else leftward)
 
 
+def _orbit_graph_inputs(kind: str) -> list[tuple[str, bool]]:
+    """Words and their circularity: w_n, the circular (w_n alpha)^p within
+    the cap, the shortest words, and 200 seeded random alternating or
+    cyclically alternating words, the latter rotated to start anywhere."""
+    if kind == "w_n":
+        return [(build_w(n), False) for n in range(1, 12)]
+    if kind == "rings":
+        return [(ring(n) * p, True) for n in range(1, 12) for p in range(1, 9)
+                if p * 2**n <= 2**fg.SCHREIER_LOG2_CAP]
+    if kind == "shortest":
+        return [("", False), ("a", False)]
+    rng = random.Random(18)
+    inputs = []
+    for _ in range(200):
+        if kind == "random-linear":
+            odd = rng.randrange(2)  # the parity of the indices that carry `a`
+            word = "".join("a" if i % 2 == odd else rng.choice("BCD")
+                           for i in range(rng.randrange(41)))
+        else:
+            word = "".join("a" + rng.choice("BCD") for _ in range(rng.randrange(1, 21)))
+            r = rng.randrange(len(word))
+            word = word[r:] + word[:r]
+        inputs.append((word, kind == "random-circular"))
+    return inputs
+
+
+ORBIT_GRAPH_KINDS = ["w_n", "rings", "shortest", "random-linear", "random-circular"]
+
+
 class TestSchreierGraph:
+    @pytest.mark.parametrize("kind", ORBIT_GRAPH_KINDS)
+    def test_edges_match_one_step_per_position(self, kind):
+        for letters, circular in _orbit_graph_inputs(kind):
+            graph = fg.schreier_graph(letters, circular)
+            assert graph.edges == schreier_edges_by_steps(letters, circular), (letters, circular)
+
+    @pytest.mark.parametrize("kind", ORBIT_GRAPH_KINDS)
+    def test_dot_matches_the_line_by_line_export(self, kind):
+        for letters, circular in _orbit_graph_inputs(kind):
+            graph = fg.schreier_graph(letters, circular)
+            assert graph.to_dot() == schreier_dot_by_lines(graph), (letters, circular)
+
     def test_two_vertex_graph(self):
         graph = fg.schreier_graph("a")
         assert graph.vertices == ("*a", "a*")

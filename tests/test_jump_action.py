@@ -369,10 +369,15 @@ class TestRelatorFamilyCost:
         monkeypatch.setattr(ja, "word_star_permutation", counting_compose)
         return counts
 
-    def test_schreier_require_action_builds_four_tables(self, counted, capsys):
+    def test_moving_relator_builds_four_tables(self, counted):
+        assert ja.moving_relator(ring(2), p=2) is None
+        assert counted["tables"] == 4
+
+    def test_schreier_require_action_builds_eight_tables(self, counted, capsys):
+        # four lifts of the ring for the relators, four of ring * 2 for the graph
         assert main(["schreier", "--n", "2", "--circular", "--p", "2",
                      "--require-action"]) == 0
-        assert counted["tables"] == 4
+        assert counted["tables"] == 8
 
     def test_pseudo_orbit_builds_four_tables(self, counted):
         assert subshift.pseudo_orbit_demo(3, t=8).action_well_defined
