@@ -22,6 +22,10 @@ from .full_group import SCHREIER_LOG2_CAP, Window
 
 EXPECTED_POWERS = (1, 2, 4, 8)
 
+# at most this many letters recovered by `stabilizer`: its queries read
+# about 1.5 budget^2 letters in all, 2.3-3 s at the cap on two CPUs
+STABILIZER_BUDGET_CAP = 4096
+
 
 def _write(path: str | None, text: str) -> None:
     if path is None:
@@ -216,13 +220,17 @@ def cmd_pseudo_orbit(args: argparse.Namespace) -> int:
 
 
 def cmd_stabilizer(args: argparse.Namespace) -> int:
+    if args.budget > STABILIZER_BUDGET_CAP:
+        raise SizeLimitError(f"--budget {args.budget} exceeds the cap "
+                             f"{STABILIZER_BUDGET_CAP}")
     letters = core_words.build_w(args.source_n)
     reach = 2 * args.budget + 8
     if len(letters) < 2 * reach + 1:
         raise StarshiftError("source word too short for the requested budget")
     rng = random.Random(args.seed)
     origin = rng.randrange(reach, len(letters) - reach)
-    hidden = Window(letters, origin)
+    # the longest query has 2 budget - 1 letters, within the reach
+    hidden = Window(letters, origin, reach)
     oracle = full_group.window_stabilizer_oracle(hidden)
     recovered = full_group.reconstruct_from_stabilizer(oracle, args.budget)
     rightward = letters[origin : origin + args.budget]

@@ -5,7 +5,10 @@ letters, a marked origin sitting between two letters, and an explicit
 margin recording how far the excerpt is still guaranteed to be valid.
 Generators act by moving the origin like the star of the jump action;
 every move burns one unit of margin, and operations never fabricate
-letters beyond the window.
+letters beyond the window.  A walk reads the jump tables of the
+excerpt within its reach of the origin, the vectorised view of
+:func:`star_step`, and a stabilizer oracle builds them once for all of
+its queries.
 
 Origin-motion convention: "origin moves right" is the positive
 direction.  Under the dictionary to shift notation sigma(x)_i = x_{i+1}
@@ -27,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .core_words import (
-    GENERATORS, LETTERS, free_reduce, is_alternating, language_contains, lex_key
+    GENERATORS, LETTERS, is_alternating, language_contains, lex_key
 )
 from .errors import MarginExhaustedError, ReconstructionError, SizeLimitError
 from .jump_action import (
@@ -127,22 +130,43 @@ def apply_generator(g: str, x: Window) -> Window:
     return apply_word(g, x)
 
 
-def apply_word(word: str, x: Window) -> Window:
-    """Apply a group word right-to-left; margin is spent per move.
+def _reach_tables(x: Window, reach: int) -> dict[str, list[int]]:
+    """The jump tables of the excerpt ``reach`` letters either side of the
+    origin, whose position ``reach`` is the origin; ``reach`` is at most
+    the margin, so the excerpt lies inside the window."""
+    excerpt = x.letters[x.origin - reach : x.origin + reach]
+    return {g: linear_jump_permutation(excerpt, g).tolist() for g in GENERATORS}
 
-    The walk keeps the origin and the margin as plain integers and moves
-    the origin with :func:`star_step`; every letter needs a margin of at
-    least 1, and each letter that moves the origin spends one unit of it.
-    One window is built, at the end.
+
+def _walk(tables: dict[str, list[int]], word: str, at: int, margin: int) -> tuple[int, int]:
+    """Walk a group word right-to-left from position ``at`` of
+    :func:`_reach_tables`; every letter needs a margin of at least 1, and
+    each letter that moves the origin spends one unit of it.
+
+    Before each letter fewer moves have been made than the starting
+    margin and than the letters of the word, so the walk reads only the
+    letters within the smaller of the two of its start, and never the
+    blank ends of tables of that reach.
     """
-    letters, origin, margin = x.letters, x.origin, x.margin
     for g in reversed(word):
         if margin < 1:
             raise MarginExhaustedError(f"margin {margin} too small to apply a generator")
-        moved = star_step(letters, origin, g)
-        if moved != origin:
-            origin, margin = moved, margin - 1
-    return _window(letters, origin, margin)
+        moved = tables[g][at]
+        if moved != at:
+            at, margin = moved, margin - 1
+    return at, margin
+
+
+def apply_word(word: str, x: Window) -> Window:
+    """Apply a group word right-to-left; margin is spent per move.
+
+    The walk reads the jump tables of the excerpt within the reach of
+    the word: no more moves than letters, and no more than the margin
+    allows.  One window is built, at the end.
+    """
+    reach = min(x.margin, len(word))
+    at, margin = _walk(_reach_tables(x, reach), word, reach, x.margin)
+    return _window(x.letters, x.origin - reach + at, margin)
 
 
 def shift_as_tfg(x: Window) -> Window:
@@ -164,11 +188,14 @@ def window_stabilizer_oracle(x: Window) -> Callable[[str], bool]:
     """Oracle answering whether a group word fixes the window's point.
 
     A jump element fixes the point iff the origin returns to its start;
-    queries walking outside the margin raise MarginExhaustedError.
+    queries walking outside the margin raise MarginExhaustedError.  The
+    jump tables of the margin's reach are built once, and every query
+    walks them.
     """
+    tables = _reach_tables(x, x.margin)
 
     def oracle(word: str) -> bool:
-        return apply_word(word, x).origin == x.origin
+        return _walk(tables, word, x.margin, x.margin)[0] == x.margin
 
     return oracle
 
@@ -190,7 +217,9 @@ def reconstruct_from_stabilizer(oracle: Callable[[str], bool], budget: int) -> s
     conj = ""  # current point = conj applied to the hidden point
 
     def fixes(test: str) -> bool:
-        return oracle(free_reduce(conj[::-1] + test + conj))
+        # reduced as it stands: conj alternates `a` with one of b, c, d
+        # and starts with `a`, and test is one of b, c, d
+        return oracle(conj[::-1] + test + conj)
 
     while len(letters) < budget:
         fixers = [g for g in "bcd" if fixes(g)]

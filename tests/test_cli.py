@@ -198,6 +198,30 @@ SCHREIER_CIRCULAR_SHA256 = {
     ("json", 6, 3): "2ab63f79c24d8e3cf2caaf904725f32c47ee256e0c5b90d547aa5c47050df9c0",
 }
 
+# sha256 of `stabilizer --source-n N --budget B` stdout, that of --seed
+# 0..9 joined in order; None where each seed exits 2 for too short a word
+STABILIZER_SHA256 = {
+    (6, 1): "481db23931f1fd92008040fca242ef2b25cd586155f32cfc601f89f1b9d30757",
+    (6, 2): "b6d10e826ef36729fb7ba09e64e4df9bc089233b1d497809b813b58c432c87bc",
+    (6, 7): "92453e5e4ff582a22c89e1ddb055cda197f91fbd496610b5dbfc531199f5d44d",
+    (6, 16): None,
+    (6, 32): None,
+    (6, 48): None,
+    (13, 1): "b419e322bf983d6724c8ebfa592e061e05ca9e1bc24ba79e7b0810de6ed8eb4d",
+    (13, 2): "41597a8ec28d5c769f2cdeced2de32e2a6a51e02c332a288ea0a638b1abef781",
+    (13, 7): "5e31856f1bd323cf95681ee82441a0771c0aa1f92dbc9e79a328b0a1460a3c24",
+    (13, 16): "8e0cfc3765186559e2926fc933eb7ca2c8e219afd8b0d2a72370cd45b4c2faf0",
+    (13, 32): "502f7ac9ea9912aa381653a406f6bbd878ea94478d0ee24f96a699fed122f643",
+    (13, 48): "9f477038ef36a17d9c57cfcd8cee6ee9fc7c0268c02a64ee2bba8ccaa6dcd346",
+    (15, 1): "907e819ab7699351f5b7016722beb7dbc55f41b9a04f5fb6f234b3cd3be5d8ea",
+    (15, 2): "625e749c3c31588b2969ea8347d5f8fec67eca8a96b0fd3518461169873acf15",
+    (15, 7): "0db7a030a4516cdabf6c69597913a5dd2cd08a80443eb1f89bf317ce49a4dc14",
+    (15, 16): "8792dc951f9e0d47bcd790596e0d8304358463461d2a8c13602c74011c74ff73",
+    (15, 32): "af76bffdb8cb4b1026056707064314c86bb33aec3bd9b3b7257380a7ccf614fa",
+    (15, 48): "52760971e80f580d6b2e2caadbcefa4c73c14132dfff8f6b556837bc97d06ffa",
+}
+
+
 class TestSchreier:
     def test_linear_dot(self, capsys):
         code, out, _ = run(capsys, "schreier", "--n", "3", "--format", "dot")
@@ -283,6 +307,23 @@ class TestStabilizer:
         _, second, _ = run(capsys, "stabilizer", "--seed", "3", "--budget", "8")
         assert first == second
 
+    @pytest.mark.parametrize("source_n", [6, 13, 15])
+    def test_stdout_is_pinned(self, capsys, source_n):
+        for budget in (1, 2, 7, 16, 32, 48):
+            outs = []
+            for seed in range(10):
+                code, out, err = run(capsys, "stabilizer", "--source-n", str(source_n),
+                                     "--budget", str(budget), "--seed", str(seed))
+                if STABILIZER_SHA256[source_n, budget] is None:
+                    assert (code, out) == (2, ""), (budget, seed)
+                    assert err == "error: source word too short for the requested budget\n"
+                else:
+                    assert code == 0, (budget, seed)
+                outs.append(out)
+            if STABILIZER_SHA256[source_n, budget] is not None:
+                digest = hashlib.sha256("".join(outs).encode()).hexdigest()
+                assert digest == STABILIZER_SHA256[source_n, budget], budget
+
 
 class TestSft:
     def test_union_demo(self, capsys):
@@ -350,6 +391,7 @@ def test_parser_keeps_no_state_between_calls(capsys, first, second):
         ["verify", "--max-n", "25"],
         ["schreier", "--n", "12"],
         ["schreier", "--n", "8", "--circular", "--p", "16", "--require-action"],
+        ["stabilizer", "--source-n", "24", "--budget", "4097"],
     ],
     ids=" ".join,
 )
@@ -390,6 +432,7 @@ def test_io_error_exit_two(capsys, tmp_path):
         ["stabilizer", "--budget", "0"],  # would "verify" the empty string
         ["stabilizer", "--source-n", "0"],
         ["stabilizer", "--source-n", "25"],  # cap: w_24
+        ["stabilizer", "--source-n", "24", "--budget", "4097"],  # cap: budget 4096
         ["pseudo-orbit", "--n", "0"],
         ["pseudo-orbit", "--t", "-1"],
         ["sft", "comb-demo", "--k", "1"],
@@ -424,8 +467,10 @@ def test_bad_input_exits_two(capsys, argv):
          "--p counts circular repetitions: it needs --circular"),
         (["stabilizer", "--source-n", "3", "--budget", "1"],
          "source word too short for the requested budget"),
+        (["stabilizer", "--source-n", "24", "--budget", "4097"],
+         "--budget 4097 exceeds the cap 4096"),
     ],
-    ids=["schreier", "schreier-p", "stabilizer"],
+    ids=["schreier", "schreier-p", "stabilizer", "stabilizer-cap"],
 )
 def test_refusals_are_error_lines(capsys, argv, line):
     assert run(capsys, *argv) == (2, "", f"error: {line}\n")
@@ -455,7 +500,7 @@ _INTEGER_FLAGS = {
     "pseudo-orbit": {"--n": ([1, 2, 3], [9]), "--t": ([0, 2, 9, 10**6], [])},
     "stabilizer": {
         "--seed": ([0, 7], []),
-        "--budget": ([1, 4], [10**6]),
+        "--budget": ([1, 4], [4097, 10**6]),
         "--source-n": ([6, 8], [25]),
     },
     "sft": {"--k": ([2, 3], [17, 22])},

@@ -8,7 +8,7 @@ from oracles import (
     schreier_json_by_dumps,
 )
 from starshift import full_group as fg, jump_action as ja
-from starshift.core_words import build_w, language_words, ring
+from starshift.core_words import build_w, free_reduce, language_words, ring
 from starshift.errors import MarginExhaustedError, ReconstructionError
 from starshift.full_group import Window, reverse_window
 from starshift.jump_action import StarredWord
@@ -107,12 +107,12 @@ class TestApplyWord:
             assert (out.letters, out.origin, out.margin) == expected, (word, win)
 
     def test_one_window_per_walk(self, monkeypatch):
-        calls = {"star_step": 0, "window": 0, "validated": 0}
-        star_step, window, post_init = fg.star_step, fg._window, Window.__post_init__
+        calls = {"tables": 0, "window": 0, "validated": 0}
+        tables, window, post_init = fg._reach_tables, fg._window, Window.__post_init__
 
-        def counting_step(*args):
-            calls["star_step"] += 1
-            return star_step(*args)
+        def counting_tables(*args):
+            calls["tables"] += 1
+            return tables(*args)
 
         def counting_window(*args):
             calls["window"] += 1
@@ -126,12 +126,12 @@ class TestApplyWord:
         win = Window(letters, len(letters) // 2)
         word = "".join(random.Random(0).choice("abcd") for _ in range(1000))
         expected = apply_word_by_steps(word, win)
-        monkeypatch.setattr(fg, "star_step", counting_step)
+        monkeypatch.setattr(fg, "_reach_tables", counting_tables)
         monkeypatch.setattr(fg, "_window", counting_window)
         monkeypatch.setattr(Window, "__post_init__", counting_post_init)
         out = fg.apply_word(word, win)
         assert (out.letters, out.origin, out.margin) == expected
-        assert calls == {"star_step": 1000, "window": 1, "validated": 0}
+        assert calls == {"tables": 1, "window": 1, "validated": 0}
 
 
 class TestShift:
@@ -189,6 +189,61 @@ class TestReconstruction:
         j = letters.index("B")  # hidden point with B at the origin
         oracle = fg.window_stabilizer_oracle(Window(letters, j))
         assert fg.reconstruct_from_stabilizer(oracle, 1) == "B"
+
+    def test_oracle_builds_its_tables_once(self, monkeypatch):
+        letters = build_w(12)
+        oracle = fg.window_stabilizer_oracle(Window(letters, len(letters) // 2))
+        built = []
+        table = fg.linear_jump_permutation
+        monkeypatch.setattr(
+            fg, "linear_jump_permutation", lambda *args: built.append(args) or table(*args)
+        )
+        assert len(fg.reconstruct_from_stabilizer(oracle, 32)) == 32
+        assert built == []  # the oracle built its four tables when it was made
+        oracle = fg.window_stabilizer_oracle(Window(letters, len(letters) // 3))
+        fg.reconstruct_from_stabilizer(oracle, 32)
+        assert sorted(g for _, g in built) == list("abcd")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_oracle_matches_single_steps(self, seed):
+        rng = random.Random(seed)
+        host = build_w(12)
+        windows = []
+        for margin in range(7):
+            for _ in range(30):
+                width = rng.randrange(2 * margin, 2 * margin + 12)
+                start = rng.randrange(len(host) - width + 1)
+                letters = host[start : start + width]
+                windows.append(Window(letters, rng.randrange(margin, width - margin + 1),
+                                      margin))
+            windows += [Window(letters, 0), Window(letters, len(letters))]
+        for win in windows:
+            oracle = fg.window_stabilizer_oracle(win)
+            for _ in range(20):
+                length = rng.randrange(2 * win.margin + 4)
+                word = "".join(rng.choice("abcd") for _ in range(length))
+                try:
+                    expected = apply_word_by_steps(word, win)[1] == win.origin
+                except MarginExhaustedError as exc:
+                    with pytest.raises(MarginExhaustedError) as got:
+                        oracle(word)
+                    assert str(got.value) == str(exc)
+                    continue
+                assert oracle(word) == expected, (word, win)
+
+    @pytest.mark.parametrize("budget", [1, 2, 7, 32])
+    def test_queries_are_reduced(self, budget):
+        letters = build_w(12)
+        inner = fg.window_stabilizer_oracle(Window(letters, len(letters) // 2))
+        queries = []
+
+        def recording(word: str) -> bool:
+            assert free_reduce(word) == word
+            queries.append(word)
+            return inner(word)
+
+        got = fg.reconstruct_from_stabilizer(recording, budget)
+        assert len(queries) == 3 * sum(letter != "a" for letter in got)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_recovers_up_to_reversal(self, seed):
