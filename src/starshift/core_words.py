@@ -49,7 +49,8 @@ _KLEIN_PRODUCT = {
     ("c", "d"): "b", ("d", "c"): "b",
 }
 
-_KAPPA = {"a": "aca", "b": "d", "c": "b", "d": "c"}
+# the substitution kappa, letter by letter; the relator check applies it to tables
+KAPPA = {"a": "aca", "b": "d", "c": "b", "d": "c"}
 
 
 def _check_letters(word: str) -> None:
@@ -124,16 +125,6 @@ def is_alternating(word: str) -> bool:
     return _alternates(word)
 
 
-def is_cyclically_alternating(word: str) -> bool:
-    """Alternation including the pair (last letter, first letter)."""
-    if not is_alternating(word):
-        return False
-    if len(word) >= 2:
-        return (word[-1] == "a") != (word[0] == "a")
-    # a single letter is cyclically adjacent to itself
-    return len(word) == 0
-
-
 def free_reduce(word: str) -> str:
     """Freely reduced form of a group word over {a, b, c, d}.
 
@@ -166,7 +157,7 @@ def free_reduce(word: str) -> str:
 def kappa(word: str) -> str:
     """Substitution a -> aca, b -> d, c -> b, d -> c, then free reduction."""
     _check_generators(word)
-    return free_reduce("".join(_KAPPA[g] for g in word))
+    return free_reduce("".join(KAPPA[g] for g in word))
 
 
 def _adequate_n(length: int, cap: int = WORD_CAP) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -130,12 +130,12 @@ def apply_generator(g: str, x: Window) -> Window:
     return apply_word(g, x)
 
 
-def _reach_tables(x: Window, reach: int) -> dict[str, list[int]]:
-    """The jump tables of the excerpt ``reach`` letters either side of the
-    origin, whose position ``reach`` is the origin; ``reach`` is at most
-    the margin, so the excerpt lies inside the window."""
+def _reach_tables(x: Window, reach: int, generators: Iterable[str]) -> dict[str, list[int]]:
+    """The jump tables of ``generators`` on the excerpt ``reach`` letters
+    either side of the origin, whose position ``reach`` is the origin;
+    ``reach`` is at most the margin, so the excerpt lies inside the window."""
     excerpt = x.letters[x.origin - reach : x.origin + reach]
-    return {g: linear_jump_permutation(excerpt, g).tolist() for g in GENERATORS}
+    return {g: linear_jump_permutation(excerpt, g).tolist() for g in generators}
 
 
 def _walk(tables: dict[str, list[int]], word: str, at: int, margin: int) -> tuple[int, int]:
@@ -160,12 +160,12 @@ def _walk(tables: dict[str, list[int]], word: str, at: int, margin: int) -> tupl
 def apply_word(word: str, x: Window) -> Window:
     """Apply a group word right-to-left; margin is spent per move.
 
-    The walk reads the jump tables of the excerpt within the reach of
-    the word: no more moves than letters, and no more than the margin
-    allows.  One window is built, at the end.
+    The walk reads the jump tables of the word's letters on the excerpt
+    within the reach of the word: no more moves than letters, and no
+    more than the margin allows.  One window is built, at the end.
     """
     reach = min(x.margin, len(word))
-    at, margin = _walk(_reach_tables(x, reach), word, reach, x.margin)
+    at, margin = _walk(_reach_tables(x, reach, set(word)), word, reach, x.margin)
     return _window(x.letters, x.origin - reach + at, margin)
 
 
@@ -192,7 +192,7 @@ def window_stabilizer_oracle(x: Window) -> Callable[[str], bool]:
     jump tables of the margin's reach are built once, and every query
     walks them.
     """
-    tables = _reach_tables(x, x.margin)
+    tables = _reach_tables(x, x.margin, GENERATORS)
 
     def oracle(word: str) -> bool:
         return _walk(tables, word, x.margin, x.margin)[0] == x.margin

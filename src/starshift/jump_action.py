@@ -7,8 +7,8 @@ generator jumps the star across an adjacent letter from its jump set:
 
 :func:`star_step` is that rule, for stars and window origins alike.  On
 alternating words at most one neighbor qualifies, so the rule is a
-well-defined involution for each generator.  Read cyclically it acts on
-circular words.  The permutation tables are its vectorised view: the
+well-defined involution for each generator.  The permutation tables are
+its vectorised view, read across the end on circular words: the
 Schreier graphs read their edges from them, and the relator family is
 checked on them through kappa, never expanded, on the lift of a
 circular word to the Z-cover, which serves every p-fold repetition of
@@ -33,7 +33,7 @@ from math import gcd
 import numpy as np
 
 from . import core_words
-from .core_words import GENERATORS, is_alternating, is_cyclically_alternating, kappa
+from .core_words import GENERATORS, KAPPA, is_alternating, kappa
 from .errors import SizeLimitError
 
 JUMP_SETS = {"a": "a", "b": "CD", "c": "BD", "d": "BC"}
@@ -80,24 +80,24 @@ def check_circular(letters: str) -> None:
     and alternating when read cyclically, across the end as well."""
     if not letters:
         raise ValueError("circular word must be nonempty")
-    if not is_cyclically_alternating(letters):
+    # a lone letter doubles to a pair that does not alternate
+    if not is_alternating(letters + letters[0]):
         raise ValueError(f"{letters!r} is not cyclically alternating")
 
 
-def star_step(letters: str, j: int, g: str, circular: bool = False) -> int:
-    """The jump rule: where generator ``g`` moves a star at position ``j``.
+def star_step(letters: str, j: int, g: str) -> int:
+    """The jump rule: where generator ``g`` moves a star at position ``j``
+    in [0, len].
 
     The star jumps right across ``letters[j]`` if it is in the jump set
     of ``g``, else left across ``letters[j - 1]`` if that is, else stays.
-    Linear positions run over [0, len], circular ones wrap in [0, len).
     """
     jumps = JUMP_SETS[g]
-    n = len(letters)
-    if j < n and letters[j] in jumps:
-        j += 1
-    elif (j > 0 or circular) and letters[j - 1] in jumps:
-        j -= 1
-    return j % n if circular else j
+    if j < len(letters) and letters[j] in jumps:
+        return j + 1
+    if j > 0 and letters[j - 1] in jumps:
+        return j - 1
+    return j
 
 
 def jump_generator(g: str, s: StarredWord) -> StarredWord:
@@ -207,7 +207,7 @@ def side_by_side_windings(rings: list[str], t: int | None = None) -> list[list[i
     Z2 * Z2^2 and the Klein relators, checked first, hold there.
 
     kappa^k(r) is never expanded: its table under the tables P is that
-    of r under the kappa-images P'_a = P_a P_c P_a, P'_b = P_d,
+    of r under the images of :data:`KAPPA`, P'_a = P_a P_c P_a, P'_b = P_d,
     P'_c = P_b, P'_d = P_c.  A seed is the square of the square of its
     root.  Both are exact, by associativity of the composition.
 
@@ -219,12 +219,13 @@ def side_by_side_windings(rings: list[str], t: int | None = None) -> list[list[i
     on the disjoint union of the rings' covers.
 
     Every ring passes :func:`check_circular`, so its lifts are bijections
-    of its cover and kappa maps its tables within a finite set: a row
-    stops at the first level whose tables on its ring repeat an earlier
-    level's, as its ring alone does, and the pass ends when every row
-    has stopped.  Kappa only rotates the tables of b, c and d, which
-    differ on every such ring, so (k mod 3, the ring's a-table) keys a
-    level's four tables exactly.
+    of its cover and kappa maps its tables within a finite set.  Each
+    level's relators are read into the rows still live, and one rule
+    stops a row: its first None, or the first level whose tables on its
+    ring repeat an earlier level's, as its ring alone does.  The pass
+    ends when no row is live.  Kappa only rotates the tables of b, c
+    and d, which differ on every such ring, so (k mod 3, the ring's
+    a-table) keys a level's four tables exactly.
     """
     if t is not None and t < 0:
         raise ValueError("t must be non-negative")
@@ -242,33 +243,32 @@ def side_by_side_windings(rings: list[str], t: int | None = None) -> list[list[i
         lifts = lifts + offsets + lifts // lengths * (total - lengths)
     perms = dict(zip(GENERATORS, lifts))
     identity = np.arange(total, dtype=np.int64)
-    # ring i's bytes of an int64 table, and the repeat keys of its levels
-    bounds = [8 * start for start in starts] + [8 * total]
-    seen = [set() for _ in rings]
-    shifts = []  # per level, for each relator the gcd of R(x) - x on each row
-    ends: list[int | None] = [None] * len(rings)  # the relators each row reads
+    rows: list[list[int | None]] = [[] for _ in rings]
+    live = set(range(len(rings)))  # the rows still reading
+    seen = [set() for _ in rings]  # the repeat keys of each row's levels
     relators = [word_star_permutation(relator, perms) for relator in _KLEIN_RELATORS]
     for k in count():
-        read = len(_KLEIN_RELATORS) + len(_SEED_ROOTS) * k
-        shifts.append(np.gcd.reduceat(np.array(relators) - identity, starts, axis=1))
         # the windings of a row are all integers iff the gcd of its shifts
         # is a multiple of N, and their gcd is then that gcd over N
-        residues = shifts[-1] % total
-        if np.count_nonzero(residues):
-            for i in np.flatnonzero(residues.any(axis=0)).tolist():
-                ends[i] = ends[i] or read
-        if None not in ends or k - 1 == t:  # or the kappa^t seeds were the last
+        shifts = np.gcd.reduceat(np.array(relators) - identity, starts, axis=1).T.tolist()
+        for i in list(live):
+            for shift in shifts[i]:
+                if shift % total:
+                    rows[i].append(None)
+                    live.remove(i)
+                    break
+                rows[i].append(shift // total)
+        if not live or k - 1 == t:  # or the kappa^t seeds were the last
             break
         if k:  # replace the tables by their kappa-images
-            perms = {"a": word_star_permutation("aca", perms),
-                     "b": perms["d"], "c": perms["b"], "d": perms["c"]}
-        a_table = perms["a"].tobytes()
-        for i, ring_seen in enumerate(seen):
-            key = (k % 3, a_table[bounds[i] : bounds[i + 1]])
-            if key in ring_seen:
-                ends[i] = ends[i] or read
-            ring_seen.add(key)
-        if None not in ends:
+            perms = {g: perms[image] if image in perms else word_star_permutation(image, perms)
+                     for g, image in KAPPA.items()}
+        for i in list(live):
+            key = (k % 3, perms["a"][starts[i] : starts[i] + sizes[i]].tobytes())
+            if key in seen[i]:
+                live.remove(i)
+            seen[i].add(key)
+        if not live:
             break
         relators = []
         for root in _SEED_ROOTS:
@@ -276,15 +276,6 @@ def side_by_side_windings(rings: list[str], t: int | None = None) -> list[list[i
             for _ in range(2):
                 power = word_star_permutation("xx", {"x": power})
             relators.append(power)
-    rows = []
-    for row, end in zip(np.concatenate(shifts).T.tolist(), ends):
-        windings = []
-        for shift in row[:end]:
-            if shift % total:
-                windings.append(None)
-                break
-            windings.append(shift // total)
-        rows.append(windings)
     return rows
 
 

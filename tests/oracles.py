@@ -26,7 +26,8 @@ serialised by ``json.dumps`` and line by line in DOT, where the library
 assembles each export in one join.  The tree action is read from the
 leading block of ones of each vertex, one bit string at a time, where the
 library follows the sections of the wreath recursion.  The expanded
-kappa^k, the fixed point of the letterwise substitution tau, the cocycle
+kappa^k, the jump rule read across the end of a circular word, the fixed
+point of the letterwise substitution tau, the cocycle
 evaluation that checks its pieces partition the neighborhoods, and the
 length-by-length comparison of two SFT languages are references the
 tests read and the library does not need.
@@ -47,12 +48,12 @@ from starshift.errors import MarginExhaustedError, SizeLimitError
 from starshift.full_group import CocyclePiece
 from starshift.gray_factor import natural_decomposition, phi
 from starshift.jump_action import (
+    JUMP_SETS,
     check_circular,
     circular_jump_permutation,
     linear_jump_permutation,
     relation_set,
 )
-from starshift.jump_action import star_step
 from starshift.subshift import BLANK, PseudoOrbitReport, ZSft
 
 PLACEMENT_HOST = 16  # placements are occurrences in w_16
@@ -474,6 +475,22 @@ def free_reduce_by_stack(word: str) -> str:
         if cur is not None:
             out.append(cur)
     return "".join(out)
+
+
+def star_step(letters: str, j: int, g: str, circular: bool = False) -> int:
+    """The jump rule: where generator ``g`` moves a star at position ``j``.
+
+    The star jumps right across ``letters[j]`` if it is in the jump set
+    of ``g``, else left across ``letters[j - 1]`` if that is, else stays.
+    Linear positions run over [0, len], circular ones wrap in [0, len).
+    """
+    jumps = JUMP_SETS[g]
+    n = len(letters)
+    if j < n and letters[j] in jumps:
+        j += 1
+    elif (j > 0 or circular) and letters[j - 1] in jumps:
+        j -= 1
+    return j % n if circular else j
 
 
 def apply_word_by_steps(word: str, x) -> tuple[str, int, int]:

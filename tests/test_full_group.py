@@ -133,6 +133,20 @@ class TestApplyWord:
         assert (out.letters, out.origin, out.margin) == expected
         assert calls == {"tables": 1, "window": 1, "validated": 0}
 
+    def test_one_table_per_letter_of_the_word(self, monkeypatch):
+        letters = build_w(12)
+        win = Window(letters, len(letters) // 2)
+        built = []
+        table = fg.linear_jump_permutation
+        monkeypatch.setattr(
+            fg, "linear_jump_permutation", lambda *args: built.append(args) or table(*args)
+        )
+        assert fg.apply_generator("b", win).origin == apply_word_by_steps("b", win)[1]
+        assert [g for _, g in built] == ["b"]
+        built.clear()
+        fg.apply_word("abab", win)
+        assert sorted(g for _, g in built) == ["a", "b"]
+
 
 class TestShift:
     def test_examples(self):

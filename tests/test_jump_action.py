@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    evaluate_cocycle, kappa_iter, moving_relator_by_cover, relator_fixes_all_starrings
+    evaluate_cocycle, kappa_iter, moving_relator_by_cover, relator_fixes_all_starrings,
+    star_step,
 )
 from starshift import full_group as fg, jump_action as ja, subshift
 from starshift.cli import main
@@ -86,7 +87,7 @@ class TestStarStep:
             letters = ring(n) * p
             for g in "abcd":
                 expected = [
-                    ja.star_step(letters, j, g, circular=True)
+                    star_step(letters, j, g, circular=True)
                     for j in range(len(letters))
                 ]
                 assert ja.circular_jump_permutation(letters, g).tolist() == expected
@@ -97,7 +98,7 @@ class TestStarStep:
             for letters in map("".join, itertools.product("aBCD", repeat=length)):
                 for g in "abcd":
                     linear = [ja.star_step(letters, j, g) for j in range(length + 1)]
-                    circular = [ja.star_step(letters, j, g, True) for j in range(length)]
+                    circular = [star_step(letters, j, g, True) for j in range(length)]
                     assert ja.linear_jump_permutation(letters, g).tolist() == linear
                     assert ja.circular_jump_permutation(letters, g).tolist() == circular
 
@@ -119,12 +120,23 @@ class TestCircular:
         with pytest.raises(ValueError, match="must be nonempty"):
             check_circular("")
 
+    def test_alternates_across_the_end(self):
+        # every pair of cyclic neighbors, a lone letter its own neighbor
+        for length in range(1, 7):
+            for letters in map("".join, itertools.product("aBCD", repeat=length)):
+                pairs = zip(letters, letters[1:] + letters[0])
+                if all((x == "a") != (y == "a") for x, y in pairs):
+                    check_circular(letters)
+                else:
+                    with pytest.raises(ValueError, match="not cyclically alternating"):
+                        check_circular(letters)
+
     def test_examples(self):
-        assert ja.star_step("aD", 0, "a", circular=True) == 1
+        assert star_step("aD", 0, "a", circular=True) == 1
         # the left neighbor of position 0 is the last letter D
-        assert ja.star_step("aD", 0, "b", circular=True) == 1
-        assert ja.star_step("aD", 1, "c", circular=True) == 0
-        assert ja.star_step("aD", 1, "d", circular=True) == 1
+        assert star_step("aD", 0, "b", circular=True) == 1
+        assert star_step("aD", 1, "c", circular=True) == 0
+        assert star_step("aD", 1, "d", circular=True) == 1
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_quotient_of_double_cover(self, n):
@@ -134,8 +146,8 @@ class TestCircular:
         double = base * 2
         for g in "abcd":
             for star in range(len(double)):
-                lifted = ja.star_step(double, star, g, circular=True)
-                projected = ja.star_step(base, star % len(base), g, circular=True)
+                lifted = star_step(double, star, g, circular=True)
+                projected = star_step(base, star % len(base), g, circular=True)
                 assert lifted % len(base) == projected
 
 
