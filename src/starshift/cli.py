@@ -88,7 +88,7 @@ def _check_recursion(max_n: int) -> bool:
 
 
 def _check_conjugacy(max_n: int) -> bool:
-    for n in range(1, min(max_n, 14) + 1):
+    for n in range(1, min(max_n, tree_action.DEPTH_CAP) + 1):
         codes = gray_factor.phi(n).codes
         w = core_words.build_w(n)
         if len(w) != 2**n - 1:  # the tables would not index the 2^n codes
@@ -102,7 +102,7 @@ def _check_conjugacy(max_n: int) -> bool:
 
 
 def _check_gray_tables(max_n: int) -> bool:
-    for n in range(1, min(max_n, 16) + 1):
+    for n in range(1, min(max_n, gray_factor.GRAY_CAP) + 1):
         codes = gray_factor.phi(n).codes
         diffs = codes[:-1] ^ codes[1:]
         ok = (

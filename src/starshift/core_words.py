@@ -42,13 +42,6 @@ _GENERATOR_SET = frozenset(GENERATORS)
 # b, c, d -> B: a group word is freely reduced iff the image alternates
 _KLEIN_TO_B = str.maketrans("bcd", "BBB")
 
-# Products of distinct non-trivial elements of Z2^2.
-_KLEIN_PRODUCT = {
-    ("b", "c"): "d", ("c", "b"): "d",
-    ("b", "d"): "c", ("d", "b"): "c",
-    ("c", "d"): "b", ("d", "c"): "b",
-}
-
 # the substitution kappa, letter by letter; the relator check applies it to tables
 KAPPA = {"a": "aca", "b": "d", "c": "b", "d": "c"}
 
@@ -59,7 +52,8 @@ def _check_letters(word: str) -> None:
         raise ValueError(f"invalid letter {ch!r}; expected one of {LETTERS}")
 
 
-def _check_generators(word: str) -> None:
+def check_generators(word: str) -> None:
+    """Raise ValueError at the first character of a group word that is not a generator."""
     if not _GENERATOR_SET >= set(word):
         ch = next(ch for ch in word if ch not in _GENERATOR_SET)
         raise ValueError(f"invalid generator {ch!r}; expected one of {GENERATORS}")
@@ -133,30 +127,24 @@ def free_reduce(word: str) -> str:
     length-increasing.  A reduced word, in which `a` and the letters of
     Z2^2 alternate, is returned as it is after one check of that.
     """
-    _check_generators(word)
+    check_generators(word)
     if _alternates(word.translate(_KLEIN_TO_B)):
         return word
-    out: list[str] = []
+    out: list[str] = []  # freely reduced after every letter
     for g in word:
-        cur: str | None = g
-        while cur is not None and out:
-            top = out[-1]
-            if top == cur:
-                out.pop()
-                cur = None
-            elif top != "a" and cur != "a":
-                out.pop()
-                cur = _KLEIN_PRODUCT[top, cur]
-            else:
-                break
-        if cur is not None:
-            out.append(cur)
+        top = out[-1] if out else ""
+        if top == g:
+            out.pop()
+        elif top not in ("", "a") and g != "a":  # two distinct letters of Z2^2
+            out[-1] = "bcd".replace(top, "").replace(g, "")  # multiply to the third
+        else:
+            out.append(g)
     return "".join(out)
 
 
 def kappa(word: str) -> str:
     """Substitution a -> aca, b -> d, c -> b, d -> c, then free reduction."""
-    _check_generators(word)
+    check_generators(word)
     return free_reduce("".join(KAPPA[g] for g in word))
 
 

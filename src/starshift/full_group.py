@@ -30,7 +30,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .core_words import (
-    GENERATORS, LETTERS, is_alternating, language_contains, lex_key
+    GENERATORS, LETTERS, check_generators, is_alternating, language_contains, lex_key
 )
 from .errors import MarginExhaustedError, ReconstructionError, SizeLimitError
 from .jump_action import (
@@ -163,7 +163,9 @@ def apply_word(word: str, x: Window) -> Window:
     The walk reads the jump tables of the word's letters on the excerpt
     within the reach of the word: no more moves than letters, and no
     more than the margin allows.  One window is built, at the end.
+    A letter other than a, b, c, d raises ValueError before any move.
     """
+    check_generators(word)
     reach = min(x.margin, len(word))
     at, margin = _walk(_reach_tables(x, reach, set(word)), word, reach, x.margin)
     return _window(x.letters, x.origin - reach + at, margin)

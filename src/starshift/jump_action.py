@@ -238,9 +238,8 @@ def side_by_side_windings(rings: list[str], t: int | None = None) -> list[list[i
     starts = list(accumulate(sizes[:-1], initial=0))
     lifts = np.array([np.concatenate([circular_jump_lift(ring, g) for ring in rings])
                       for g in GENERATORS])
-    if len(rings) > 1:  # a lone ring (N = L, offset 0) is its own encoding
-        offsets, lengths = np.repeat(starts, sizes), np.repeat(sizes, sizes)
-        lifts = lifts + offsets + lifts // lengths * (total - lengths)
+    offsets, lengths = np.repeat(starts, sizes), np.repeat(sizes, sizes)
+    lifts = lifts + offsets + lifts // lengths * (total - lengths)
     perms = dict(zip(GENERATORS, lifts))
     identity = np.arange(total, dtype=np.int64)
     rows: list[list[int | None]] = [[] for _ in rings]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import product
 
@@ -341,20 +341,10 @@ class PseudoOrbitReport:
         return self.in_approximation and self.action_well_defined and self.outside_language
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha": self.alpha,
-            "period": self.period,
-            "window_length": self.window_length,
-            "checks": {
-                "in_approximation": self.in_approximation,
-                "action_well_defined": self.action_well_defined,
-                "outside_language": self.outside_language,
-            },
-            "minimal_failing_length": self.minimal_failing_length,
-            "failing_word": self.failing_word,
-            "all_passed": self.all_passed,
-        }
+        fields = asdict(self)
+        checks = ("in_approximation", "action_well_defined", "outside_language")
+        fields["checks"] = {name: fields.pop(name) for name in checks}
+        return {**fields, "all_passed": self.all_passed}
 
 
 def pseudo_orbit_demo(n: int, t: int | None = None) -> PseudoOrbitReport:

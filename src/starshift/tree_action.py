@@ -7,15 +7,17 @@ string).  The generators act by the wreath recursion
 
 `a` flips the first bit, and each of b, c, d keeps the first bit and
 acts on the rest by its section below that bit (the first or the
-second entry of the pair).  :data:`SECTIONS` is that table, and both the
-action on one string and the level permutation tables are read from it.
-
-Word-sized computations (triviality tests, quadrant supports) go
-through cached permutation tables on whole levels.
+second entry of the pair).  :data:`SECTIONS` is that table; the action
+on one string, the level tables and the word predicates read it.  The
+predicates build no table: a reduced word swaps the two subtrees or not
+and acts below them by its two reduced sections, which G, contracting,
+keeps to at most ceil(l/2) of its l >= 2 letters, so triviality is
+decided exactly.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -23,9 +25,9 @@ import numpy as np
 from .core_words import GENERATORS, free_reduce
 from .errors import NotLevelTwoTrivialError, SizeLimitError
 
-# The sections of b, c, d below a first bit 0 and 1; None is the identity.
+# The sections of b, c, d below a first bit 0 and 1; "" is the identity.
 # `a` has trivial sections and swaps the two subtrees.
-SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": (None, "b")}
+SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
 
 DEPTH_CAP = 20
 
@@ -48,7 +50,7 @@ def act_generator(g: str, v: str) -> str:
         if g == "a":
             return v[:i] + ("1" if bit == "0" else "0") + v[i + 1 :]
         g = SECTIONS[g][int(bit)]
-        if g is None:
+        if not g:
             break
     return v
 
@@ -65,10 +67,10 @@ def _check_depth(m: int) -> None:
         raise SizeLimitError(f"level {m} exceeds the depth cap {DEPTH_CAP}")
 
 
-def _level_table(g: str | None, m: int) -> np.ndarray:
-    # the table of g (None is the identity) at level m, from the tables of
+def _level_table(g: str, m: int) -> np.ndarray:
+    # the table of g ("" is the identity) at level m, from the tables of
     # its sections at level m - 1: one chain of levels, so no cache needed
-    if g is None or m == 0:
+    if not g or m == 0:
         return np.arange(1 << m, dtype=np.int64)
     half = 1 << (m - 1)
     if g == "a":
@@ -110,35 +112,54 @@ def word_permutation(word: str, m: int) -> np.ndarray:
     return perm
 
 
+def _step(word: str) -> tuple[bool, tuple[str, str]]:
+    # whether a group word swaps the subtrees (an odd number of `a`), and
+    # its reduced sections below a first bit 0 and 1; the word acts
+    # right-to-left, so a letter meets the bit flipped by the `a`s to its right
+    swaps = right = word.count("a") % 2
+    sections: tuple[list[str], list[str]] = ([], [])
+    for g in word:
+        if g == "a":
+            right ^= 1
+        else:
+            sections[right].append(SECTIONS[g][0])
+            sections[1 - right].append(SECTIONS[g][1])
+    return swaps == 1, (free_reduce("".join(sections[0])), free_reduce("".join(sections[1])))
+
+
+def _moves(word: str, m: float) -> bool:
+    # whether a reduced word moves a vertex of level m (of any, for m = inf):
+    # sections shrink from two letters on, and a generator meets `a` along
+    # its first non-trivial section (b, c -> a; d -> 1, b)
+    if not word or m < 1:
+        return False
+    swaps, sections = _step(word)
+    return swaps or any(_moves(section, m - 1) for section in sections)
+
+
 def is_trivial_up_to_depth(word: str, m: int) -> bool:
-    """Whether a group word fixes every vertex of level m.
+    """Whether a group word fixes every vertex of level m, read from its
+    sections down to level m; m has no cap.
 
     Fixing level m fixes all shallower levels too, so this is a
     semi-decision for triviality: a True answer is only a necessary
-    condition, no depth is claimed sufficient.  Levels above DEPTH_CAP
-    raise SizeLimitError, from :func:`word_permutation`.
+    condition, no depth is claimed sufficient.
     """
     if m < 1:
         raise ValueError("depth must be positive")
-    perm = word_permutation(word, m)
-    return bool(np.array_equal(perm, np.arange(1 << m)))
+    return not _moves(free_reduce(word), m)
 
 
-def quadrant_support(word: str, depth: int) -> set[str]:
-    """Two-bit prefixes below which the word moves some level-`depth` vertex.
-
-    The word must fix the first two levels pointwise; the result is a
-    depth-bounded approximation of its decomposition into the four
-    rigid stabilizers of the second level.  Depths above DEPTH_CAP raise
-    SizeLimitError before the first two levels are checked.
+def quadrant_support(word: str) -> set[str]:
+    """The two-bit prefixes whose section of the word is not the identity:
+    its exact decomposition into the four rigid stabilizers of the second
+    level.  Words moving a vertex of level 1 or 2 raise NotLevelTwoTrivialError.
     """
-    if depth < 2:
-        raise ValueError("depth must be at least 2")
-    _check_depth(depth)
-    if not np.array_equal(word_permutation(word, 2), np.arange(4)):
+    swaps, halves = _step(free_reduce(word))
+    steps = [_step(half) for half in halves]
+    if swaps or steps[0][0] or steps[1][0]:
         raise NotLevelTwoTrivialError(
             f"word {word!r} does not fix the first two tree levels pointwise"
         )
-    perm = word_permutation(word, depth)
-    moved = np.nonzero(perm != np.arange(1 << depth))[0]
-    return {format(int(v) >> (depth - 2), "02b") for v in moved}
+    return {f"{x}{y}" for x, (_, quarters) in enumerate(steps)
+            for y, quarter in enumerate(quarters) if _moves(quarter, math.inf)}

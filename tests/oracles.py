@@ -25,7 +25,10 @@ generator, where the library reads the jump tables, and they are
 serialised by ``json.dumps`` and line by line in DOT, where the library
 assembles each export in one join.  The tree action is read from the
 leading block of ones of each vertex, one bit string at a time, where the
-library follows the sections of the wreath recursion.  The expanded
+library follows the sections of the wreath recursion, and a word's
+triviality up to a level and quadrant support from its table on a whole
+level, composed from those one letter at a time, where the library reads
+its sections one level at a time and builds no table.  The expanded
 kappa^k, the jump rule read across the end of a circular word, the fixed
 point of the letterwise substitution tau, the cocycle
 evaluation that checks its pieces partition the neighborhoods, and the
@@ -572,3 +575,34 @@ def level_permutation_by_bits(g: str, m: int) -> np.ndarray:
         [int(act_generator_by_residue(g, format(v, f"0{m}b")), 2) for v in range(1 << m)],
         dtype=np.int64,
     )
+
+
+@lru_cache(maxsize=None)
+def _level_table_by_bits(g: str, m: int) -> np.ndarray:
+    table = level_permutation_by_bits(g, m)
+    table.setflags(write=False)
+    return table
+
+
+def word_permutation_by_bits(word: str, m: int) -> np.ndarray:
+    """The permutation of {0,1}^m under a group word, composed
+    right-to-left one letter at a time from :func:`level_permutation_by_bits`."""
+    perm = np.arange(1 << m, dtype=np.int64)
+    for g in reversed(word):
+        perm = _level_table_by_bits(g, m)[perm]
+    return perm
+
+
+def tree_moves_by_table(word: str, depth: int) -> tuple[int | None, set[str]]:
+    """Read from the table of a group word on level ``depth``
+    (:func:`word_permutation_by_bits`): the least level at which it moves
+    a vertex, None if it fixes level ``depth``, and the two-bit prefixes
+    of the vertices it moves there.  The word fixes level m <= depth iff
+    that level is None or above m, and the prefixes are its quadrant
+    support once ``depth`` is deep enough for the word."""
+    moved = word_permutation_by_bits(word, depth) ^ np.arange(1 << depth)
+    if not moved.any():
+        return None, set()
+    least = depth + 1 - int(moved.max()).bit_length()  # the first bit that differs
+    quadrants = np.unique(np.nonzero(moved)[0] >> (depth - 2))
+    return least, {format(int(q), "02b") for q in quadrants}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import periodic_points_by_product
-from starshift import cli, core_words, gray_factor, jump_action, subshift
+from starshift import cli, core_words, gray_factor, jump_action, subshift, tree_action
 from starshift.cli import main
 
 
@@ -109,6 +109,23 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-n", "6")
         assert code == 1
         assert f"{check:16s} FAIL" in out
+
+    @pytest.mark.parametrize("check, module, name, mutant", [
+        # the tree tables of b and c trade places at level 17 only
+        ("conjugacy", tree_action, "level_permutation",
+         lambda real: lambda g, m: real({"b": "c", "c": "b"}.get(g, g) if m == 17 else g, m)),
+        # the first two star positions trade their codes at n = 17 only
+        ("gray-tables", gray_factor, "phi",
+         lambda real: lambda n: gray_factor.GrayTable(n, real(n).codes[[1, 0, *range(2, 2**n)]])
+         if n == 17 else real(n)),
+    ], ids=["conjugacy", "gray-tables"])
+    def test_checks_reach_past_level_16(self, capsys, monkeypatch, check, module, name, mutant):
+        # both checks run to --max-n, up to the caps of their tables
+        monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+        code, out, _ = run(capsys, "verify", "--max-n", "14")
+        assert code == 0 and f"{check:16s} PASS" in out
+        code, out, _ = run(capsys, "verify", "--max-n", "17")
+        assert code == 1 and f"{check:16s} FAIL" in out
 
     def test_conjugacy_fails_on_a_word_of_the_wrong_length(self, capsys, monkeypatch):
         # w_n alpha: one star position more than phi(n) has codes

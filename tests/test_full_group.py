@@ -147,6 +147,13 @@ class TestApplyWord:
         fg.apply_word("abab", win)
         assert sorted(g for _, g in built) == ["a", "b"]
 
+    @pytest.mark.parametrize("word, margin", [("x", 0), ("x", 3), ("abXa", 3), ("B", 3)])
+    def test_a_letter_outside_the_generators_is_refused(self, word, margin):
+        win = Window(build_w(5), margin, margin)
+        bad = next(g for g in word if g not in "abcd")
+        with pytest.raises(ValueError, match=f"invalid generator {bad!r}"):
+            fg.apply_word(word, win)
+
 
 class TestShift:
     def test_examples(self):

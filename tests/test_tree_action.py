@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import act_generator_by_residue, kappa_iter, level_permutation_by_bits
+from oracles import (
+    act_generator_by_residue,
+    kappa_iter,
+    level_permutation_by_bits,
+    tree_moves_by_table,
+)
 from starshift import tree_action as ta
 from starshift.errors import NotLevelTwoTrivialError, SizeLimitError
 from starshift.jump_action import relation_set
@@ -106,9 +111,89 @@ class TestTrivialityTest:
             assert ta.is_trivial_up_to_depth(kappa_iter("adadadad", k), 10)
             assert ta.is_trivial_up_to_depth(kappa_iter("adacac" * 4, k), 10)
 
-    def test_cap(self):
-        with pytest.raises(SizeLimitError):
-            ta.is_trivial_up_to_depth("ab", 21)
+    def test_no_depth_cap(self):
+        # no table is built, so a level beyond the tables' cap is answered
+        assert ta.is_trivial_up_to_depth(kappa_iter("adadadad", 5), 64)
+        assert not ta.is_trivial_up_to_depth("ab", 64)
+
+
+def _seeded_words(count: int = 60, seed: int = 16) -> list[str]:
+    """Random words, conjugates u r u^-1 of relators (trivial and not
+    reduced), and the same with one letter dropped."""
+    rng = np.random.default_rng(seed)
+    relators = relation_set(3)
+    words = []
+    for _ in range(count):
+        u = "".join(rng.choice(list("abcd"), size=int(rng.integers(0, 12))))
+        r = relators[int(rng.integers(len(relators)))]
+        conjugate = u + r + u[::-1]  # every generator is an involution
+        drop = int(rng.integers(len(conjugate)))
+        words += ["".join(rng.choice(list("abcd"), size=int(rng.integers(0, 40)))),
+                  conjugate, conjugate[:drop] + conjugate[drop + 1 :]]
+    return words
+
+
+def _disagreements(words: list[str], depth: int) -> list[str]:
+    """The words on which the section recursion and the table of level
+    ``depth`` differ: on triviality up to each level m <= depth, or on the
+    quadrant support of a word fixing level 2."""
+    out = []
+    for word in words:
+        least, support = tree_moves_by_table(word, depth)
+        fixed = [least is None or least > m for m in range(1, depth + 1)]
+        try:
+            exact = ta.quadrant_support(word)
+        except NotLevelTwoTrivialError:
+            exact = None
+        if (
+            [ta.is_trivial_up_to_depth(word, m) for m in range(1, depth + 1)] != fixed
+            or exact != (support if fixed[1] else None)
+        ):
+            out.append(word)
+    return out
+
+
+class TestSectionRecursion:
+    """The word predicates against whole-level tables of the bit oracle."""
+
+    def test_matches_the_tables_on_seeded_words(self):
+        words = _seeded_words()
+        assert len(words) == 180 and _disagreements(words, 16) == []
+        # trivial words, and non-trivial words fixing level 2 that act
+        # below some quadrants only
+        trivial = [w for w in words if ta.is_trivial_up_to_depth(w, 16)]
+        assert 0 < len(trivial) < len(words)
+        level_two = [w for w in words if ta.is_trivial_up_to_depth(w, 2)]
+        assert any(0 < len(ta.quadrant_support(w)) < 4 for w in level_two)
+
+    def test_matches_the_tables_on_the_relators(self):
+        assert _disagreements(relation_set(8), 16) == []
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_kappa_iterates_are_trivial_exactly(self, k):
+        for seed in ("ad" * 4, "adacac" * 4):
+            word = kappa_iter(seed, k)
+            # fixes level 2 and every section there is trivial: exactly trivial
+            assert ta.quadrant_support(word) == set()
+            assert word[0] == "a"
+            with pytest.raises(NotLevelTwoTrivialError):  # one `a` less swaps the root
+                ta.quadrant_support(word[1:])
+
+    def test_a_mutant_section_table_is_caught(self, monkeypatch):
+        # d = (b, 1) in place of (1, b): the conjugate a d a
+        monkeypatch.setattr(ta, "SECTIONS", {**ta.SECTIONS, "d": ta.SECTIONS["d"][::-1]})
+        assert _disagreements(_seeded_words(), 9) != []
+        assert ta.quadrant_support("d") == {"00", "01"}
+
+    def test_no_table_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        for name in ("word_permutation", "level_permutation", "_level_table"):
+            monkeypatch.setattr(ta, name, refuse)
+        assert ta.is_trivial_up_to_depth(kappa_iter("adacac" * 4, 4), 13)
+        assert not ta.is_trivial_up_to_depth("adacac" * 4 + "a", 13)
+        assert ta.quadrant_support("adad") == {"00", "01", "10", "11"}
 
 
 def test_stabilizer_examples():
@@ -142,18 +227,14 @@ def test_level_transitivity(m):
 
 class TestQuadrantSupport:
     def test_identity(self):
-        assert ta.quadrant_support("", 6) == set()
-        assert ta.quadrant_support("aa", 6) == set()
+        assert ta.quadrant_support("") == set()
+        assert ta.quadrant_support("aa") == set()
 
     def test_precondition(self):
         with pytest.raises(NotLevelTwoTrivialError):
-            ta.quadrant_support("a", 6)
+            ta.quadrant_support("a")
         with pytest.raises(NotLevelTwoTrivialError):
-            ta.quadrant_support("b", 6)
-
-    def test_depth_cap_comes_before_the_precondition(self):
-        with pytest.raises(SizeLimitError):
-            ta.quadrant_support("a", 21)
+            ta.quadrant_support("b")
 
     def test_adad_against_string_oracle(self):
         # independent oracle: walk every level-6 vertex through act_word
@@ -163,10 +244,14 @@ class TestQuadrantSupport:
             if ta.act_word("adad", v) != v
         }
         assert moved == {"00", "01", "10", "11"}
-        assert ta.quadrant_support("adad", 6) == moved
+        assert ta.quadrant_support("adad") == moved
 
     def test_trivial_word_empty(self):
-        assert ta.quadrant_support("adadadad", 8) == set()
+        assert ta.quadrant_support("adadadad") == set()
+
+    def test_a_generator_acts_below_two_quadrants(self):
+        # d = (1, b) and b = (a, c)
+        assert ta.quadrant_support("d") == {"10", "11"}
 
 
 def test_word_permutation_consistent_with_act_word():
@@ -183,8 +268,7 @@ def test_word_permutation_consistent_with_act_word():
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: ta.is_trivial_up_to_depth("aa", 0), ValueError, "depth must be positive"),
-    (lambda: ta.quadrant_support("aa", 1), ValueError, "depth must be at least 2"),
-], ids=["is_trivial_up_to_depth", "quadrant_support"])
+], ids=["is_trivial_up_to_depth"])
 def test_argument_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
