@@ -119,7 +119,7 @@ def _check_gray_tables(max_n: int) -> bool:
 
 
 def _check_factor_tower(max_n: int) -> bool:
-    m = min(max(max_n, 5), 10)  # w_5 is the least word with a depth-1 window
+    m = min(max(max_n, 5), 12)  # w_5 has the least depth-1 window; w_13 takes 2 s
     letters = core_words.build_w(m)
     for origin in range(2**m):
         window = Window(letters, origin)

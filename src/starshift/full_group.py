@@ -22,7 +22,6 @@ indexed by its star position.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -272,9 +271,9 @@ class SchreierGraph:
     def to_json(self) -> str:
         """The graph as ``json.dumps(payload, indent=2, sort_keys=True)``
         of ``{"edges", "marked", "vertices"}`` plus a newline, written
-        directly: each name is quoted once, not once per edge endpoint."""
-        names = {self.marked, *self.vertices, *(x for e in self.edges for x in e)}
-        quoted = {name: json.dumps(name) for name in names}
+        directly: names are starred words over ``aBCD*`` and generators,
+        and edge ends are vertices, so each is quoted once, between ``"``."""
+        quoted = {name: '"' + name + '"' for name in (*self.vertices, *GENERATORS)}
         # an item of an array of the top-level object opens with "\n    ",
         # after a comma from the second on; a nonempty array closes on "\n  ]"
         parts = ['{\n  "edges": [']
@@ -283,8 +282,8 @@ class SchreierGraph:
             parts += (sep, quoted[src], ",\n      ", quoted[label], ",\n      ",
                       quoted[dst], "\n    ]")
             sep = ",\n    [\n      "
-        parts += ("\n  ]" if self.edges else "]", ',\n  "marked": ', quoted[self.marked],
-                  ',\n  "vertices": [')
+        parts += ("\n  ]" if self.edges else "]", ',\n  "marked": "', self.marked,
+                  '",\n  "vertices": [')
         sep = "\n    "
         for v in self.vertices:
             parts += (sep, quoted[v])

@@ -7,12 +7,12 @@ phi_n backwards with a 0 appended, mirroring the palindrome structure
 of w_{n+1} = w_n alpha w_n.
 
 In the fixed point the natural w_n blocks start at the indices that are
-1 mod 2^n, so on windows the factor map reads the index of the first
-letter modulo 2^m from :func:`core_words.phase`: the w_{k+1} block at
-the origin gives a star position, whose Gray code leads with the first
-k bits of the tree vertex.  Whenever the letters do not fix the index
-modulo 2^{k+1}, or that block is not fully visible, the operations raise
-MarginExhaustedError rather than guess.
+1 mod 2^n, so on windows the factor map is a sliding block code: the
+index modulo 2^{k+1} of the letters within 2^{k+2} of the origin
+(:func:`core_words.phase`) gives the origin's star position in the
+w_{k+1} block there, whose Gray code leads with the first k bits of the
+tree vertex.  Whenever the letters do not fix that index, or that block
+is not fully visible, the operations raise MarginExhaustedError.
 """
 
 from __future__ import annotations
@@ -69,61 +69,52 @@ def phi(n: int) -> GrayTable:
     return GrayTable(n=n, codes=_phi_codes(n))
 
 
-def natural_decomposition(x: Window, n: int) -> list[int]:
-    """Start offsets of the natural w_n blocks fully visible in a window.
+def natural_decomposition(x: Window, n: int) -> int:
+    """Start offset of the natural w_n block that holds the origin.
 
-    The blocks start where the index in the fixed point is 1 mod 2^n, so
-    the letters must fix the index of the window's first letter modulo
-    2^n (:func:`core_words.phase`); otherwise, or when no block is fully
-    visible, MarginExhaustedError is raised.
+    The blocks start where the index is 1 mod 2^n, which any 2^{n+1}
+    consecutive letters fix: :func:`core_words.phase` reads only those
+    within 2^{n+1} of the origin.  When they do not fix it, or the block
+    is not fully visible, MarginExhaustedError is raised.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    r, m = phase(x.letters)
+    span = 2**n
+    first = max(0, x.origin - 2 * span)
+    r, m = phase(x.letters[first : x.origin + 2 * span])
     if m < n:
         raise MarginExhaustedError(
             f"window too small to identify the natural w_{m + 1} blocks"
         )
-    span = 2**n
-    offsets = list(range((1 - r) % span, len(x.letters) - span + 2, span))
-    if not offsets:
-        raise MarginExhaustedError(f"no full w_{n} block visible in the window")
-    return offsets
+    # the index of the letter at the origin, less 1, modulo the span
+    start = x.origin - (r + x.origin - first - 1) % span
+    if start < 0 or start + span - 1 > len(x.letters):
+        raise MarginExhaustedError(
+            f"the w_{n} block at the origin is not fully inside the window"
+        )
+    return start
 
 
 def psi_tower(k_max: int, x: Window) -> list[str]:
     """``[psi(k, x) for k in 1..k_max]`` from the natural w_{k_max+1}
-    blocks of :func:`natural_decomposition`.
-
-    All natural blocks of one level start at offsets congruent modulo
-    their span, so ``at``, the index of the letter at the origin less 1,
-    is known modulo 2^{k_max+1} from the origin and the first offset.
-    At each k the block at the origin starts at the offset o with
-    o = origin - (at mod 2^{k+1}), and the value is read off its star
-    position.  The block of level k_max contains those of every lower
-    level, so the tower raises exactly when ``psi(k_max, x)`` does.
+    block of :func:`natural_decomposition`: the origin at its star
+    position ``at`` sits at position ``at mod 2^{k+1}`` of the w_{k+1}
+    block inside it, so the tower raises exactly when ``psi(k_max, x)``
+    does.
     """
     if k_max < 1:
         raise ValueError("k must be positive")
-    offsets = natural_decomposition(x, k_max + 1)
-    span = 2 ** (k_max + 1)
-    at = x.origin - offsets[0]
-    if not offsets[0] <= x.origin - at % span <= offsets[-1]:
-        raise MarginExhaustedError(
-            f"the w_{k_max + 1} block at the origin is not fully inside the window"
-        )
+    at = x.origin - natural_decomposition(x, k_max + 1)
     return [phi(k + 1).bits(at % 2 ** (k + 1))[:k] for k in range(1, k_max + 1)]
 
 
 def psi(k: int, x: Window) -> str:
-    """First k coordinates of the tree vertex underneath a window.
-
-    Locates the natural w_{k+1} block at the origin (the unique one
-    whose span [i, i + 2^{k+1} - 2] satisfies i <= 0 and ends at -1 or
-    later, the origin sitting just left of position 0) and returns the
-    first k bits of its Gray code: the last value of :func:`psi_tower`.
-    A margin of 2^{k+2} letters on each side of the origin always
-    suffices; smaller windows may raise MarginExhaustedError.
+    """First k coordinates of the tree vertex underneath a window: the
+    first k bits of the Gray code of the origin's star position in the
+    natural w_{k+1} block that holds it, the last value of
+    :func:`psi_tower`.  A margin of 2^{k+2} letters on each side of the
+    origin always suffices; smaller windows may raise
+    MarginExhaustedError.
     """
     return psi_tower(k, x)[-1]
 

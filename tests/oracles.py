@@ -14,10 +14,12 @@ the shift's own language is a substring search in a host w_{n+3}, the
 words of one length are that host's factors, where the library lists
 the factors of the three pairs w_n alpha w_n, and the factor map is
 read from where a window's letters occur in w_16, where the library
-parses the letters instead; the tower of factor-map values is read one
-k at a time from the offsets of the natural blocks.  Least rotations
-are chosen among all rotations by their tuples of ranks, where the
-library reaches them as necklaces.  Group words are reduced letter by
+parses the letters near the origin instead; the natural blocks are
+listed from a parse of the whole window, where the library places the
+one at the origin, and the tower of factor-map values is read one k at
+a time from that listing.  Least rotations are chosen among all
+rotations by their tuples of ranks, where the library reaches them as
+necklaces.  Group words are reduced letter by
 letter on a stack, where the library first checks whether they already
 are, window walks fold single jump moves with the margin rule applied
 at every step, orbit graphs are joined one jump move per position and
@@ -45,11 +47,12 @@ from typing import Sequence
 import numpy as np
 
 from starshift.core_words import (
-    GENERATORS, WORD_CAP, alpha_choice, build_w, free_reduce, is_alternating, kappa, lex_key
+    GENERATORS, WORD_CAP, alpha_choice, build_w, free_reduce, is_alternating, kappa, lex_key,
+    phase,
 )
 from starshift.errors import MarginExhaustedError, SizeLimitError
 from starshift.full_group import CocyclePiece
-from starshift.gray_factor import natural_decomposition, phi
+from starshift.gray_factor import phi
 from starshift.jump_action import (
     JUMP_SETS,
     check_circular,
@@ -296,18 +299,35 @@ def psi_by_placement(x, k: int) -> set[str]:
     }
 
 
-def psi_by_offsets(k: int, x) -> str:
-    """First k Gray bits of the vertex below the window's origin, read
-    from the one natural w_{k+1} block among all visible ones that holds
-    the origin; raises MarginExhaustedError when the letters do not fix
-    the blocks or that block is not fully visible."""
-    offsets = natural_decomposition(x, k + 1)
-    central = [o for o in offsets if 0 <= x.origin - o < 2 ** (k + 1)]
+def natural_blocks_by_listing(x, n: int) -> list[int]:
+    """Start offsets of every natural w_n block fully visible in a window,
+    from :func:`core_words.phase` of all its letters; MarginExhaustedError
+    when they do not fix the index of the first letter modulo 2^n."""
+    r, m = phase(x.letters)
+    if m < n:
+        raise MarginExhaustedError(
+            f"window too small to identify the natural w_{m + 1} blocks"
+        )
+    span = 2**n
+    return list(range((1 - r) % span, len(x.letters) - span + 2, span))
+
+
+def central_block_by_listing(x, n: int) -> int:
+    """The one listed natural w_n block that holds the origin; raises
+    MarginExhaustedError when the letters do not fix the blocks or no
+    listed block holds the origin."""
+    central = [o for o in natural_blocks_by_listing(x, n) if 0 <= x.origin - o < 2**n]
     if not central:
         raise MarginExhaustedError(
-            f"the w_{k + 1} block at the origin is not fully inside the window"
+            f"the w_{n} block at the origin is not fully inside the window"
         )
-    return phi(k + 1).bits(x.origin - central[0])[:k]
+    return central[0]
+
+
+def psi_by_offsets(k: int, x) -> str:
+    """First k Gray bits of the vertex below the window's origin, read
+    from the listed natural w_{k+1} block that holds the origin."""
+    return phi(k + 1).bits(x.origin - central_block_by_listing(x, k + 1))[:k]
 
 
 def blocks_by_placement(x, n: int) -> set[tuple[int, ...]]:

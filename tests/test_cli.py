@@ -127,6 +127,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-n", "17")
         assert code == 1 and f"{check:16s} FAIL" in out
 
+    def test_factor_tower_reaches_depth_8(self, capsys, monkeypatch):
+        # the right-hand one of a window and its mirror reads complemented
+        # bits at depths 7 and 8 only: the deepest towers of w_10 have
+        # depth 6, those of w_12 depth 8
+        tower = gray_factor.psi_tower
+        flip = str.maketrans("01", "10")
+        monkeypatch.setattr(gray_factor, "psi_tower", lambda k, x: [
+            v if depth < 7 or 2 * x.origin < len(x.letters) else v.translate(flip)
+            for depth, v in enumerate(tower(k, x), start=1)
+        ])
+        code, out, _ = run(capsys, "verify", "--max-n", "10")
+        assert code == 0 and "factor-tower     PASS" in out
+        code, out, _ = run(capsys, "verify", "--max-n", "12")
+        assert code == 1 and "factor-tower     FAIL" in out
+
     def test_conjugacy_fails_on_a_word_of_the_wrong_length(self, capsys, monkeypatch):
         # w_n alpha: one star position more than phi(n) has codes
         build = core_words.build_w

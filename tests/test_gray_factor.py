@@ -4,7 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from oracles import PLACEMENT_BITS, blocks_by_placement, psi_by_offsets, psi_by_placement
+from oracles import (
+    PLACEMENT_BITS, blocks_by_placement, central_block_by_listing, natural_blocks_by_listing,
+    psi_by_offsets, psi_by_placement,
+)
 from starshift import gray_factor as gf, jump_action as ja, tree_action as ta
 from starshift.core_words import build_w
 from starshift.errors import MarginExhaustedError, SizeLimitError
@@ -62,17 +65,39 @@ def test_conjugacy_between_jump_and_tree(n):
         assert np.array_equal(codes[jump], tree[codes])
 
 
+def _value_or_message(fn, *args):
+    try:
+        return fn(*args)
+    except MarginExhaustedError as exc:
+        return str(exc)
+
+
+def _seeded_slices_of_w14(seed, count):
+    rng = random.Random(seed)
+    host = build_w(14)
+    for _ in range(count):
+        width = rng.choice([rng.randrange(1, 40), rng.randrange(40, 600)])
+        start = rng.randrange(len(host) - width + 1)
+        yield Window(host[start : start + width], rng.randrange(width + 1))
+
+
 class TestNaturalDecomposition:
     def test_examples(self):
-        assert gf.natural_decomposition(Window(build_w(3), 3), 2) == [0, 4]
-        assert gf.natural_decomposition(Window(build_w(4), 7), 3) == [0, 8]
-        assert gf.natural_decomposition(Window(build_w(4), 7), 1) == list(range(0, 15, 2))
+        assert gf.natural_decomposition(Window(build_w(3), 3), 2) == 0
+        assert gf.natural_decomposition(Window(build_w(4), 7), 3) == 0
+        assert gf.natural_decomposition(Window(build_w(4), 8), 3) == 8
+        assert gf.natural_decomposition(Window(build_w(4), 7), 1) == 6
 
     def test_block_content(self):
-        win = Window(build_w(5), 15)
-        for n in range(1, 5):
-            for o in gf.natural_decomposition(win, n):
-                assert win.letters[o : o + 2**n - 1] == build_w(n)
+        letters = build_w(5)
+        for origin in range(len(letters) + 1):
+            for n in range(1, 5):
+                try:
+                    o = gf.natural_decomposition(Window(letters, origin), n)
+                except MarginExhaustedError:
+                    continue
+                assert 0 <= origin - o < 2**n
+                assert letters[o : o + 2**n - 1] == build_w(n)
 
     def test_ambiguous_window_raises(self):
         # w_3 alone cannot tell whether its right half starts a new block
@@ -82,6 +107,36 @@ class TestNaturalDecomposition:
     def test_too_small_raises(self):
         with pytest.raises(MarginExhaustedError):
             gf.natural_decomposition(Window("aDa", 1), 2)
+
+    def _check(self, win, n_top):
+        # the offset is the listed block that holds the origin, and the
+        # refusals are the listing's, word for word
+        for n in range(1, n_top + 1):
+            assert _value_or_message(gf.natural_decomposition, win, n) == _value_or_message(
+                central_block_by_listing, win, n
+            ), (win, n)
+
+    def test_every_origin_of_w10(self):
+        letters = build_w(10)
+        for origin in range(len(letters) + 1):
+            self._check(Window(letters, origin), 10)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_slices_of_w14(self, seed):
+        for win in _seeded_slices_of_w14(seed, 150):
+            self._check(win, 9)
+
+    def test_reads_only_near_the_origin(self, monkeypatch):
+        # a sliding block code: the parse sees the letters within 2^(n+1)
+        # of the origin, not the whole window
+        parsed = []
+        real = gf.phase
+        monkeypatch.setattr(gf, "phase", lambda word: parsed.append(len(word)) or real(word))
+        win = Window(build_w(14), 2**13)
+        for n in range(1, 11):
+            parsed.clear()
+            gf.natural_decomposition(win, n)
+            assert parsed and max(parsed) <= 2 ** (n + 2), (n, parsed)
 
 
 class TestPsi:
@@ -127,14 +182,24 @@ class TestPsi:
         factors = {host[s : s + n] for n in lengths for s in range(len(host) - n + 1)}
         for letters in sorted(factors):
             win = Window(letters, 0)
-            for n in range(1, 7):
+            blocks = {n: blocks_by_placement(win, n) for n in range(1, 7)}
+            for n in blocks:
+                # the listing reference itself
                 try:
-                    offsets = gf.natural_decomposition(win, n)
+                    offsets = natural_blocks_by_listing(win, n)
                 except MarginExhaustedError:
                     continue
-                assert blocks_by_placement(win, n) == {tuple(offsets)}, (letters, n)
+                assert blocks[n] == {tuple(offsets)}, (letters, n)
+            # the offsets of a block on every placement
+            agreed = {n: set.intersection(*map(set, found)) for n, found in blocks.items()}
             for origin in range(len(letters) + 1):
                 win = Window(letters, origin)
+                for n in blocks:
+                    try:
+                        o = gf.natural_decomposition(win, n)
+                    except MarginExhaustedError:
+                        continue
+                    assert 0 <= origin - o < 2**n and o in agreed[n], (letters, origin, n)
                 for k in range(1, 6):
                     try:
                         value = gf.psi(k, win)
@@ -144,24 +209,13 @@ class TestPsi:
 
     def test_agreement_with_conjugacy_table(self):
         # when the window is a starring of w_m with the central block
-        # visible, psi reads off a prefix of the phi code of that block
+        # visible, psi reads off a prefix of the phi code of that block;
+        # the natural blocks of w_m start at the multiples of 2^(k+1)
         m, k = 6, 3
         letters = build_w(m)
         for origin in range(2 ** (k + 2), len(letters) - 2 ** (k + 2)):
-            win = Window(letters, origin)
-            offsets = gf.natural_decomposition(win, k + 1)
-            central = [
-                o for o in offsets if o - origin <= 0 and o - origin + 2 ** (k + 1) - 2 >= -1
-            ]
-            expected = gf.phi(k + 1).bits(origin - central[0])[:k]
-            assert gf.psi(k, win) == expected
-
-
-def _value_or_message(fn, k, x):
-    try:
-        return fn(k, x)
-    except MarginExhaustedError as exc:
-        return str(exc)
+            expected = gf.phi(k + 1).bits(origin % 2 ** (k + 1))[:k]
+            assert gf.psi(k, Window(letters, origin)) == expected
 
 
 class TestPsiTower:
@@ -188,12 +242,7 @@ class TestPsiTower:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_seeded_slices_of_w14(self, seed):
-        rng = random.Random(seed)
-        host = build_w(14)
-        for _ in range(150):
-            width = rng.choice([rng.randrange(1, 40), rng.randrange(40, 600)])
-            start = rng.randrange(len(host) - width + 1)
-            win = Window(host[start : start + width], rng.randrange(width + 1))
+        for win in _seeded_slices_of_w14(seed, 150):
             self._check(win, 8)
 
     def test_bad_depth(self):

@@ -73,6 +73,25 @@ def test_walk_does_not_revalidate(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: ja.star_step("aDa", 1, g),
+    lambda g: ja.jump_generator(g, StarredWord("aDa", 1)),
+    lambda g: ja.linear_jump_permutation("aDa", g),
+    lambda g: ja.circular_jump_lift("aD", g),
+    lambda g: ja.circular_jump_permutation("aD", g),
+], ids=["star_step", "jump_generator", "linear", "lift", "circular"])
+@pytest.mark.parametrize("g", ["x", "B", "", "ab"])
+def test_the_jump_rule_refuses_a_non_generator(call, g):
+    with pytest.raises(ValueError, match="generator"):
+        call(g)
+
+
+@pytest.mark.parametrize("word", ["x", "abx", "aB"])
+def test_jump_word_refuses_a_non_generator(word):
+    with pytest.raises(ValueError, match="invalid generator"):
+        ja.jump_word(word, StarredWord("aDa", 1))
+
+
 class TestStarStep:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_linear_table_is_star_step_everywhere(self, n):
