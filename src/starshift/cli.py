@@ -95,7 +95,7 @@ def _check_conjugacy(max_n: int) -> bool:
             return False
         for g in "abcd":
             jumps = jump_action.linear_jump_permutation(w, g)
-            trees = tree_action.level_permutation(g, n)
+            trees = tree_action.word_permutation(g, n)
             if not np.array_equal(codes[jumps], trees[codes]):
                 return False
     return True

@@ -46,17 +46,26 @@ _KLEIN_TO_B = str.maketrans("bcd", "BBB")
 KAPPA = {"a": "aca", "b": "d", "c": "b", "d": "c"}
 
 
+def _check_symbols(word: str, kind: str, alphabet: str, allowed: frozenset[str]) -> None:
+    if not allowed >= set(word):
+        ch = next(ch for ch in word if ch not in allowed)
+        raise ValueError(f"invalid {kind} {ch!r}; expected one of {alphabet}")
+
+
 def _check_letters(word: str) -> None:
-    if not _LETTER_SET >= set(word):
-        ch = next(ch for ch in word if ch not in _LETTER_SET)
-        raise ValueError(f"invalid letter {ch!r}; expected one of {LETTERS}")
+    _check_symbols(word, "letter", LETTERS, _LETTER_SET)
 
 
 def check_generators(word: str) -> None:
     """Raise ValueError at the first character of a group word that is not a generator."""
-    if not _GENERATOR_SET >= set(word):
-        ch = next(ch for ch in word if ch not in _GENERATOR_SET)
-        raise ValueError(f"invalid generator {ch!r}; expected one of {GENERATORS}")
+    _check_symbols(word, "generator", GENERATORS, _GENERATOR_SET)
+
+
+def check_generator(g: str) -> None:
+    """Raise ValueError unless ``g`` is exactly one generator."""
+    check_generators(g)
+    if len(g) != 1:
+        raise ValueError(f"expected one generator, got {g!r}")
 
 
 def rank_table(alphabet: str | tuple[str, ...]) -> dict[int, str]:

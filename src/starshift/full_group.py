@@ -29,7 +29,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .core_words import (
-    GENERATORS, LETTERS, check_generators, is_alternating, language_contains, lex_key
+    GENERATORS, LETTERS, check_generator, check_generators, is_alternating, language_contains,
+    lex_key,
 )
 from .errors import MarginExhaustedError, ReconstructionError, SizeLimitError
 from .jump_action import (
@@ -125,7 +126,9 @@ def generator_cocycle(g: str) -> tuple[CocyclePiece, ...]:
 
 
 def apply_generator(g: str, x: Window) -> Window:
-    """Move the origin of a window by one generator's jump rule."""
+    """Move the origin of a window by one generator's jump rule; anything
+    but one of a, b, c, d raises ValueError."""
+    check_generator(g)
     return apply_word(g, x)
 
 

@@ -33,7 +33,7 @@ from math import gcd
 import numpy as np
 
 from . import core_words
-from .core_words import GENERATORS, KAPPA, check_generators, is_alternating, kappa
+from .core_words import GENERATORS, KAPPA, check_generator, is_alternating, kappa
 from .errors import SizeLimitError
 
 JUMP_SETS = {"a": "a", "b": "CD", "c": "BD", "d": "BC"}
@@ -85,12 +85,6 @@ def check_circular(letters: str) -> None:
         raise ValueError(f"{letters!r} is not cyclically alternating")
 
 
-def _check_generator(g: str) -> None:
-    check_generators(g)
-    if len(g) != 1:
-        raise ValueError(f"expected one generator, got {g!r}")
-
-
 def star_step(letters: str, j: int, g: str) -> int:
     """The jump rule: where generator ``g`` moves a star at position ``j``
     in [0, len].
@@ -99,7 +93,7 @@ def star_step(letters: str, j: int, g: str) -> int:
     of ``g``, else left across ``letters[j - 1]`` if that is, else stays.
     A ``g`` other than one of a, b, c, d raises ValueError.
     """
-    _check_generator(g)
+    check_generator(g)
     jumps = JUMP_SETS[g]
     if j < len(letters) and letters[j] in jumps:
         return j + 1
@@ -127,7 +121,7 @@ _JUMP_MASKS = {g: bytes(chr(i) in js for i in range(256)) for g, js in JUMP_SETS
 def _jump_table(padded: str, g: str) -> np.ndarray:
     """:func:`star_step` at every position, vectorised: position j has
     ``padded[j]`` on its left and ``padded[j + 1]`` on its right."""
-    _check_generator(g)
+    check_generator(g)
     hit = np.frombuffer(padded.encode("ascii").translate(_JUMP_MASKS[g]), dtype=np.int8)
     left, right = hit[:-1], hit[1:]
     return np.arange(len(right), dtype=np.int64) + (right - (left > right))

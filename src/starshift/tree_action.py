@@ -7,12 +7,14 @@ string).  The generators act by the wreath recursion
 
 `a` flips the first bit, and each of b, c, d keeps the first bit and
 acts on the rest by its section below that bit (the first or the
-second entry of the pair).  :data:`SECTIONS` is that table; the action
-on one string, the level tables and the word predicates read it.  The
-predicates build no table: a reduced word swaps the two subtrees or not
-and acts below them by its two reduced sections, which G, contracting,
-keeps to at most ceil(l/2) of its l >= 2 letters, so triviality is
-decided exactly.
+second entry of the pair).  :data:`SECTIONS` is that table, and one
+step reads it: a reduced word swaps the two subtrees or not and acts
+below them by its two reduced sections, which G, contracting, keeps to
+at most ceil(l/2) of its l >= 2 letters.  The action on a bit string
+follows the sections along its bits; the table of a word at level m,
+one generator or many letters alike, is the tables of its two sections
+at level m - 1 side by side, with no per-letter composition; and the
+word predicates build no table, so triviality is decided exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core_words import GENERATORS, free_reduce
+from .core_words import check_generator, free_reduce
 from .errors import NotLevelTwoTrivialError, SizeLimitError
 
 # The sections of b, c, d below a first bit 0 and 1; "" is the identity.
@@ -38,80 +40,6 @@ def _check_bits(v: str) -> None:
             raise ValueError(f"invalid bit {ch!r}")
 
 
-def act_generator(g: str, v: str) -> str:
-    """Apply one generator to a bit string; the length is preserved.
-
-    The walk follows the sections along the bits of ``v`` until it meets
-    `a`, which flips the bit below it, or the identity."""
-    _check_bits(v)
-    if g != "a" and g not in SECTIONS:
-        raise ValueError(f"unknown generator {g!r}")
-    for i, bit in enumerate(v):
-        if g == "a":
-            return v[:i] + ("1" if bit == "0" else "0") + v[i + 1 :]
-        g = SECTIONS[g][int(bit)]
-        if not g:
-            break
-    return v
-
-
-def act_word(word: str, v: str) -> str:
-    """Apply a group word right-to-left, the identity word acting trivially."""
-    for g in reversed(word):
-        v = act_generator(g, v)
-    return v
-
-
-def _check_depth(m: int) -> None:
-    if m > DEPTH_CAP:
-        raise SizeLimitError(f"level {m} exceeds the depth cap {DEPTH_CAP}")
-
-
-def _level_table(g: str, m: int) -> np.ndarray:
-    # the table of g ("" is the identity) at level m, from the tables of
-    # its sections at level m - 1: one chain of levels, so no cache needed
-    if not g or m == 0:
-        return np.arange(1 << m, dtype=np.int64)
-    half = 1 << (m - 1)
-    if g == "a":
-        return np.arange(1 << m, dtype=np.int64) ^ half
-    s0, s1 = SECTIONS[g]
-    return np.concatenate([_level_table(s0, m - 1), _level_table(s1, m - 1) + half])
-
-
-@lru_cache(maxsize=None)
-def level_permutation(g: str, m: int) -> np.ndarray:
-    """Permutation of {0,1}^m induced by a generator.
-
-    Vertices are encoded as integers with the first bit of the string as
-    the most significant bit.  The table is read from the sections: `a`
-    swaps the two halves, and a generator with sections (s0, s1) maps
-    the first half by the table of s0 at level m - 1 and the second half
-    by that of s1.  Levels above DEPTH_CAP raise SizeLimitError before
-    any table is built.
-    """
-    if len(g) != 1 or g not in GENERATORS:  # GENERATORS is a string
-        raise ValueError(f"unknown generator {g!r}")
-    if m < 0:
-        raise ValueError("level must be non-negative")
-    _check_depth(m)
-    perm = _level_table(g, m)
-    perm.setflags(write=False)  # cached and shared, keep callers honest
-    return perm
-
-
-def word_permutation(word: str, m: int) -> np.ndarray:
-    """Permutation of {0,1}^m induced by a group word (right-to-left).
-
-    Levels above DEPTH_CAP raise SizeLimitError before any table is built.
-    """
-    _check_depth(m)
-    perm = np.arange(1 << m, dtype=np.int64)
-    for g in reversed(free_reduce(word)):
-        perm = level_permutation(g, m)[perm]
-    return perm
-
-
 def _step(word: str) -> tuple[bool, tuple[str, str]]:
     # whether a group word swaps the subtrees (an odd number of `a`), and
     # its reduced sections below a first bit 0 and 1; the word acts
@@ -125,6 +53,66 @@ def _step(word: str) -> tuple[bool, tuple[str, str]]:
             sections[right].append(SECTIONS[g][0])
             sections[1 - right].append(SECTIONS[g][1])
     return swaps == 1, (free_reduce("".join(sections[0])), free_reduce("".join(sections[1])))
+
+
+def act_word(word: str, v: str) -> str:
+    """Apply a group word right-to-left to a bit string; the length is
+    preserved.  Each bit is flipped if the current section swaps the
+    subtrees, and the walk goes on with the section below that bit,
+    until the section is the identity."""
+    _check_bits(v)
+    word = free_reduce(word)
+    out = []
+    for i, bit in enumerate(v):
+        if not word:
+            return "".join(out) + v[i:]
+        swaps, sections = _step(word)
+        out.append("10"[int(bit)] if swaps else bit)
+        word = sections[int(bit)]
+    return "".join(out)
+
+
+def _check_depth(m: int) -> None:
+    if m > DEPTH_CAP:
+        raise SizeLimitError(f"level {m} exceeds the depth cap {DEPTH_CAP}")
+
+
+def _level_table(word: str, m: int) -> np.ndarray:
+    # the table of a reduced word at level m: the tables of its two
+    # sections at level m - 1 side by side, the halves traded if it swaps
+    if not word or m == 0:
+        return np.arange(1 << m, dtype=np.int64)
+    swaps, (s0, s1) = _step(word)
+    half = 1 << (m - 1)
+    table = np.concatenate([_level_table(s0, m - 1), _level_table(s1, m - 1) + half])
+    return table ^ half if swaps else table
+
+
+@lru_cache(maxsize=None)
+def level_permutation(g: str, m: int) -> np.ndarray:
+    """Permutation of {0,1}^m induced by a generator.
+
+    Vertices are encoded as integers with the first bit of the string as
+    the most significant bit.  Levels above DEPTH_CAP raise
+    SizeLimitError before any table is built.
+    """
+    check_generator(g)
+    if m < 0:
+        raise ValueError("level must be non-negative")
+    _check_depth(m)
+    perm = _level_table(g, m)
+    perm.setflags(write=False)  # cached and shared, keep callers honest
+    return perm
+
+
+def word_permutation(word: str, m: int) -> np.ndarray:
+    """Permutation of {0,1}^m induced by a group word (right-to-left),
+    read from its sections like the table of one generator.
+
+    Levels above DEPTH_CAP raise SizeLimitError before any table is built.
+    """
+    _check_depth(m)
+    return _level_table(free_reduce(word), m)
 
 
 def _moves(word: str, m: float) -> bool:

@@ -585,6 +585,14 @@ def act_generator_by_residue(g: str, v: str) -> str:
     return v[:i] + ("1" if v[i] == "0" else "0") + v[i + 1 :]
 
 
+def act_word_by_residue(word: str, v: str) -> str:
+    """A group word on a bit string, right-to-left one letter at a time
+    by :func:`act_generator_by_residue`, with no reduction."""
+    for g in reversed(word):
+        v = act_generator_by_residue(g, v)
+    return v
+
+
 def level_permutation_by_bits(g: str, m: int) -> np.ndarray:
     """The permutation of {0,1}^m under one generator, each vertex
     written out as a bit string (first bit most significant) and moved

@@ -112,7 +112,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("check, module, name, mutant", [
         # the tree tables of b and c trade places at level 17 only
-        ("conjugacy", tree_action, "level_permutation",
+        ("conjugacy", tree_action, "word_permutation",
          lambda real: lambda g, m: real({"b": "c", "c": "b"}.get(g, g) if m == 17 else g, m)),
         # the first two star positions trade their codes at n = 17 only
         ("gray-tables", gray_factor, "phi",

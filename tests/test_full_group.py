@@ -76,6 +76,12 @@ class TestApplyGenerator:
         moved = fg.apply_generator("d", win)
         assert moved.origin == 4 and moved.margin == 1
 
+    @pytest.mark.parametrize("g", ["ab", "", "x"])
+    def test_refuses_a_non_generator(self, g):
+        # a word of two letters, or none, is not one generator's jump rule
+        with pytest.raises(ValueError, match="generator"):
+            fg.apply_generator(g, Window(build_w(5), 15))
+
     def test_margin_exhausted(self):
         with pytest.raises(MarginExhaustedError):
             fg.apply_generator("a", Window("aDaCaDa", 0))

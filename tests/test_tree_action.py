@@ -6,9 +6,11 @@ from hypothesis import given, strategies as st
 
 from oracles import (
     act_generator_by_residue,
+    act_word_by_residue,
     kappa_iter,
     level_permutation_by_bits,
     tree_moves_by_table,
+    word_permutation_by_bits,
 )
 from starshift import tree_action as ta
 from starshift.errors import NotLevelTwoTrivialError, SizeLimitError
@@ -18,37 +20,37 @@ bits = st.text(alphabet="01", min_size=0, max_size=12)
 
 
 def test_generator_examples():
-    assert ta.act_generator("a", "01") == "11"
-    assert ta.act_generator("b", "010") == "000"
-    assert ta.act_generator("d", "010") == "010"
-    assert ta.act_generator("c", "1101") == "1100"  # n=2, alpha at index 3 flips
+    assert ta.act_word("a", "01") == "11"
+    assert ta.act_word("b", "010") == "000"
+    assert ta.act_word("d", "010") == "010"
+    assert ta.act_word("c", "1101") == "1100"  # n=2, alpha at index 3 flips
 
 
 def test_word_examples():
     for v in ("", "0", "10", "0110", "111101"):
         assert ta.act_word("aa", v) == v
     assert ta.act_word("bcd", "0110") == "0110"
-    assert ta.act_word("ad", "1110") == ta.act_generator("a", ta.act_generator("d", "1110"))
+    assert ta.act_word("ad", "1110") == ta.act_word("a", ta.act_word("d", "1110"))
 
 
 @given(st.sampled_from("abcd"), bits)
 def test_generators_are_involutions(g, v):
-    assert ta.act_generator(g, ta.act_generator(g, v)) == v
+    assert ta.act_word(g, ta.act_word(g, v)) == v
 
 
 @given(st.sampled_from("abcd"), bits, st.text(alphabet="01", max_size=4))
 def test_prefix_equivariance(g, v, tail):
     # the first |v| bits of the image depend only on the first |v| bits
-    assert ta.act_generator(g, v + tail)[: len(v)] == ta.act_generator(g, v)
+    assert ta.act_word(g, v + tail)[: len(v)] == ta.act_word(g, v)
 
 
-def test_permutations_match_act_generator():
+def test_permutations_match_act_word():
     for m in range(1, 9):
         for g in "abcd":
             perm = ta.level_permutation(g, m)
             for v in range(1 << m):
                 s = format(v, f"0{m}b")
-                assert ta.act_generator(g, s) == format(int(perm[v]), f"0{m}b")
+                assert ta.act_word(g, s) == format(int(perm[v]), f"0{m}b")
 
 
 class TestWreathRecursion:
@@ -63,7 +65,7 @@ class TestWreathRecursion:
         for length in range(13):
             for v in map("".join, itertools.product("01", repeat=length)):
                 for g in "abcd":
-                    assert ta.act_generator(g, v) == act_generator_by_residue(g, v), (g, v)
+                    assert ta.act_word(g, v) == act_generator_by_residue(g, v), (g, v)
 
     def test_tables_are_cached_and_read_only(self):
         perm = ta.level_permutation("b", 6)
@@ -77,10 +79,9 @@ class TestWreathRecursion:
                 ta.level_permutation(g, 3)
         with pytest.raises(ValueError):
             ta.level_permutation("a", -1)
-        with pytest.raises(ValueError):
-            ta.act_generator("x", "01")
-        with pytest.raises(ValueError):
-            ta.act_generator("a", "02")
+        for word, v in (("x", "01"), ("a", "02"), ("", "02")):
+            with pytest.raises(ValueError):
+                ta.act_word(word, v)
 
     @pytest.mark.parametrize("m", [ta.DEPTH_CAP + 1, 64])
     def test_depth_cap_comes_before_any_table(self, m, monkeypatch):
@@ -182,8 +183,19 @@ class TestSectionRecursion:
     def test_a_mutant_section_table_is_caught(self, monkeypatch):
         # d = (b, 1) in place of (1, b): the conjugate a d a
         monkeypatch.setattr(ta, "SECTIONS", {**ta.SECTIONS, "d": ta.SECTIONS["d"][::-1]})
-        assert _disagreements(_seeded_words(), 9) != []
+        words = _seeded_words()
+        assert _disagreements(words, 9) != []
         assert ta.quadrant_support("d") == {"00", "01"}
+        # the tables and the string action read the same sections; the
+        # cached level_permutation is bypassed
+        assert not np.array_equal(ta.word_permutation("d", 3), word_permutation_by_bits("d", 3))
+        assert any(
+            not np.array_equal(ta.word_permutation(w, 6), word_permutation_by_bits(w, 6))
+            for w in words
+        )
+        strings = ["".join(v) for v in itertools.product("01", repeat=4)]
+        assert ta.act_word("d", "000") == "001"
+        assert any(ta.act_word(w, v) != act_word_by_residue(w, v) for w in words for v in strings)
 
     def test_no_table_is_built(self, monkeypatch):
         def refuse(*args):
@@ -198,7 +210,7 @@ class TestSectionRecursion:
 
 def test_stabilizer_examples():
     def fixers(v):
-        return {g for g in "abcd" if ta.act_generator(g, v) == v}
+        return {g for g in "abcd" if ta.act_word(g, v) == v}
 
     assert fixers("111") == {"b", "c", "d"}
     assert fixers("011") == {"d"}
@@ -264,6 +276,49 @@ def test_word_permutation_consistent_with_act_word():
         for v in range(1 << m):
             s = format(v, f"0{m}b")
             assert ta.act_word(word, s) == format(int(perm[v]), f"0{m}b")
+
+
+def _oracle_words(count: int = 100, seed: int = 23) -> list[str]:
+    """Seeded words of up to 40 letters, not reduced."""
+    rng = np.random.default_rng(seed)
+    return ["".join(rng.choice(list("abcd"), size=int(rng.integers(0, 41))))
+            for _ in range(count)]
+
+
+def _kappa_words() -> list[str]:
+    """The kappa iterates k <= 4 of the two seeds, trivial, and their
+    first halves, which are not."""
+    words = [kappa_iter(seed, k) for seed in ("ad" * 4, "adacac" * 4) for k in range(5)]
+    return words + [w[: len(w) // 2] for w in words]
+
+
+class TestWordsAgainstTheOracles:
+    """Word tables and the string action, read from sections, against
+    the bit and residue oracles composed one letter at a time."""
+
+    @pytest.mark.parametrize("m", range(11))
+    def test_word_tables_on_seeded_words(self, m):
+        for word in _oracle_words():
+            table = ta.word_permutation(word, m)
+            assert np.array_equal(table, word_permutation_by_bits(word, m)), word
+
+    def test_string_action_on_seeded_words(self):
+        rng = np.random.default_rng(29)
+        short = ["".join(v) for n in range(5) for v in itertools.product("01", repeat=n)]
+        for word in _oracle_words():
+            strings = short + ["".join(rng.choice(list("01"), size=int(rng.integers(5, 11))))
+                               for _ in range(24)]
+            for v in strings:
+                assert ta.act_word(word, v) == act_word_by_residue(word, v), (word, v)
+
+    def test_kappa_words_at_level_16(self):
+        rng = np.random.default_rng(31)
+        strings = ["".join(rng.choice(list("01"), size=16)) for _ in range(64)]
+        for word in _kappa_words():
+            table = ta.word_permutation(word, 16)
+            assert np.array_equal(table, word_permutation_by_bits(word, 16)), word
+            for v in strings:
+                assert ta.act_word(word, v) == act_word_by_residue(word, v), (word, v)
 
 
 @pytest.mark.parametrize("call, error, message", [
