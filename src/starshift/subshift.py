@@ -8,7 +8,10 @@ order-blocks as edges.  After trimming states without incoming or
 outgoing edges, bi-infinite paths through the automaton are exactly the
 configurations, so language queries reduce to path enumeration, and
 periodic points to the closed paths that spell a necklace, walked once
-per orbit from its origin state.
+per orbit from its origin state.  The trimmed automaton, its prenecklace
+states and the gcd of its cycle lengths are functions of the blocks
+alone, built once per distinct block set and shared, in a bounded cache,
+by every ZSft with those blocks.
 
 Alphabet symbols are single characters and words are strings, matching
 the rest of the package.
@@ -19,8 +22,10 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
+from math import gcd
+from typing import NamedTuple
 
 from . import core_words
 from .core_words import language_contains, language_words, rank_table
@@ -30,6 +35,9 @@ from .jump_action import moving_relator
 APPROXIMATION_CAP = 256
 PERIOD_CAP = 64
 _ENUM_CAP = 1 << 22  # largest alphabet**order we are willing to enumerate
+# distinct block sets whose follower graph stays cached: a round of the
+# aperiodicity scans for p <= 16 visits 18 orders
+_GRAPH_CACHE = 32
 
 BLANK = "_"
 
@@ -48,10 +56,12 @@ class ZSft:
         for sym in self.alphabet:
             if len(sym) != 1:
                 raise ValueError(f"alphabet symbols must be single characters: {sym!r}")
-        letters = set(self.alphabet)
-        for w in self.blocks:
-            if len(w) != self.order or not set(w) <= letters:
-                raise ValueError(f"bad admissible block {w!r}")
+        # one pass for the lengths, one count per letter for the letters
+        letters, joined = set(self.alphabet), "".join(self.blocks)
+        lengths_bad = set(map(len, self.blocks)) - {self.order}
+        if lengths_bad or sum(map(joined.count, letters)) != len(joined):
+            bad = next(w for w in self.blocks if len(w) != self.order or set(w) - letters)
+            raise ValueError(f"bad admissible block {bad!r}")
 
     @classmethod
     def from_forbidden(
@@ -78,24 +88,12 @@ class ZSft:
         return cls(tuple(alphabet), order, frozenset(blocks))
 
     @cached_property
+    def _graph(self) -> _FollowerGraph:
+        return _follower_graph(self.alphabet, self.blocks)
+
+    @property
     def _automaton(self) -> dict[str, dict[str, str]]:
-        trans: dict[str, dict[str, str]] = {}
-        for w in self.blocks:
-            trans.setdefault(w[:-1], {})[w[-1]] = w[1:]
-            trans.setdefault(w[1:], {})
-        # keep only states on bi-infinite paths
-        while True:
-            with_in = {t for edges in trans.values() for t in edges.values()}
-            dead = [
-                s for s, edges in trans.items() if not edges or s not in with_in
-            ]
-            if not dead:
-                return trans
-            for s in dead:
-                del trans[s]
-            for edges in trans.values():
-                for c in [c for c, t in edges.items() if t not in trans]:
-                    del edges[c]
+        return self._graph.trans
 
     @property
     def is_empty(self) -> bool:
@@ -107,23 +105,6 @@ class ZSft:
         from the enumeration that :meth:`from_forbidden` filters."""
         words = _order_words(self.alphabet, self.order)
         return tuple(sorted(u for u in words if u not in self.blocks))
-
-    @cached_property
-    def _prenecklaces(self) -> dict[str, int]:
-        """The states that are prenecklaces in the alphabet's order, each
-        with the period of its longest Lyndon prefix: the origin states
-        of the periodic points, where their necklace search starts."""
-        seeds = {}
-        for state in self._automaton:
-            key, lyn = self._key(state), 1
-            for i in range(1, len(key)):
-                if key[i] != key[i - lyn]:
-                    if key[i] < key[i - lyn]:
-                        break
-                    lyn = i + 1
-            else:
-                seeds[state] = lyn
-        return seeds
 
     @cached_property
     def _rank_table(self) -> dict[int, str]:
@@ -164,6 +145,87 @@ def _order_words(alphabet: tuple[str, ...], order: int):
     return map("".join, product(alphabet, repeat=order))
 
 
+class _FollowerGraph(NamedTuple):
+    """What the searches read of a ZSft, all of it a function of the
+    blocks: the trimmed follower automaton, its prenecklace states, and
+    the gcd of its cycle lengths.  Shared by every ZSft with the same
+    blocks, so nothing may change it."""
+
+    trans: dict[str, dict[str, str]]
+    # the states that are prenecklaces in the alphabet's order, each with
+    # the period of its longest Lyndon prefix: the origin states of the
+    # periodic points, where their necklace search starts
+    seeds: dict[str, int]
+    cycle_gcd: int  # divides the length of every closed walk; 0 when empty
+
+
+@lru_cache(maxsize=_GRAPH_CACHE)
+def _follower_graph(alphabet: tuple[str, ...], blocks: frozenset[str]) -> _FollowerGraph:
+    # the blocks fix the order, save when there are none and the graph is empty
+    trans = _trimmed_automaton(blocks)
+    seeds = _prenecklace_seeds(trans, rank_table(alphabet))
+    return _FollowerGraph(trans, seeds, _cycle_gcd(trans))
+
+
+def _trimmed_automaton(blocks: frozenset[str]) -> dict[str, dict[str, str]]:
+    trans: dict[str, dict[str, str]] = {}
+    for w in blocks:
+        trans.setdefault(w[:-1], {})[w[-1]] = w[1:]
+        trans.setdefault(w[1:], {})
+    # keep only states on bi-infinite paths
+    while True:
+        with_in = {t for edges in trans.values() for t in edges.values()}
+        dead = [s for s, edges in trans.items() if not edges or s not in with_in]
+        if not dead:
+            return trans
+        for s in dead:
+            del trans[s]
+        for edges in trans.values():
+            for c in [c for c, t in edges.items() if t not in trans]:
+                del edges[c]
+
+
+def _prenecklace_seeds(trans: dict[str, dict[str, str]], ranks: dict[int, str]):
+    seeds = {}
+    for state in trans:
+        key, lyn = state.translate(ranks), 1
+        for i in range(1, len(key)):
+            if key[i] != key[i - lyn]:
+                if key[i] < key[i - lyn]:
+                    break
+                lyn = i + 1
+        else:
+            seeds[state] = lyn
+    return seeds
+
+
+def _cycle_gcd(trans: dict[str, dict[str, str]]) -> int:
+    """The gcd over all edges u -> v of level(u) + 1 - level(v), the
+    levels set by a search of each weakly connected component over its
+    edges taken both ways.  Along a closed walk the levels cancel, so its
+    length is a sum of these terms, and a multiple of their gcd."""
+    back: dict[str, list[str]] = {s: [] for s in trans}
+    for s, edges in trans.items():
+        for t in edges.values():
+            back[t].append(s)
+    level: dict[str, int] = {}
+    for root in trans:
+        if root in level:
+            continue
+        level[root] = 0
+        queue = [root]
+        for u in queue:
+            for v in trans[u].values():
+                if v not in level:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+            for v in back[u]:
+                if v not in level:
+                    level[v] = level[u] - 1
+                    queue.append(v)
+    return gcd(*(level[u] + 1 - level[v] for u, edges in trans.items() for v in edges.values()))
+
+
 def sft_approximation(order: int) -> ZSft:
     """The SFT whose forbidden words are the non-language words of one length.
 
@@ -185,25 +247,32 @@ def periodic_points(sft: ZSft, p: int) -> list[str]:
     p, its least rotation in the alphabet's order.  Its walk through the
     follower automaton starts at its origin state, the first m = order-1
     letters of ``w^Z``, which is a prenecklace; so walks start only at
-    the prenecklace states (``ZSft._prenecklaces``), and each orbit is
-    walked once.  A walk extends its word by prenecklaces only (the rule
-    of Fredricksen, Kessler and Maiorana): ``lyn`` is the period of the
-    word's longest Lyndon prefix, and a letter below the one ``lyn``
-    places back is pruned.  Once the word holds i >= p letters it stops:
+    the prenecklace states (the follower graph's ``seeds``), and each
+    orbit is walked once.  A walk extends its word by prenecklaces only
+    (the rule of Fredricksen, Kessler and Maiorana): ``lyn`` is the
+    period of the word's longest Lyndon prefix, and a letter below the
+    one ``lyn`` places back is pruned.  Once the word holds i >= p letters it stops:
     it is p-periodic iff ``lyn`` divides p, and then ``word[:p]`` is kept
     when the automaton reads, from the end state, the m letters that
     follow it in ``w^Z``.  The list is sorted in the alphabet's order and
     empty when no such point exists.
+
+    A periodic point is a closed walk of length p, and the length of
+    every closed walk is a multiple of the automaton's cycle gcd d
+    (``_cycle_gcd``); so when d does not divide p the list is empty, and
+    no search is made.
     """
     if p < 1:
         raise ValueError("p must be positive")
     if p > PERIOD_CAP:
         raise SizeLimitError(f"period {p} exceeds the cap {PERIOD_CAP}")
-    trans = sft._automaton
+    trans, seeds, cycle_gcd = sft._graph
+    if not trans or p % cycle_gcd:
+        return []
     m = sft.order - 1
     rank = {c: i for i, c in enumerate(sft.alphabet)}
     found = []
-    stack = [(s, s, lyn) for s, lyn in sft._prenecklaces.items()]
+    stack = [(s, s, lyn) for s, lyn in seeds.items()]
     while stack:
         state, word, lyn = stack.pop()
         i = len(word)

@@ -73,6 +73,8 @@ def act_word(word: str, v: str) -> str:
 
 
 def _check_depth(m: int) -> None:
+    if m < 0:
+        raise ValueError("level must be non-negative")
     if m > DEPTH_CAP:
         raise SizeLimitError(f"level {m} exceeds the depth cap {DEPTH_CAP}")
 
@@ -97,8 +99,6 @@ def level_permutation(g: str, m: int) -> np.ndarray:
     SizeLimitError before any table is built.
     """
     check_generator(g)
-    if m < 0:
-        raise ValueError("level must be non-negative")
     _check_depth(m)
     perm = _level_table(g, m)
     perm.setflags(write=False)  # cached and shared, keep callers honest
@@ -109,7 +109,8 @@ def word_permutation(word: str, m: int) -> np.ndarray:
     """Permutation of {0,1}^m induced by a group word (right-to-left),
     read from its sections like the table of one generator.
 
-    Levels above DEPTH_CAP raise SizeLimitError before any table is built.
+    Negative levels raise ValueError, and levels above DEPTH_CAP
+    SizeLimitError, before any table is built.
     """
     _check_depth(m)
     return _level_table(free_reduce(word), m)

@@ -1,12 +1,15 @@
+import copy
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
 
 from oracles import (
     canonical_rotation_by_tuples,
+    closed_walk_traces,
     comb_forbidden_by_rules,
     languages_equal,
     naive_words,
@@ -112,17 +115,23 @@ class TestApproximation:
             sm.sft_approximation(257)
 
 
+def _criterion_05_orders(top):
+    # the orders criterion 05 scans, in its order
+    order = 2
+    while order <= top:
+        yield order
+        order = order + 1 if order < 8 else order + 4
+
+
 def _scan_cases():
     # every (order, p) criterion 05 visits for p <= 16, stopping where the
     # count says the approximation has no period-p point
     for p in range(1, 17):
-        order = 2
-        while order <= 8 * p:
+        for order in _criterion_05_orders(8 * p):
             x = sm.sft_approximation(order)
             yield x, p
             if not periodic_orbit_count(x, p):
                 break
-            order = order + 1 if order < 8 else order + 4
 
 
 def _comb_cases():
@@ -131,8 +140,12 @@ def _comb_cases():
         yield from ((comb, p) for p in range(1, 4 * k + 1))
 
 
+def _union():
+    return sm.union_sft(ZSft.from_forbidden("01", ["11"]), ZSft.from_forbidden("01", ["0"]))
+
+
 def _union_cases():
-    union = sm.union_sft(ZSft.from_forbidden("01", ["11"]), ZSft.from_forbidden("01", ["0"]))
+    union = _union()
     yield from ((union, p) for p in range(1, 2 * union.order + 1))
 
 
@@ -249,6 +262,91 @@ class TestPeriodicPoints:
         # the necklaces of the eight letters between the `a`s, over BCD
         x = sm.sft_approximation(2)
         assert len(sm.periodic_points(x, 16)) == periodic_orbit_count(x, 16) == 834
+
+
+def _criterion_05_steps():
+    # the (p, order) pairs criterion 05 visits: each period stops at its
+    # first order with no period-p point
+    steps = []
+    for p in range(1, 17):
+        for order in _criterion_05_orders(8 * p):
+            steps.append((p, order))
+            if not sm.periodic_points(sm.sft_approximation(order), p):
+                break
+    return steps
+
+
+_GRAPH_FAMILIES = {
+    "scan": lambda: [sm.sft_approximation(order) for order in _criterion_05_orders(64)],
+    "comb": lambda: [sm.comb_sft([WangTile("T", "x", "x")], k) for k in (2, 3, 4)],
+    "union": lambda: [_union()],
+}
+
+
+class TestFollowerGraph:
+    """The trimmed automaton, its seeds and its cycle gcd d, built once per
+    block set and shared: ``periodic_points`` answers [] without a search
+    when d does not divide p."""
+
+    @pytest.mark.parametrize("family", sorted(_GRAPH_FAMILIES))
+    def test_points_match_the_product_oracle(self, family):
+        for x in _GRAPH_FAMILIES[family]():
+            for p in range(1, 21):
+                assert sm.periodic_points(x, p) == periodic_points_by_product(x, p), (x.order, p)
+
+    @pytest.mark.parametrize("family", sorted(_GRAPH_FAMILIES))
+    def test_cycle_gcd_divides_every_closed_walk(self, family):
+        # by the traces of the adjacency powers, which share no code with
+        # the graph: d divides every length with a closed walk, and is their
+        # gcd on these families, whose trimmed graphs are strongly connected
+        for x in _GRAPH_FAMILIES[family]():
+            if x.order > 32:
+                continue  # past order 25 the closed walks are 16 letters apart
+            traces = closed_walk_traces(x, 40)
+            lengths = [p for p in range(1, 41) if traces[p]]
+            d = x._graph.cycle_gcd
+            assert all(p % d == 0 for p in lengths), (x.order, d)
+            assert d == math.gcd(*lengths), (x.order, d)
+
+    def test_cycle_gcd_is_the_least_period_of_the_scanned_orders(self):
+        # d is 2^n for the least n >= 1 with L <= 3 * 2^n (ROADMAP item 3)
+        for order in _criterion_05_orders(128):
+            n = max(1, math.ceil(math.log2(order / 3)))
+            assert sm.sft_approximation(order)._graph.cycle_gcd == 2**n, order
+
+    def test_an_empty_graph_has_no_points(self):
+        empty = ZSft.from_forbidden("01", ["0", "1"])
+        assert empty._graph.cycle_gcd == 0
+        assert all(sm.periodic_points(empty, p) == [] for p in range(1, 5))
+
+    def test_approximations_share_one_graph(self):
+        first, second = sm.sft_approximation(12), sm.sft_approximation(12)
+        assert first is not second
+        assert first._automaton is second._automaton
+
+    def test_a_scan_builds_one_graph_per_order(self):
+        sm._follower_graph.cache_clear()
+        steps = _criterion_05_steps()
+        orders = {order for _, order in steps}
+        assert (len(steps), len(orders)) == (80, 18)
+        assert sm._follower_graph.cache_info().misses == len(orders)
+
+    @pytest.mark.parametrize("family", sorted(_GRAPH_FAMILIES))
+    def test_searches_leave_the_shared_graph_unchanged(self, family):
+        for x in _GRAPH_FAMILIES[family]():
+            before = copy.deepcopy(x._graph)
+            for p in range(1, 21):
+                sm.periodic_points(x, p)
+            for length in range(x.order + 2):
+                x.words(length)
+            assert x._graph == before, x.order
+
+    def test_the_cache_is_bounded(self):
+        maxsize = sm._follower_graph.cache_info().maxsize
+        assert maxsize is not None and 18 <= maxsize < math.inf
+        for i in range(maxsize + 8):
+            assert not _orbit_sft("0" * i + "1", "01").is_empty
+        assert sm._follower_graph.cache_info().currsize == maxsize
 
 
 class TestUnion:

@@ -323,7 +323,9 @@ class TestWordsAgainstTheOracles:
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: ta.is_trivial_up_to_depth("aa", 0), ValueError, "depth must be positive"),
-], ids=["is_trivial_up_to_depth"])
+    (lambda: ta.word_permutation("ab", -1), ValueError, "level must be non-negative"),
+    (lambda: ta.word_permutation("", -1), ValueError, "level must be non-negative"),
+], ids=["is_trivial_up_to_depth", "word_permutation", "word_permutation-identity"])
 def test_argument_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
