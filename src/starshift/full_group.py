@@ -5,10 +5,10 @@ letters, a marked origin sitting between two letters, and an explicit
 margin recording how far the excerpt is still guaranteed to be valid.
 Generators act by moving the origin like the star of the jump action;
 every move burns one unit of margin, and operations never fabricate
-letters beyond the window.  A walk reads the jump tables of the
-excerpt within its reach of the origin, the vectorised view of
-:func:`star_step`, and a stabilizer oracle builds them once for all of
-its queries.
+letters beyond the window.  A word walks the origin by the walk of the
+starred words, on the jump tables of the excerpt within its reach of
+the origin, and a stabilizer oracle builds them once for all of its
+queries.
 
 Origin-motion convention: "origin moves right" is the positive
 direction.  Under the dictionary to shift notation sigma(x)_i = x_{i+1}
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .core_words import (
 from .errors import MarginExhaustedError, ReconstructionError, SizeLimitError
 from .jump_action import (
     JUMP_SETS, STAR, check_circular, circular_jump_permutation, linear_jump_permutation,
-    star_step,
+    reach_tables, walk,
 )
 
 # Letter at the origin -> generator realizing one step of the shift.
@@ -108,14 +108,14 @@ class CocyclePiece:
 @lru_cache(maxsize=None)
 def generator_cocycle(g: str) -> tuple[CocyclePiece, ...]:
     """The three-piece cocycle of a generator: the level sets of the origin
-    displacement by :func:`star_step` over the 16 two-letter neighborhoods.
+    displacement by the jump tables over the 16 two-letter neighborhoods.
 
     The +1 piece is the letter cylinder U_g at the origin, the -1 piece
     is its shift, and the rest is fixed; U_g and its shift are disjoint
     on alternating words, as required for these swap-style elements.
     """
     every = frozenset(LETTERS)
-    shifts = {(l, r): star_step(l + r, 1, g) - 1 for l in LETTERS for r in LETTERS}
+    shifts = {(l, r): linear_jump_permutation(l + r, g)[1] - 1 for l in LETTERS for r in LETTERS}
     pieces = []
     for shift in (+1, -1, 0):
         # the level set is a cylinder: its left letters times its right letters
@@ -132,33 +132,6 @@ def apply_generator(g: str, x: Window) -> Window:
     return apply_word(g, x)
 
 
-def _reach_tables(x: Window, reach: int, generators: Iterable[str]) -> dict[str, list[int]]:
-    """The jump tables of ``generators`` on the excerpt ``reach`` letters
-    either side of the origin, whose position ``reach`` is the origin;
-    ``reach`` is at most the margin, so the excerpt lies inside the window."""
-    excerpt = x.letters[x.origin - reach : x.origin + reach]
-    return {g: linear_jump_permutation(excerpt, g).tolist() for g in generators}
-
-
-def _walk(tables: dict[str, list[int]], word: str, at: int, margin: int) -> tuple[int, int]:
-    """Walk a group word right-to-left from position ``at`` of
-    :func:`_reach_tables`; every letter needs a margin of at least 1, and
-    each letter that moves the origin spends one unit of it.
-
-    Before each letter fewer moves have been made than the starting
-    margin and than the letters of the word, so the walk reads only the
-    letters within the smaller of the two of its start, and never the
-    blank ends of tables of that reach.
-    """
-    for g in reversed(word):
-        if margin < 1:
-            raise MarginExhaustedError(f"margin {margin} too small to apply a generator")
-        moved = tables[g][at]
-        if moved != at:
-            at, margin = moved, margin - 1
-    return at, margin
-
-
 def apply_word(word: str, x: Window) -> Window:
     """Apply a group word right-to-left; margin is spent per move.
 
@@ -169,8 +142,9 @@ def apply_word(word: str, x: Window) -> Window:
     """
     check_generators(word)
     reach = min(x.margin, len(word))
-    at, margin = _walk(_reach_tables(x, reach, set(word)), word, reach, x.margin)
-    return _window(x.letters, x.origin - reach + at, margin)
+    start, tables = reach_tables(x.letters, x.origin, reach, set(word))
+    at, margin = walk(tables, word, x.origin - start, x.margin)
+    return _window(x.letters, start + at, margin)
 
 
 def shift_as_tfg(x: Window) -> Window:
@@ -194,12 +168,17 @@ def window_stabilizer_oracle(x: Window) -> Callable[[str], bool]:
     A jump element fixes the point iff the origin returns to its start;
     queries walking outside the margin raise MarginExhaustedError.  The
     jump tables of the margin's reach are built once, and every query
-    walks them.
+    walks them; a letter other than a, b, c, d raises ValueError.
     """
-    tables = _reach_tables(x, x.margin, GENERATORS)
+    start, tables = reach_tables(x.letters, x.origin, x.margin, GENERATORS)
+    home, margin = x.origin - start, x.margin
 
     def oracle(word: str) -> bool:
-        return _walk(tables, word, x.margin, x.margin)[0] == x.margin
+        try:
+            return walk(tables, word, home, margin)[0] == home
+        except KeyError:
+            check_generators(word)
+            raise
 
     return oracle
 
@@ -297,7 +276,7 @@ class SchreierGraph:
 
 def schreier_graph(letters: str, circular: bool = False) -> SchreierGraph:
     """The orbit graph of every starring of ``letters``, its edges read
-    from the jump tables, the vectorised view of :func:`star_step`.
+    from the jump tables.
 
     The vertices are the starrings in position order, [0, len] for a
     linear word and [0, len) for a circular one, the first one marked;

@@ -5,12 +5,12 @@ generator jumps the star across an adjacent letter from its jump set:
 
     a over a,   b over C or D,   c over B or D,   d over B or C.
 
-:func:`star_step` is that rule, for stars and window origins alike.  On
-alternating words at most one neighbor qualifies, so the rule is a
+On alternating words at most one neighbor qualifies, so the rule is a
 well-defined involution for each generator.  The permutation tables are
-its vectorised view, read across the end on circular words: the
-Schreier graphs read their edges from them, and the relator family is
-checked on them through kappa, never expanded, on the lift of a
+that rule at every position, across the end on circular words.  Stars
+and window origins move by one walk over them.  The Schreier graphs
+read their edges from the tables, and the relator family is checked on
+them through kappa, never expanded, on the lift of a
 circular word to the Z-cover, which serves every p-fold repetition of
 it at once.  Several circular words are checked in one pass, their
 lifts side by side in one table that stores each value as its residue
@@ -29,12 +29,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, count
 from math import gcd
+from typing import Iterable
 
 import numpy as np
 
 from . import core_words
-from .core_words import GENERATORS, KAPPA, check_generator, is_alternating, kappa
-from .errors import SizeLimitError
+from .core_words import GENERATORS, KAPPA, check_generator, check_generators, is_alternating, kappa
+from .errors import MarginExhaustedError, SizeLimitError
 
 JUMP_SETS = {"a": "a", "b": "CD", "c": "BD", "d": "BC"}
 
@@ -85,33 +86,20 @@ def check_circular(letters: str) -> None:
         raise ValueError(f"{letters!r} is not cyclically alternating")
 
 
-def star_step(letters: str, j: int, g: str) -> int:
-    """The jump rule: where generator ``g`` moves a star at position ``j``
-    in [0, len].
-
-    The star jumps right across ``letters[j]`` if it is in the jump set
-    of ``g``, else left across ``letters[j - 1]`` if that is, else stays.
-    A ``g`` other than one of a, b, c, d raises ValueError.
-    """
-    check_generator(g)
-    jumps = JUMP_SETS[g]
-    if j < len(letters) and letters[j] in jumps:
-        return j + 1
-    if j > 0 and letters[j - 1] in jumps:
-        return j - 1
-    return j
-
-
 def jump_generator(g: str, s: StarredWord) -> StarredWord:
     """One generator acting on a starred word."""
-    return s._moved(star_step(s.word, s.star, g))
+    check_generator(g)
+    return jump_word(g, s)
 
 
 def jump_word(word: str, s: StarredWord) -> StarredWord:
-    """A group word acting right-to-left."""
-    for g in reversed(word):
-        s = jump_generator(g, s)
-    return s
+    """A group word acting right-to-left, walked with its length as the
+    margin, which it cannot exhaust; other letters than a, b, c, d raise
+    ValueError."""
+    check_generators(word)
+    start, tables = reach_tables(s.word, s.star, len(word), set(word))
+    at, _ = walk(tables, word, s.star - start, len(word))
+    return s._moved(start + at)
 
 
 # byte translation tables: 1 for the letters of the jump set, 0 otherwise
@@ -119,8 +107,9 @@ _JUMP_MASKS = {g: bytes(chr(i) in js for i in range(256)) for g, js in JUMP_SETS
 
 
 def _jump_table(padded: str, g: str) -> np.ndarray:
-    """:func:`star_step` at every position, vectorised: position j has
-    ``padded[j]`` on its left and ``padded[j + 1]`` on its right."""
+    """The jump rule of ``g`` at every position j, between ``padded[j]``
+    and ``padded[j + 1]``: the star jumps right across its right letter if
+    that is in the jump set of ``g``, else left if its left one is."""
     check_generator(g)
     hit = np.frombuffer(padded.encode("ascii").translate(_JUMP_MASKS[g]), dtype=np.int8)
     left, right = hit[:-1], hit[1:]
@@ -130,6 +119,35 @@ def _jump_table(padded: str, g: str) -> np.ndarray:
 def linear_jump_permutation(letters: str, g: str) -> np.ndarray:
     """Permutation of star positions [0, len] under one generator."""
     return _jump_table(f" {letters} ", g)  # no generator jumps the blank ends
+
+
+def reach_tables(letters: str, at: int, reach: int,
+                 generators: Iterable[str]) -> tuple[int, dict[str, list[int]]]:
+    """The start of the excerpt of ``letters`` within ``reach`` of ``at``,
+    and the jump tables of ``generators`` on it.  The excerpt is cut at
+    the ends of the letters, which no generator jumps across."""
+    start = max(at - reach, 0)
+    excerpt = letters[start : at + reach]
+    return start, {g: linear_jump_permutation(excerpt, g).tolist() for g in generators}
+
+
+def walk(tables: dict[str, list[int]], word: str, at: int, margin: int) -> tuple[int, int]:
+    """Walk a group word right-to-left from position ``at`` of
+    :func:`reach_tables`; every letter needs a margin of at least 1, and
+    each letter that moves the position spends one unit of it.
+
+    Before each letter fewer moves have been made than the starting
+    margin and than the letters of the word, so the walk reads only the
+    letters within the smaller of the two of its start: on tables of that
+    reach, a blank end it reads is an end of the letters.
+    """
+    for g in reversed(word):
+        if margin < 1:
+            raise MarginExhaustedError(f"margin {margin} too small to apply a generator")
+        moved = tables[g][at]
+        if moved != at:
+            at, margin = moved, margin - 1
+    return at, margin
 
 
 def circular_jump_lift(letters: str, g: str) -> np.ndarray:
@@ -188,6 +206,8 @@ def relation_set(t: int) -> tuple[str, ...]:
 def relator_name(index: int) -> str:
     """The relator at ``index`` of the family of :func:`relation_set`,
     named in ASCII, never expanded: ``bcd``, ``(ad)^4``, ``kappa^7((ad)^4)``."""
+    if index < 0:
+        raise ValueError("relator index must be non-negative")
     if index < len(_KLEIN_RELATORS):
         return _KLEIN_RELATORS[index]
     k, i = divmod(index - len(_KLEIN_RELATORS), len(_SEED_ROOTS))

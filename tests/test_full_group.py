@@ -114,7 +114,7 @@ class TestApplyWord:
 
     def test_one_window_per_walk(self, monkeypatch):
         calls = {"tables": 0, "window": 0, "validated": 0}
-        tables, window, post_init = fg._reach_tables, fg._window, Window.__post_init__
+        tables, window, post_init = fg.reach_tables, fg._window, Window.__post_init__
 
         def counting_tables(*args):
             calls["tables"] += 1
@@ -132,7 +132,7 @@ class TestApplyWord:
         win = Window(letters, len(letters) // 2)
         word = "".join(random.Random(0).choice("abcd") for _ in range(1000))
         expected = apply_word_by_steps(word, win)
-        monkeypatch.setattr(fg, "_reach_tables", counting_tables)
+        monkeypatch.setattr(fg, "reach_tables", counting_tables)
         monkeypatch.setattr(fg, "_window", counting_window)
         monkeypatch.setattr(Window, "__post_init__", counting_post_init)
         out = fg.apply_word(word, win)
@@ -143,9 +143,9 @@ class TestApplyWord:
         letters = build_w(12)
         win = Window(letters, len(letters) // 2)
         built = []
-        table = fg.linear_jump_permutation
+        table = ja.linear_jump_permutation
         monkeypatch.setattr(
-            fg, "linear_jump_permutation", lambda *args: built.append(args) or table(*args)
+            ja, "linear_jump_permutation", lambda *args: built.append(args) or table(*args)
         )
         assert fg.apply_generator("b", win).origin == apply_word_by_steps("b", win)[1]
         assert [g for _, g in built] == ["b"]
@@ -221,15 +221,22 @@ class TestReconstruction:
         letters = build_w(12)
         oracle = fg.window_stabilizer_oracle(Window(letters, len(letters) // 2))
         built = []
-        table = fg.linear_jump_permutation
+        table = ja.linear_jump_permutation
         monkeypatch.setattr(
-            fg, "linear_jump_permutation", lambda *args: built.append(args) or table(*args)
+            ja, "linear_jump_permutation", lambda *args: built.append(args) or table(*args)
         )
         assert len(fg.reconstruct_from_stabilizer(oracle, 32)) == 32
         assert built == []  # the oracle built its four tables when it was made
         oracle = fg.window_stabilizer_oracle(Window(letters, len(letters) // 3))
         fg.reconstruct_from_stabilizer(oracle, 32)
         assert sorted(g for _, g in built) == list("abcd")
+
+    @pytest.mark.parametrize("word", ["ax", "x", "abBa", "é"])
+    def test_oracle_refuses_a_letter_outside_the_generators(self, word):
+        oracle = fg.window_stabilizer_oracle(Window(build_w(6), 30))
+        bad = next(g for g in word if g not in "abcd")
+        with pytest.raises(ValueError, match=f"invalid generator {bad!r}"):
+            oracle(word)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_oracle_matches_single_steps(self, seed):

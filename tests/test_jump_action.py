@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import (
     evaluate_cocycle, kappa_iter, moving_relator_by_cover, relator_fixes_all_starrings,
@@ -13,7 +14,7 @@ from oracles import (
 from starshift import full_group as fg, jump_action as ja, subshift
 from starshift.cli import main
 from starshift.core_words import build_w, ring
-from starshift.errors import SizeLimitError
+from starshift.errors import SizeLimitError, StarshiftError
 from starshift.jump_action import StarredWord, check_circular, parse_starred
 
 
@@ -74,12 +75,11 @@ def test_walk_does_not_revalidate(monkeypatch):
 
 
 @pytest.mark.parametrize("call", [
-    lambda g: ja.star_step("aDa", 1, g),
     lambda g: ja.jump_generator(g, StarredWord("aDa", 1)),
     lambda g: ja.linear_jump_permutation("aDa", g),
     lambda g: ja.circular_jump_lift("aD", g),
     lambda g: ja.circular_jump_permutation("aD", g),
-], ids=["star_step", "jump_generator", "linear", "lift", "circular"])
+], ids=["jump_generator", "linear", "lift", "circular"])
 @pytest.mark.parametrize("g", ["x", "B", "", "ab"])
 def test_the_jump_rule_refuses_a_non_generator(call, g):
     with pytest.raises(ValueError, match="generator"):
@@ -92,12 +92,73 @@ def test_jump_word_refuses_a_non_generator(word):
         ja.jump_word(word, StarredWord("aDa", 1))
 
 
+def _alternating(rng: random.Random, length: int) -> str:
+    # a seeded alternating word: a factor of w_8, or letters drawn freely,
+    # which are mostly outside the language
+    if rng.randrange(2):
+        host = build_w(8)
+        start = rng.randrange(len(host) - length + 1)
+        return host[start : start + length]
+    parity = rng.randrange(2)
+    return "".join("a" if (i + parity) % 2 else rng.choice("BCD") for i in range(length))
+
+
+def _star_by_steps(word: str, s: StarredWord) -> int:
+    j = s.star
+    for g in reversed(word):
+        j = star_step(s.word, j, g)
+    return j
+
+
+class TestWalk:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_jump_word_is_a_walk_by_steps(self, seed):
+        # stars at and near both ends, and words longer than the starred word
+        rng = random.Random(seed)
+        for _ in range(40):
+            letters = _alternating(rng, rng.randrange(14))
+            n = len(letters)
+            stars = {0, 1, 2, n - 2, n - 1, n, rng.randrange(n + 1)} & set(range(n + 1))
+            for star in sorted(stars):
+                s = StarredWord(letters, star)
+                for length in (1, 2, n + 1, 2 * n + 3, rng.randrange(3 * n + 6)):
+                    word = "".join(rng.choice("abcd") for _ in range(length))
+                    out = ja.jump_word(word, s)
+                    expected = (letters, _star_by_steps(word, s))
+                    assert (out.word, out.star) == expected, (word, str(s))
+                for g in "abcd":
+                    assert ja.jump_generator(g, s).star == star_step(letters, star, g)
+
+    def test_the_excerpt_ends_where_the_letters_do(self):
+        letters = build_w(5)
+        start, tables = ja.reach_tables(letters, 2, 5, "ab")
+        assert start == 0
+        assert tables["a"] == ja.linear_jump_permutation(letters[:7], "a").tolist()
+        start, tables = ja.reach_tables(letters, len(letters) - 1, 5, "b")
+        assert start == len(letters) - 6
+        assert tables["b"] == ja.linear_jump_permutation(letters[-6:], "b").tolist()
+
+
+@given(word=st.text(alphabet="abcdxBé", max_size=12), at=st.integers(0, 63),
+       margin=st.integers(0, 32))
+def test_the_walk_entries_return_or_refuse(word, at, margin):
+    letters = build_w(6)
+    window = fg.Window(letters, at, min(margin, at, len(letters) - at))
+    for call in (lambda: ja.jump_word(word, StarredWord(letters, at)),
+                 lambda: fg.apply_word(word, window),
+                 lambda: fg.window_stabilizer_oracle(window)(word)):
+        try:
+            call()
+        except (ValueError, StarshiftError):
+            pass
+
+
 class TestStarStep:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_linear_table_is_star_step_everywhere(self, n):
         w = build_w(n)
         for g in "abcd":
-            expected = [ja.star_step(w, j, g) for j in range(len(w) + 1)]
+            expected = [star_step(w, j, g) for j in range(len(w) + 1)]
             assert ja.linear_jump_permutation(w, g).tolist() == expected
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -116,7 +177,7 @@ class TestStarStep:
         for length in range(1, 6):
             for letters in map("".join, itertools.product("aBCD", repeat=length)):
                 for g in "abcd":
-                    linear = [ja.star_step(letters, j, g) for j in range(length + 1)]
+                    linear = [star_step(letters, j, g) for j in range(length + 1)]
                     circular = [star_step(letters, j, g, True) for j in range(length)]
                     assert ja.linear_jump_permutation(letters, g).tolist() == linear
                     assert ja.circular_jump_permutation(letters, g).tolist() == circular
@@ -126,7 +187,7 @@ class TestStarStep:
             pieces = fg.generator_cocycle(g)
             for left in "aBCD":
                 for right in "aBCD":
-                    shift = ja.star_step(left + right, 1, g) - 1
+                    shift = star_step(left + right, 1, g) - 1
                     assert evaluate_cocycle(pieces, left, right) == shift
 
 
@@ -512,7 +573,8 @@ class TestOrbits:
 @pytest.mark.parametrize("call, error, message", [
     (lambda: StarredWord("aDa", 4), ValueError, "star 4 out of range for 'aDa'"),
     (lambda: ja.relation_set(-1), ValueError, "t must be non-negative"),
-], ids=["StarredWord", "relation_set"])
+    (lambda: ja.relator_name(-1), ValueError, "relator index must be non-negative"),
+], ids=["StarredWord", "relation_set", "relator_name"])
 def test_argument_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
