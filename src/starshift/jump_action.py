@@ -13,9 +13,11 @@ read their edges from the tables, and the relator family is checked on
 them through kappa, never expanded, on the lift of a
 circular word to the Z-cover, which serves every p-fold repetition of
 it at once.  Several circular words are checked in one pass, their
-lifts side by side in one table that stores each value as its residue
-plus the total length times its winding, so one composer serves one
-ring and many alike; seeds are powers of their roots by squaring.  The
+lifts read from one jump table per generator on the words joined and
+kept side by side in one table that stores each value as its residue
+plus the total length times its winding, so one composition step, read
+from a table and a step, serves one ring and many alike; each level
+composes its roots once, and seeds are powers of them by squaring.  The
 rings are checked to be circular words when they enter, so kappa maps
 their tables within a finite set, and the check stops where it repeats
 a ring's tables, keyed by k mod 3 and the ring's a-table, deciding the
@@ -126,6 +128,8 @@ def reach_tables(letters: str, at: int, reach: int,
     """The start of the excerpt of ``letters`` within ``reach`` of ``at``,
     and the jump tables of ``generators`` on it.  The excerpt is cut at
     the ends of the letters, which no generator jumps across."""
+    if reach < 0:
+        raise ValueError("reach must be non-negative")
     start = max(at - reach, 0)
     excerpt = letters[start : at + reach]
     return start, {g: linear_jump_permutation(excerpt, g).tolist() for g in generators}
@@ -154,6 +158,8 @@ def circular_jump_lift(letters: str, g: str) -> np.ndarray:
     """One generator on the star positions of the periodic word
     ``letters^Z``, read on [0, len): the values lie in [-1, len], and
     position x of the Z-cover goes to ``T[x % len] + (x - x % len)``."""
+    if not letters:
+        check_circular(letters)  # the empty word has no cover: refused as no circular word
     return _jump_table(letters[-1:] + letters, g)
 
 
@@ -162,8 +168,16 @@ def circular_jump_permutation(letters: str, g: str) -> np.ndarray:
     return circular_jump_lift(letters, g) % len(letters)
 
 
+def _after(step: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The table of X after Y, from the step ``S_X = T_X - identity`` of
+    X and the table ``T_Y`` of Y: x goes to ``T_Y[x] + S_X[T_Y[x] mod N]``
+    on tables of size N.  This is the one composition rule of the package."""
+    return table + step.take(table, mode="wrap")  # take's wrap mode is cheaper than %
+
+
 def word_star_permutation(word: str, gen_perms: dict[str, np.ndarray]) -> np.ndarray:
-    """Compose generator tables along a group word, right-to-left.
+    """Compose generator tables along a group word, right-to-left, as a
+    fold of the one composition step.
 
     Position x goes to ``T[x % size] + (x - x % size)`` under a table T
     of the given size: lifts (:func:`circular_jump_lift`) compose on the
@@ -172,17 +186,37 @@ def word_star_permutation(word: str, gen_perms: dict[str, np.ndarray]) -> np.nda
     [0, size) compose as permutations.  The letters may name any tables,
     such as relators already composed.
     """
+    if not gen_perms:
+        raise ValueError("no tables given")
     size = len(next(iter(gen_perms.values())))
     identity = np.arange(size, dtype=np.int64)
     if not word:
         return identity
     # on [0, size) the last letter's table is its own image: start there
     perm = gen_perms[word[-1]].astype(np.int64)
-    # x + (T - identity)[x % size]; take's wrap mode is cheaper than %
     steps = {g: gen_perms[g] - identity for g in set(word[:-1])}
     for g in reversed(word[:-1]):
-        perm = perm + steps[g].take(perm, mode="wrap")
+        perm = _after(steps[g], perm)
     return perm
+
+
+def _side_by_side_lifts(rings: list[str], starts: list[int], sizes: list[int]) -> np.ndarray:
+    """The lifts of a, b, c, d on the rings side by side, one row each,
+    of size N, the total length: the value ``q L_i + r`` of ring i's lift
+    (:func:`circular_jump_lift`), with r in [0, L_i), is stored at its
+    offset o_i as ``o_i + r + N q``.
+
+    All rings are lifted by one jump table per generator: each ring is
+    padded with its own last letter, so ring i sits at the padded offset
+    o_i + i of the joined table, and the one position at each seam
+    between two rings is dropped."""
+    padded = "".join(ring[-1] + ring for ring in rings)
+    ring_of = np.repeat(np.arange(len(rings)), sizes)
+    offsets, lengths = np.repeat(starts, sizes), np.repeat(sizes, sizes)
+    padded_offsets = offsets + ring_of
+    at = np.arange(len(ring_of)) + ring_of  # the joined table without its seams
+    lifts = np.array([_jump_table(padded, g) for g in GENERATORS])[:, at] - padded_offsets
+    return lifts + offsets + lifts // lengths * (len(ring_of) - lengths)
 
 
 # the Lysenok relators: the Klein relators, then the seeds of the
@@ -231,15 +265,21 @@ def side_by_side_windings(rings: list[str], t: int | None = None) -> list[list[i
 
     kappa^k(r) is never expanded: its table under the tables P is that
     of r under the images of :data:`KAPPA`, P'_a = P_a P_c P_a, P'_b = P_d,
-    P'_c = P_b, P'_d = P_c.  A seed is the square of the square of its
-    root.  Both are exact, by associativity of the composition.
+    P'_c = P_b, P'_d = P_c.  Each level composes its roots once: ad, ac,
+    then adacac as ad after (ac)^2; a seed is the square of the square of
+    its root, and the next level's P'_a is this level's ac after a.  All
+    are exact, by associativity of the composition.
 
     The rings sit side by side in one table of size N, their total
     length.  Ring i at offset o_i has the lift T_i of length L_i
     (:func:`circular_jump_lift`); its value T_i[j] = q L_i + r, with r
     in [0, L_i), is stored as o_i + r + N q: the residue plus N times
-    the winding.  :func:`word_star_permutation` on size N then composes
-    on the disjoint union of the rings' covers.
+    the winding.  All four lifts of all rings come from one jump table
+    per generator on the rings joined, each padded with its last letter.
+    On size N the one composition step, X after Y read from the table of
+    Y and the step T_X - identity of X, composes on the disjoint union
+    of the rings' covers; each table is kept with its step, and the
+    windings are read from the relators' steps.
 
     Every ring passes :func:`check_circular`, so its lifts are bijections
     of its cover and kappa maps its tables within a finite set.  Each
@@ -259,20 +299,25 @@ def side_by_side_windings(rings: list[str], t: int | None = None) -> list[list[i
     sizes = [len(ring) for ring in rings]
     total = sum(sizes)
     starts = list(accumulate(sizes[:-1], initial=0))
-    lifts = np.array([np.concatenate([circular_jump_lift(ring, g) for ring in rings])
-                      for g in GENERATORS])
-    offsets, lengths = np.repeat(starts, sizes), np.repeat(sizes, sizes)
-    lifts = lifts + offsets + lifts // lengths * (total - lengths)
-    perms = dict(zip(GENERATORS, lifts))
     identity = np.arange(total, dtype=np.int64)
+
+    def after(x, y):
+        # x after y, each a (table, step) pair
+        table = _after(x[1], y[0])
+        return table, table - identity
+
+    lifts = _side_by_side_lifts(rings, starts, sizes)
+    perms = dict(zip(GENERATORS, zip(lifts, lifts - identity)))
     rows: list[list[int | None]] = [[] for _ in rings]
     live = set(range(len(rings)))  # the rows still reading
     seen = [set() for _ in rings]  # the repeat keys of each row's levels
-    relators = [word_star_permutation(relator, perms) for relator in _KLEIN_RELATORS]
+    # the steps of the Klein relators aa, bb, cc, dd and bcd = b after cd
+    a, b, c, d = perms.values()
+    relators = [after(x, x)[1] for x in (a, b, c, d)] + [after(b, after(c, d))[1]]
     for k in count():
         # the windings of a row are all integers iff the gcd of its shifts
         # is a multiple of N, and their gcd is then that gcd over N
-        shifts = np.gcd.reduceat(np.array(relators) - identity, starts, axis=1).T.tolist()
+        shifts = np.gcd.reduceat(np.array(relators), starts, axis=1).T.tolist()
         for i in list(live):
             for shift in shifts[i]:
                 if shift % total:
@@ -282,22 +327,24 @@ def side_by_side_windings(rings: list[str], t: int | None = None) -> list[list[i
                 rows[i].append(shift // total)
         if not live or k - 1 == t:  # or the kappa^t seeds were the last
             break
-        if k:  # replace the tables by their kappa-images
-            perms = {g: perms[image] if image in perms else word_star_permutation(image, perms)
+        if k:  # replace the tables by their kappa-images; aca is the last ac after a
+            perms = {g: perms[image] if image in perms
+                     else after(perms[image[:-1]], perms[image[-1]])
                      for g, image in KAPPA.items()}
         for i in list(live):
-            key = (k % 3, perms["a"][starts[i] : starts[i] + sizes[i]].tobytes())
+            key = (k % 3, perms["a"][0][starts[i] : starts[i] + sizes[i]].tobytes())
             if key in seen[i]:
                 live.remove(i)
             seen[i].add(key)
         if not live:
             break
+        # the seeds of _SEED_ROOTS: (ad)^4 and (adacac)^4, adacac = ad after (ac)^2
+        ad = after(perms["a"], perms["d"])
+        perms["ac"] = ac = after(perms["a"], perms["c"])  # kappa's next image reads it
         relators = []
-        for root in _SEED_ROOTS:
-            power = word_star_permutation(root, perms)
-            for _ in range(2):
-                power = word_star_permutation("xx", {"x": power})
-            relators.append(power)
+        for root in (ad, after(ad, after(ac, ac))):
+            square = after(root, root)
+            relators.append(after(square, square)[1])
     return rows
 
 

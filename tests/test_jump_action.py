@@ -13,7 +13,7 @@ from oracles import (
 )
 from starshift import full_group as fg, jump_action as ja, subshift
 from starshift.cli import main
-from starshift.core_words import build_w, ring
+from starshift.core_words import WORD_CAP, build_w, ring
 from starshift.errors import SizeLimitError, StarshiftError
 from starshift.jump_action import StarredWord, check_circular, parse_starred
 
@@ -251,6 +251,23 @@ def test_empty_word_is_the_identity():
     assert identity.tolist() == list(range(len(ring(3))))
 
 
+def test_word_tables_fold_the_step():
+    # the fold of the one composition step: right-to-left composition by
+    # indexing on permutation tables, and the same mod the length on lifts
+    rng = random.Random(7)
+    letters = ring(4) * 3
+    perms = {g: ja.circular_jump_permutation(letters, g) for g in "abcd"}
+    lifts = {g: ja.circular_jump_lift(letters, g) for g in "abcd"}
+    for _ in range(50):
+        word = "".join(rng.choice("abcd") for _ in range(rng.randrange(1, 20)))
+        expected = np.arange(len(letters))
+        for g in reversed(word):
+            expected = perms[g][expected]
+        assert ja.word_star_permutation(word, perms).tolist() == expected.tolist(), word
+        lifted = ja.word_star_permutation(word, lifts) % len(letters)
+        assert lifted.tolist() == expected.tolist(), word
+
+
 def test_relation_set_contents():
     rels = ja.relation_set(2)
     assert rels[:5] == ("aa", "bb", "cc", "dd", "bcd")
@@ -320,11 +337,11 @@ def _random_rings(rng: random.Random, count: int) -> list[str]:
 
 @pytest.fixture
 def composed(monkeypatch):
-    # the words passed to the composer, in order
+    # the size of each table the one composition step builds, in order
     calls = []
-    compose = ja.word_star_permutation
-    monkeypatch.setattr(ja, "word_star_permutation",
-                        lambda word, perms: calls.append(word) or compose(word, perms))
+    step = ja._after
+    monkeypatch.setattr(ja, "_after",
+                        lambda steps, table: calls.append(len(table)) or step(steps, table))
     return calls
 
 
@@ -424,6 +441,29 @@ class TestSideBySide:
         stops = {len(row) for row in together if row[-1] is None}
         assert len(stops) >= 2 and any(None not in row for row in together)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_table_per_generator_lifts_every_ring(self, seed):
+        # the lifts of all rings from one jump table per generator, against
+        # each ring's own lift stored at its offset o as o + r + N q, the
+        # residue plus N times the winding; rings of unequal lengths, 2-letter
+        # rings, and rings rotated to start with any letter
+        rng = random.Random(200 + seed)
+        rings = [letters[k:] + letters[:k]
+                 for letters in _random_rings(rng, 6) + ["aD", "aB", "aC"]
+                 for k in [rng.randrange(len(letters))]]
+        rng.shuffle(rings)
+        assert any(letters[0] != "a" for letters in rings)
+        sizes = [len(letters) for letters in rings]
+        starts = list(itertools.accumulate(sizes[:-1], initial=0))
+        total = sum(sizes)
+        expected = [[] for _ in "abcd"]
+        for letters, start in zip(rings, starts):
+            for row, g in zip(expected, "abcd"):
+                for value in ja.circular_jump_lift(letters, g).tolist():
+                    winding, residue = divmod(value, len(letters))
+                    row.append(start + residue + total * winding)
+        assert ja._side_by_side_lifts(rings, starts, sizes).tolist() == expected
+
     @pytest.mark.parametrize("seed", range(3))
     def test_one_ring_matches_the_covers_on_random_rings(self, seed):
         for ring in _random_rings(random.Random(100 + seed), 6):
@@ -435,30 +475,32 @@ class TestSideBySide:
         # (ad)^4 moves a starring of (aB)^3, kappa((ad)^4) one of (aD)^3
         windings = ja.side_by_side_windings(["aBaBaB", "aDaDaD"], 8)
         assert windings == [[0] * 5 + [None], [0] * 7 + [None]]
-        # the Klein relators, then the seeds of k = 0 and k = 1 only
-        seeds = ["ad", "xx", "xx", "adacac", "xx", "xx"]
-        assert composed == ["aa", "bb", "cc", "dd", "bcd"] + seeds + ["aca"] + seeds
+        # the Klein relators (6 steps, bcd in two), then the seeds of k = 0
+        # and k = 1 only (ad, ac, (ac)^2, adacac and two squares of each
+        # root: 8 steps a level) and the kappa-image aca between them, all
+        # on the 12 positions of the two rings side by side
+        assert composed == [12] * (6 + 8 + 1 + 8)
 
 
 class TestRelatorFamilyCost:
-    """Four lifted tables per base word serve every p, and the
-    kappa-iterates are never expanded."""
+    """Four jump tables serve every ring side by side and every p, and
+    the kappa-iterates are never expanded."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        counts = {"tables": 0, "letters": 0}
-        build, compose = ja.circular_jump_lift, ja.word_star_permutation
+        counts = {"tables": 0, "compositions": 0}
+        build, step = ja._jump_table, ja._after
 
-        def counting_build(letters, g):
+        def counting_build(padded, g):
             counts["tables"] += 1
-            return build(letters, g)
+            return build(padded, g)
 
-        def counting_compose(word, perms):
-            counts["letters"] += len(word)
-            return compose(word, perms)
+        def counting_step(steps, table):
+            counts["compositions"] += 1
+            return step(steps, table)
 
-        monkeypatch.setattr(ja, "circular_jump_lift", counting_build)
-        monkeypatch.setattr(ja, "word_star_permutation", counting_compose)
+        monkeypatch.setattr(ja, "_jump_table", counting_build)
+        monkeypatch.setattr(ja, "_after", counting_step)
         return counts
 
     def test_moving_relator_builds_four_tables(self, counted):
@@ -481,10 +523,17 @@ class TestRelatorFamilyCost:
         ja.table1(1, ja.TABLE_CAPS[1], 8)
         assert counted == {key: 2 * value for key, value in one_column.items()}
         assert one_column["tables"] == 4
-        # one row: the Klein relators (11 letters), (ad)^4 and (adacac)^4
-        # (32 letters) for each of k = 0..8, and the kappa-image aca of
-        # the a-table (3 letters) for each of k = 1..8
-        assert one_column["letters"] <= 11 + 9 * 32 + 8 * 3
+        # one row, which repeats its tables at k = 6 before t = 8 cuts it:
+        # the Klein relators (6 steps), the seeds (8 steps) for each of
+        # k = 0..5, and the kappa-image aca of the a-table (1 step) for
+        # each of k = 1..6
+        assert one_column["compositions"] == 6 + 6 * 8 + 6
+
+    @pytest.mark.parametrize("t", [8, None])
+    def test_table1_builds_four_tables(self, counted, t):
+        # one jump table per generator for all twelve rings
+        ja.table1(ja.TABLE_CAPS[0], ja.TABLE_CAPS[1], t)
+        assert counted["tables"] == 4
 
     def test_table1_composes_as_often_as_one_ring(self, composed):
         # exact, ring 6 reads the levels k = 0..10 and stops at k = 11,
@@ -495,12 +544,12 @@ class TestRelatorFamilyCost:
             alone = list(composed)
             composed.clear()
             ja.table1(6, ja.TABLE_CAPS[1], t)
-            assert composed == alone, t
-            # the Klein relators (11 letters); for each level the roots ad
-            # and adacac, each squared twice (8 + 8 letters); for each of
-            # k = 1..8 (or 1..11) the kappa-image aca of the a-table
-            assert len(alone) == 5 + levels * 6 + images, t
-            assert sum(map(len, alone)) == 11 + levels * 16 + images * 3, t
+            # every step on the joined table of rings 1..6, as many as ring 6's
+            assert composed == [126] * len(alone) and alone == [64] * len(alone), t
+            # the Klein relators (6 steps); for each level ad, ac, (ac)^2,
+            # adacac and two squares of each root (8 steps); for each of
+            # k = 1..8 (or 1..11) the kappa-image aca of the a-table (1 step)
+            assert len(alone) == 6 + levels * 8 + images, t
 
 
 class TestRepeatingLevels:
@@ -512,8 +561,10 @@ class TestRepeatingLevels:
         # on w_n alpha the tables have pre-period n + 2 and period 3, so
         # levels 0..n+4 are distinct and level n+5 repeats level n+2
         windings = ja.side_by_side_windings([ring(n)])[0]
-        levels = composed.count("ad")  # one root per level
-        assert levels == n + 5
+        # the Klein relators take 6 steps, and each level 8 for its seeds
+        # and 1 for its kappa-image, which the level that repeats still takes
+        levels, rest = divmod(len(composed) - 6, 9)
+        assert (levels, rest) == (n + 5, 0)
         assert len(windings) == 5 + 2 * levels
         exact = list(composed)
         composed.clear()
@@ -538,6 +589,28 @@ class TestTable1:
         # the whole presentation: every row up to the cap has winding gcd 8
         expected = [p in (1, 2, 4, 8) for p in range(1, 65)]
         assert ja.table1(12, 64) == [expected] * 12
+
+    def test_exact_rows_are_a_law(self):
+        # row n has 2n + 15 entries: the kappa-loop stops after n + 5
+        # levels; its only non-zero windings are those of the seeds at
+        # kappa^n and kappa^(n+1), so each row is the last shifted by one level
+        n_max = ja.TABLE_CAPS[0]
+        rows = ja.side_by_side_windings([ring(n) for n in range(1, n_max + 1)])
+        for n, row in enumerate(rows, 1):
+            assert len(row) == 2 * n + 15 and None not in row, n
+            nonzero = {i: winding for i, winding in enumerate(row) if winding}
+            assert nonzero == dict(zip(range(2 * n + 5, 2 * n + 9), (8, 24, 16, 16))), n
+            assert [ja.relator_name(i) for i in nonzero] == [
+                f"kappa^{n}((ad)^4)", f"kappa^{n}((adacac)^4)",
+                f"kappa^{n + 1}((ad)^4)", f"kappa^{n + 1}((adacac)^4)",
+            ], n
+
+    def test_the_rings_grow_by_zeta(self):
+        # ring(n + 1) is ring(n) with each letter x replaced by "a" + zeta(x),
+        # zeta = {a: D, B: D, C: B, D: C}; pinned, never computed from
+        zeta = str.maketrans({"a": "aD", "B": "aD", "C": "aB", "D": "aC"})
+        for n in range(1, WORD_CAP):
+            assert ring(n + 1) == ring(n).translate(zeta), n
 
     def test_low_t_row_is_spuriously_clean(self):
         # with only the relators of R_2, row 3 shows no contradictions
@@ -574,7 +647,11 @@ class TestOrbits:
     (lambda: StarredWord("aDa", 4), ValueError, "star 4 out of range for 'aDa'"),
     (lambda: ja.relation_set(-1), ValueError, "t must be non-negative"),
     (lambda: ja.relator_name(-1), ValueError, "relator index must be non-negative"),
-], ids=["StarredWord", "relation_set", "relator_name"])
+    (lambda: ja.word_star_permutation("", {}), ValueError, "no tables given"),
+    (lambda: ja.circular_jump_lift("", "a"), ValueError, "circular word must be nonempty"),
+    (lambda: ja.reach_tables("aDa", 1, -1, "a"), ValueError, "reach must be non-negative"),
+], ids=["StarredWord", "relation_set", "relator_name", "word_star_permutation",
+        "circular_jump_lift", "reach_tables"])
 def test_argument_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
