@@ -112,11 +112,14 @@ def psi(k: int, x: Window) -> str:
     """First k coordinates of the tree vertex underneath a window: the
     first k bits of the Gray code of the origin's star position in the
     natural w_{k+1} block that holds it, the last value of
-    :func:`psi_tower`.  A margin of 2^{k+2} letters on each side of the
-    origin always suffices; smaller windows may raise
-    MarginExhaustedError.
+    :func:`psi_tower`, read from that one Gray code.  A margin of
+    2^{k+2} letters on each side of the origin always suffices; smaller
+    windows may raise MarginExhaustedError.
     """
-    return psi_tower(k, x)[-1]
+    if k < 1:
+        raise ValueError("k must be positive")
+    at = x.origin - natural_decomposition(x, k + 1)
+    return phi(k + 1).bits(at)[:k]
 
 
 def six_fiber_witnesses(m: int) -> list[Window]:

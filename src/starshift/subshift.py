@@ -20,7 +20,6 @@ the rest of the package.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -427,6 +426,10 @@ def pseudo_orbit_demo(n: int, t: int | None = None) -> PseudoOrbitReport:
     language word, so the point is not in the shift space.  Checks (i)
     and (iii) and the shortest failing excerpt are read from the longest
     language prefix, up to that length, of the repetition at each start.
+    Since the language is closed under factors, the end of that prefix
+    never moves left as the start moves right, so one sweep over the
+    starts reads all of them exactly: each start resumes at the previous
+    end, gallops and bisects, about 2^n membership queries in all.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -438,13 +441,28 @@ def pseudo_orbit_demo(n: int, t: int | None = None) -> PseudoOrbitReport:
     alpha = ring[-1]
     rep = ring * (word_len // period + 2)
 
-    # longest language prefix from each start, by bisection: the language
-    # is closed under factors
-    lengths = range(1, word_len + 1)
-    reach = [
-        bisect_left(lengths, True, key=lambda k: not language_contains(rep[s : s + k]))
-        for s in range(period)
-    ]
+    # longest language prefix from each start, in one sweep: if rep[s:e] is
+    # a language word so is its factor rep[s+1:e], so each start resumes at
+    # the previous end, gallops, and bisects inside its last step
+    reach = []
+    end = 0
+    for s in range(period):
+        lo, top = max(end, s), s + word_len  # rep[s:lo] is a language word
+        hi, step = top + 1, 1
+        while lo < top:
+            probe = min(lo + step, top)
+            if not language_contains(rep[s:probe]):
+                hi = probe
+                break
+            lo, step = probe, 2 * step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if language_contains(rep[s:mid]):
+                lo = mid
+            else:
+                hi = mid
+        end = lo
+        reach.append(end - s)
     check_i = min(reach) >= period
     check_ii = moving_relator(ring, t) is None
     check_iii = max(reach) < word_len

@@ -17,7 +17,9 @@ read from where a window's letters occur in w_16, where the library
 parses the letters near the origin instead; the natural blocks are
 listed from a parse of the whole window, where the library places the
 one at the origin, and the tower of factor-map values is read one k at
-a time from that listing.  Least rotations are chosen among all
+a time from that listing.  The longest language prefixes of the
+periodic pseudo-point are bisected start by start, where the library
+reads them in one sweep.  Least rotations are chosen among all
 rotations by their tuples of ranks, where the library reaches them as
 necklaces.  Group words are reduced letter by
 letter on a stack, where the library first checks whether they already
@@ -39,6 +41,7 @@ tests read and the library does not need.
 """
 
 import json
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import product
 from math import gcd
@@ -47,8 +50,8 @@ from typing import Sequence
 import numpy as np
 
 from starshift.core_words import (
-    GENERATORS, WORD_CAP, alpha_choice, build_w, free_reduce, is_alternating, kappa, lex_key,
-    phase,
+    GENERATORS, WORD_CAP, alpha_choice, build_w, free_reduce, is_alternating, kappa,
+    language_contains, lex_key, phase, ring,
 )
 from starshift.errors import MarginExhaustedError, SizeLimitError
 from starshift.full_group import CocyclePiece
@@ -58,6 +61,7 @@ from starshift.jump_action import (
     check_circular,
     circular_jump_permutation,
     linear_jump_permutation,
+    moving_relator,
     relation_set,
 )
 from starshift.subshift import BLANK, PseudoOrbitReport, ZSft
@@ -378,6 +382,34 @@ def pseudo_orbit_by_scan(n: int, t: int = 6) -> PseudoOrbitReport:
         outside_language=check_iii,
         minimal_failing_length=minimal_len,
         failing_word=witness,
+    )
+
+
+def pseudo_orbit_by_bisection(n: int, t: int | None = None) -> PseudoOrbitReport:
+    """The periodic pseudo-point report with the longest language prefix
+    of each start found by its own bisection over the lengths 1..4*2^n,
+    about n + 3 membership queries per start."""
+    period = 2**n
+    word_len = 4 * period
+    letters = ring(n)
+    rep = letters * (word_len // period + 2)
+    lengths = range(1, word_len + 1)
+    reach = [
+        bisect_left(lengths, True, key=lambda k: not language_contains(rep[s : s + k]))
+        for s in range(period)
+    ]
+    minimal_len = min(reach) + 1 if min(reach) < word_len else 0
+    bad = [rep[s : s + minimal_len] for s in range(period) if reach[s] < minimal_len]
+    return PseudoOrbitReport(
+        n=n,
+        alpha=letters[-1],
+        period=period,
+        window_length=word_len,
+        in_approximation=min(reach) >= period,
+        action_well_defined=moving_relator(letters, t) is None,
+        outside_language=max(reach) < word_len,
+        minimal_failing_length=minimal_len,
+        failing_word=min(bad, key=lex_key, default=""),
     )
 
 

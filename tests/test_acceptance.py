@@ -267,7 +267,7 @@ def test_criterion_10_pseudo_orbit_demo():
     crit = Criterion(10, "pseudo-orbit demo", 60)
     ok = True
     details = []
-    for n in range(1, 7):
+    for n in range(1, sm.PSEUDO_ORBIT_CAP + 1):
         report = sm.pseudo_orbit_demo(n)
         ok &= report.all_passed
         details.append(f"n{n}:fail@{report.minimal_failing_length}")

@@ -245,6 +245,23 @@ class TestPsiTower:
         for win in _seeded_slices_of_w14(seed, 150):
             self._check(win, 8)
 
+    def test_psi_is_the_top_of_the_tower(self):
+        # psi reads one Gray code: on seeded windows of w_12 it returns the
+        # tower's last value or refuses with the same message, and a small
+        # window past the Gray cap runs out of margin before the cap
+        rng = random.Random(12)
+        host = build_w(12)
+        for _ in range(3000):
+            width = rng.choice([rng.randrange(1, 40), rng.randrange(40, 600)])
+            start = rng.randrange(len(host) - width + 1)
+            win = Window(host[start : start + width], rng.randrange(width + 1))
+            for k in range(1, 9):
+                tower = _value_or_message(gf.psi_tower, k, win)
+                top = tower if isinstance(tower, str) else tower[-1]
+                assert _value_or_message(gf.psi, k, win) == top, (win, k)
+        with pytest.raises(MarginExhaustedError):
+            gf.psi(gf.GRAY_CAP, Window("aDa", 1))
+
     def test_bad_depth(self):
         for k in (0, -1):
             with pytest.raises(ValueError, match="k must be positive"):

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import oracles
 from oracles import (
     canonical_rotation_by_tuples,
     closed_walk_traces,
@@ -17,10 +18,11 @@ from oracles import (
     periodic_orbit_count,
     periodic_points_by_dfs,
     periodic_points_by_product,
+    pseudo_orbit_by_bisection,
     pseudo_orbit_by_scan,
 )
 from starshift import subshift as sm
-from starshift.core_words import build_w, language_contains, language_words, lex_key
+from starshift.core_words import build_w, language_contains, language_words, lex_key, ring
 from starshift.errors import DisjointnessError, EmptySftError, SizeLimitError
 from starshift.subshift import WangTile, ZSft
 
@@ -487,7 +489,7 @@ class TestPseudoOrbit:
     def test_minimal_failing_lengths(self):
         # the longest periodic stretch in the language has 2^{n+2}-1
         # letters and a single phase, so failures start at 3*2^n + 1
-        for n in (1, 2, 3, 4):
+        for n in range(1, sm.PSEUDO_ORBIT_CAP + 1):
             report = sm.pseudo_orbit_demo(n)
             assert report.minimal_failing_length == 3 * 2**n + 1
 
@@ -509,8 +511,38 @@ class TestPseudoOrbit:
     def test_matches_the_length_scan(self, n):
         assert sm.pseudo_orbit_demo(n).to_dict() == pseudo_orbit_by_scan(n).to_dict()
 
+    @pytest.mark.parametrize("n", range(1, sm.PSEUDO_ORBIT_CAP + 1))
+    @pytest.mark.parametrize("t", [None, 0, 8])
+    def test_matches_the_bisection(self, n, t):
+        assert sm.pseudo_orbit_demo(n, t).to_dict() == pseudo_orbit_by_bisection(n, t).to_dict()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_sweep_is_exact_for_any_factor_closed_language(self, monkeypatch, n):
+        # the sweep relies on factor-closure alone: on languages avoiding a
+        # few seeded excerpts of the repetition, some of them single letters
+        # so that a start can reach nothing, it agrees with the bisection,
+        # and it never asks about the empty word
+        rep = ring(n) * 6
+        rng = random.Random(n)
+        for _ in range(40):
+            avoided = [
+                rep[s : s + rng.choice([1, rng.randrange(2, 9), rng.randrange(9, 4 * 2**n + 2)])]
+                for s in rng.sample(range(2**n), rng.randrange(min(4, 2**n)))
+            ]
+            queries = []
+
+            def avoids(word):
+                return not any(f in word for f in avoided)
+
+            monkeypatch.setattr(sm, "language_contains", lambda w: queries.append(w) or avoids(w))
+            monkeypatch.setattr(oracles, "language_contains", avoids)
+            report = sm.pseudo_orbit_demo(n, 0).to_dict()
+            assert report == pseudo_orbit_by_bisection(n, 0).to_dict(), avoided
+            assert "" not in queries, avoided
+
     def test_language_queries_are_few(self, monkeypatch):
-        # one bisection per start instead of one query per start and length
+        # one sweep whose prefix ends never move left, not a bisection per
+        # start: at most three queries per start on average
         calls = []
 
         def counting(word):
@@ -518,8 +550,10 @@ class TestPseudoOrbit:
             return language_contains(word)
 
         monkeypatch.setattr(sm, "language_contains", counting)
-        sm.pseudo_orbit_demo(6)
-        assert len(calls) <= 64 * 10
+        for n in range(1, sm.PSEUDO_ORBIT_CAP + 1):
+            calls.clear()
+            sm.pseudo_orbit_demo(n)
+            assert len(calls) <= 3 * 2**n, n
 
 
 @pytest.mark.parametrize("call, error, message", [
