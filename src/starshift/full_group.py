@@ -81,8 +81,8 @@ class Window:
 
 
 def _window(letters: str, origin: int, margin: int) -> Window:
-    # internal: the letters were validated when the walk's window was built,
-    # and a walk keeps 0 <= margin <= min(origin, len - origin)
+    # internal: the letters are those of a window already built, or their
+    # mirror, and a walk or a mirror keeps 0 <= margin <= min(origin, len - origin)
     w = object.__new__(Window)
     object.__setattr__(w, "letters", letters)
     object.__setattr__(w, "origin", origin)
@@ -91,8 +91,9 @@ def _window(letters: str, origin: int, margin: int) -> Window:
 
 
 def reverse_window(x: Window) -> Window:
-    """Mirror a window; the letter at position p moves to -1-p."""
-    return Window(x.letters[::-1], len(x.letters) - x.origin, x.margin)
+    """Mirror a window; the letter at position p moves to -1-p.  The
+    language is closed under reversal, so the mirror is not re-parsed."""
+    return _window(x.letters[::-1], len(x.letters) - x.origin, x.margin)
 
 
 @dataclass(frozen=True)
@@ -233,44 +234,47 @@ def vorobets_key(x: Window) -> Window:
 
 @dataclass(frozen=True)
 class SchreierGraph:
-    """Orbit graph: one vertex per starred word, edges labeled by the
-    generator moving one to the other, the basepoint marked.  Both
-    exports are assembled from their parts in one join."""
+    """Orbit graph of every starring of one word: vertex j is the
+    starring at position j, and each edge joins a lower position to an
+    upper one by a generator.  The names are a view of the word, and
+    both exports quote each of them once, into a list by position."""
 
-    vertices: tuple[str, ...]
-    marked: str
-    edges: tuple[tuple[str, str, str], ...]  # (source, label, target)
+    letters: str
+    circular: bool
+    edges: tuple[tuple[int, str, int], ...]  # (lower position, generator, upper position)
+
+    @property
+    def vertices(self) -> tuple[str, ...]:
+        """The starred word at each position; vertex 0 is marked."""
+        w = self.letters
+        return tuple(w[:j] + STAR + w[j:] for j in range(len(w) + (not self.circular)))
 
     def to_dot(self) -> str:
-        parts = ["graph schreier {"]
-        for v in self.vertices:
-            parts += ('\n  "', v, '" [peripheries=2];' if v == self.marked else '";')
-        for src, label, dst in self.edges:
-            parts += ('\n  "', src, '" -- "', dst, '" [label="', label, '"];')
+        quoted = ['"' + v + '"' for v in self.vertices]
+        parts = ["graph schreier {\n  ", quoted[0], " [peripheries=2];"]
+        for q in quoted[1:]:
+            parts += ("\n  ", q, ";")
+        for lo, g, hi in self.edges:
+            parts += ("\n  ", quoted[lo], " -- ", quoted[hi], ' [label="', g, '"];')
         parts.append("\n}\n")
         return "".join(parts)
 
     def to_json(self) -> str:
         """The graph as ``json.dumps(payload, indent=2, sort_keys=True)``
         of ``{"edges", "marked", "vertices"}`` plus a newline, written
-        directly: names are starred words over ``aBCD*`` and generators,
-        and edge ends are vertices, so each is quoted once, between ``"``."""
-        quoted = {name: '"' + name + '"' for name in (*self.vertices, *GENERATORS)}
+        directly: names are starred words over ``aBCD*`` and labels are
+        generators, which JSON quotes as they are, and an edge names its
+        ends, so each name is quoted once.  Neither array is empty."""
+        quoted = ['"' + v + '"' for v in self.vertices]
         # an item of an array of the top-level object opens with "\n    ",
-        # after a comma from the second on; a nonempty array closes on "\n  ]"
+        # after a comma from the second on
         parts = ['{\n  "edges": [']
         sep = "\n    [\n      "
-        for src, label, dst in self.edges:
-            parts += (sep, quoted[src], ",\n      ", quoted[label], ",\n      ",
-                      quoted[dst], "\n    ]")
+        for lo, g, hi in self.edges:
+            parts += (sep, quoted[lo], ',\n      "', g, '",\n      ', quoted[hi], "\n    ]")
             sep = ",\n    [\n      "
-        parts += ("\n  ]" if self.edges else "]", ',\n  "marked": "', self.marked,
-                  '",\n  "vertices": [')
-        sep = "\n    "
-        for v in self.vertices:
-            parts += (sep, quoted[v])
-            sep = ",\n    "
-        parts.append("\n  ]\n}\n" if self.vertices else "]\n}\n")
+        parts += ('\n  ],\n  "marked": ', quoted[0], ',\n  "vertices": [\n    ',
+                  ",\n    ".join(quoted), "\n  ]\n}\n")
         return "".join(parts)
 
 
@@ -278,15 +282,14 @@ def schreier_graph(letters: str, circular: bool = False) -> SchreierGraph:
     """The orbit graph of every starring of ``letters``, its edges read
     from the jump tables.
 
-    The vertices are the starrings in position order, [0, len] for a
-    linear word and [0, len) for a circular one, the first one marked;
-    every letter is jumped by some generator, so this is the whole orbit
-    of any of them.  Each table is an involution, so every edge is kept
-    once, from its lower end, self-loops included, since they record
-    stabilizer generators; the edges are sorted by their ends, then by
-    generator.  The letters must be alternating, cyclically so when
-    ``circular``, and more than 2^``SCHREIER_LOG2_CAP`` positions raise
-    SizeLimitError.
+    The vertices are the star positions, [0, len] for a linear word and
+    [0, len) for a circular one, the first one marked; every letter is
+    jumped by some generator, so this is the whole orbit of any of them.
+    Each table is an involution, so every edge is kept once, from its
+    lower end, self-loops included, since they record stabilizer
+    generators; the edges are sorted by their ends, then by generator.
+    The letters must be alternating, cyclically so when ``circular``,
+    and more than 2^``SCHREIER_LOG2_CAP`` positions raise SizeLimitError.
     """
     positions = len(letters) + (not circular)
     if positions > 2**SCHREIER_LOG2_CAP:
@@ -306,10 +309,5 @@ def schreier_graph(letters: str, circular: bool = False) -> SchreierGraph:
         keys.append((at[keep] * positions + t[keep]) * len(GENERATORS) + index)
     ends, generators = np.divmod(np.sort(np.concatenate(keys)), len(GENERATORS))
     lows, highs = np.divmod(ends, positions)
-    names = [letters[:j] + STAR + letters[j:] for j in range(positions)]
-    return SchreierGraph(
-        vertices=tuple(names),
-        marked=names[0],
-        edges=tuple((names[lo], GENERATORS[g], names[hi])
-                    for lo, g, hi in zip(lows.tolist(), generators.tolist(), highs.tolist())),
-    )
+    edges = zip(lows.tolist(), (GENERATORS[g] for g in generators.tolist()), highs.tolist())
+    return SchreierGraph(letters, circular, tuple(edges))

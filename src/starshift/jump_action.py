@@ -22,7 +22,7 @@ rings are checked to be circular words when they enter, so kappa maps
 their tables within a finite set, and the check stops where it repeats
 a ring's tables, keyed by k mod 3 and the ring's a-table, deciding the
 whole presentation.  Words are validated once, when they enter; moves
-skip the check.
+skip the check, and a table refuses any letter but a, B, C, D.
 """
 
 from __future__ import annotations
@@ -106,30 +106,45 @@ def jump_word(word: str, s: StarredWord) -> StarredWord:
 
 # byte translation tables: 1 for the letters of the jump set, 0 otherwise
 _JUMP_MASKS = {g: bytes(chr(i) in js for i in range(256)) for g, js in JUMP_SETS.items()}
+_LETTER_BYTES = core_words.LETTERS.encode("ascii")
 
 
-def _jump_table(padded: str, g: str) -> np.ndarray:
+def _letter_bytes(letters: str) -> bytes:
+    """The letters as ASCII bytes; a character other than a, B, C, D
+    raises the invalid-letter ValueError.  Deleting the four letters is
+    the one pass that checks them."""
+    raw = letters.encode("ascii", "replace")  # a non-ASCII character becomes "?"
+    if raw.translate(None, _LETTER_BYTES):
+        core_words._check_letters(letters)
+    return raw
+
+
+def _jump_table(padded: bytes, g: str) -> np.ndarray:
     """The jump rule of ``g`` at every position j, between ``padded[j]``
     and ``padded[j + 1]``: the star jumps right across its right letter if
     that is in the jump set of ``g``, else left if its left one is."""
     check_generator(g)
-    hit = np.frombuffer(padded.encode("ascii").translate(_JUMP_MASKS[g]), dtype=np.int8)
+    hit = np.frombuffer(padded.translate(_JUMP_MASKS[g]), dtype=np.int8)
     left, right = hit[:-1], hit[1:]
     return np.arange(len(right), dtype=np.int64) + (right - (left > right))
 
 
 def linear_jump_permutation(letters: str, g: str) -> np.ndarray:
-    """Permutation of star positions [0, len] under one generator."""
-    return _jump_table(f" {letters} ", g)  # no generator jumps the blank ends
+    """Permutation of star positions [0, len] under one generator; a
+    character other than a, B, C, D raises ValueError."""
+    return _jump_table(b" " + _letter_bytes(letters) + b" ", g)  # no generator jumps a blank
 
 
 def reach_tables(letters: str, at: int, reach: int,
                  generators: Iterable[str]) -> tuple[int, dict[str, list[int]]]:
     """The start of the excerpt of ``letters`` within ``reach`` of ``at``,
     and the jump tables of ``generators`` on it.  The excerpt is cut at
-    the ends of the letters, which no generator jumps across."""
+    the ends of the letters, which no generator jumps across; ``at``
+    must be a position of the letters, in [0, len]."""
     if reach < 0:
         raise ValueError("reach must be non-negative")
+    if not 0 <= at <= len(letters):
+        raise ValueError(f"position {at} out of range [0, {len(letters)}]")
     start = max(at - reach, 0)
     excerpt = letters[start : at + reach]
     return start, {g: linear_jump_permutation(excerpt, g).tolist() for g in generators}
@@ -160,7 +175,8 @@ def circular_jump_lift(letters: str, g: str) -> np.ndarray:
     position x of the Z-cover goes to ``T[x % len] + (x - x % len)``."""
     if not letters:
         check_circular(letters)  # the empty word has no cover: refused as no circular word
-    return _jump_table(letters[-1:] + letters, g)
+    raw = _letter_bytes(letters)
+    return _jump_table(raw[-1:] + raw, g)
 
 
 def circular_jump_permutation(letters: str, g: str) -> np.ndarray:
@@ -210,7 +226,7 @@ def _side_by_side_lifts(rings: list[str], starts: list[int], sizes: list[int]) -
     padded with its own last letter, so ring i sits at the padded offset
     o_i + i of the joined table, and the one position at each seam
     between two rings is dropped."""
-    padded = "".join(ring[-1] + ring for ring in rings)
+    padded = "".join(ring[-1] + ring for ring in rings).encode("ascii")
     ring_of = np.repeat(np.arange(len(rings)), sizes)
     offsets, lengths = np.repeat(starts, sizes), np.repeat(sizes, sizes)
     padded_offsets = offsets + ring_of

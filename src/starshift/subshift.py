@@ -52,9 +52,11 @@ class ZSft:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be positive")
-        for sym in self.alphabet:
+        for i, sym in enumerate(self.alphabet):
             if len(sym) != 1:
                 raise ValueError(f"alphabet symbols must be single characters: {sym!r}")
+            if sym in self.alphabet[:i]:
+                raise ValueError(f"alphabet symbol {sym!r} repeats")
         # one pass for the lengths, one count per letter for the letters
         letters, joined = set(self.alphabet), "".join(self.blocks)
         lengths_bad = set(map(len, self.blocks)) - {self.order}

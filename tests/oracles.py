@@ -562,39 +562,41 @@ def apply_word_by_steps(word: str, x) -> tuple[str, int, int]:
     return x.letters, origin, margin
 
 
-def schreier_edges_by_steps(letters: str, circular: bool = False) -> tuple[tuple[str, ...], ...]:
+def schreier_edges_by_steps(letters: str, circular: bool = False) -> tuple[tuple[int, str, int], ...]:
     """The edges of the orbit graph of every starring of ``letters``, one
     :func:`star_step` per position and generator, merged as a set of
-    (lower end, upper end, generator) and sorted, each end named by its
-    starred word."""
+    (lower end, upper end, generator) and sorted, each as (lower
+    position, generator, upper position)."""
     positions = len(letters) + (not circular)
     edges = set()
     for j in range(positions):
         for g in GENERATORS:
             t = star_step(letters, j, g, circular)
             edges.add((min(j, t), max(j, t), g))
-    names = [letters[:j] + "*" + letters[j:] for j in range(positions)]
-    return tuple((names[a], g, names[b]) for a, b, g in sorted(edges))
+    return tuple((a, g, b) for a, b, g in sorted(edges))
 
 
 def schreier_dot_by_lines(graph) -> str:
-    """An orbit graph in DOT, written line by line."""
+    """An orbit graph in DOT, written line by line, vertex 0 marked."""
+    names = graph.vertices
     lines = ["graph schreier {"]
-    for v in graph.vertices:
-        attrs = " [peripheries=2]" if v == graph.marked else ""
+    for j, v in enumerate(names):
+        attrs = " [peripheries=2]" if j == 0 else ""
         lines.append(f'  "{v}"{attrs};')
-    for src, label, dst in graph.edges:
-        lines.append(f'  "{src}" -- "{dst}" [label="{label}"];')
+    for lo, label, hi in graph.edges:
+        lines.append(f'  "{names[lo]}" -- "{names[hi]}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def schreier_json_by_dumps(graph) -> str:
-    """An orbit graph through the standard library's JSON encoder."""
+    """An orbit graph through the standard library's JSON encoder, each
+    edge end named by its starred word, vertex 0 marked."""
+    names = graph.vertices
     payload = {
-        "vertices": list(graph.vertices),
-        "marked": graph.marked,
-        "edges": [list(e) for e in graph.edges],
+        "vertices": list(names),
+        "marked": names[0],
+        "edges": [[names[lo], label, names[hi]] for lo, label, hi in graph.edges],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -36,6 +37,23 @@ class TestWindow:
         rev = reverse_window(win)
         assert rev.letters == "CaDa" and rev.origin == 3
         assert reverse_window(rev) == win
+
+    @pytest.mark.parametrize("length", range(65))
+    def test_language_is_closed_under_reversal(self, length):
+        words = language_words(length)
+        assert set(words) == {u[::-1] for u in words}
+
+    def test_mirror_is_not_reparsed(self, monkeypatch):
+        letters = build_w(10)
+        windows = [Window(letters, origin) for origin in range(len(letters) + 1)]
+        calls = []
+        monkeypatch.setattr(fg, "language_contains", lambda word: calls.append(word))
+        for win in windows:
+            rev = reverse_window(win)
+            assert (rev.letters, rev.origin, rev.margin) == (
+                letters[::-1], len(letters) - win.origin, win.margin)
+            assert reverse_window(rev) == win
+        assert calls == []
 
 
 class TestCocycles:
@@ -340,12 +358,21 @@ class TestSchreierGraph:
     def test_two_vertex_graph(self):
         graph = fg.schreier_graph("a")
         assert graph.vertices == ("*a", "a*")
-        assert graph.marked == "*a"
-        labels = {(s, l, t) for s, l, t in graph.edges}
-        assert ("*a", "a", "a*") in labels
-        for v in ("*a", "a*"):
+        assert (0, "a", 1) in graph.edges
+        for j in (0, 1):
             for g in "bcd":
-                assert (v, g, v) in labels
+                assert (j, g, j) in graph.edges
+
+    def test_graph_is_its_word_and_edge_positions(self):
+        assert [f.name for f in dataclasses.fields(fg.SchreierGraph)] == [
+            "letters", "circular", "edges"]
+        for letters, circular in (("", False), (build_w(5), False), (ring(3) * 2, True)):
+            graph = fg.schreier_graph(letters, circular)
+            assert (graph.letters, graph.circular) == (letters, circular)
+            positions = len(letters) + (not circular)
+            for lo, g, hi in graph.edges:
+                assert type(lo) is int and type(hi) is int, (lo, hi)
+                assert 0 <= lo <= hi < positions and g in "abcd"
 
     def test_dot_output(self):
         dot = fg.schreier_graph("a").to_dot()
@@ -360,17 +387,17 @@ class TestSchreierGraph:
         for letters, circular in inputs:
             graph = fg.schreier_graph(letters, circular)
             assert len(graph.vertices) == len(letters) + (not circular)
-            adjacency = {v: set() for v in graph.vertices}
+            adjacency = {j: set() for j in range(len(graph.vertices))}
             for s, _, t in graph.edges:
                 adjacency[s].add(t)
                 adjacency[t].add(s)
-            seen, frontier = {graph.marked}, [graph.marked]
+            seen, frontier = {0}, [0]
             while frontier:
                 frontier = [
                     u for v in frontier for u in adjacency[v] - seen
                 ]
                 seen.update(frontier)
-            assert seen == set(graph.vertices), (letters, circular)
+            assert seen == set(adjacency), (letters, circular)
 
     def test_circular_vertices(self):
         graph = fg.schreier_graph("aDaC", circular=True)
@@ -387,17 +414,13 @@ class TestSchreierGraph:
             graph = fg.schreier_graph(ring(n) * p, circular=True)
             assert graph.to_json() == schreier_json_by_dumps(graph), p
 
-    def test_json_matches_the_encoder_on_built_graphs(self):
-        # names are starred words and labels generators, which JSON
-        # quotes as they are; edgeless and empty graphs close their arrays
-        names = ("*aDa", "a*Da", "aD*a", "aDa*")
-        edges = ((names[0], "a", names[1]), (names[2], "d", names[2]))
-        for graph in (
-            fg.SchreierGraph(vertices=names, marked=names[2], edges=edges),
-            fg.SchreierGraph(vertices=names, marked=names[0], edges=()),
-            fg.SchreierGraph(vertices=(), marked="", edges=()),
-        ):
-            assert graph.to_json() == schreier_json_by_dumps(graph)
+    def test_json_matches_the_encoder_on_the_smallest_graphs(self):
+        # the empty word has one vertex and four self-loops, "a" two
+        # vertices; JSON quotes starred words and generators as they are
+        for letters in ("", "a"):
+            graph = fg.schreier_graph(letters)
+            assert graph.to_json() == schreier_json_by_dumps(graph), letters
+        assert fg.schreier_graph("").edges == tuple((0, g, 0) for g in "abcd")
 
     def test_json_roundtrip(self):
         import json

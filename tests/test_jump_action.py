@@ -137,6 +137,9 @@ class TestWalk:
         start, tables = ja.reach_tables(letters, len(letters) - 1, 5, "b")
         assert start == len(letters) - 6
         assert tables["b"] == ja.linear_jump_permutation(letters[-6:], "b").tolist()
+        # both ends of the letters are positions
+        assert ja.reach_tables("aDa", 0, 2, "a") == (0, {"a": [1, 0, 2]})
+        assert ja.reach_tables("aDa", 3, 2, "a") == (1, {"a": [0, 2, 1]})
 
 
 @given(word=st.text(alphabet="abcdxBé", max_size=12), at=st.integers(0, 63),
@@ -650,8 +653,22 @@ class TestOrbits:
     (lambda: ja.word_star_permutation("", {}), ValueError, "no tables given"),
     (lambda: ja.circular_jump_lift("", "a"), ValueError, "circular word must be nonempty"),
     (lambda: ja.reach_tables("aDa", 1, -1, "a"), ValueError, "reach must be non-negative"),
+    # the jump tables read only a, B, C, D, and the reach only positions of the word
+    (lambda: ja.linear_jump_permutation("x", "a"), ValueError,
+     "invalid letter 'x'; expected one of aBCD"),
+    (lambda: ja.circular_jump_permutation("x", "b"), ValueError, "invalid letter 'x'"),
+    (lambda: ja.linear_jump_permutation("aDé", "a"), ValueError, "invalid letter 'é'"),
+    (lambda: ja.circular_jump_lift("é", "c"), ValueError, "invalid letter 'é'"),
+    (lambda: ja.linear_jump_permutation("a a", "d"), ValueError, "invalid letter ' '"),
+    (lambda: ja.reach_tables("aXaB", 1, 1, "a"), ValueError, "invalid letter 'X'"),
+    (lambda: ja.reach_tables("aDa", 10, 2, "a"), ValueError,
+     r"position 10 out of range \[0, 3\]"),
+    (lambda: ja.reach_tables("aDa", 4, 0, "a"), ValueError, r"position 4 out of range"),
+    (lambda: ja.reach_tables("aDa", -1, 2, "a"), ValueError, r"position -1 out of range"),
 ], ids=["StarredWord", "relation_set", "relator_name", "word_star_permutation",
-        "circular_jump_lift", "reach_tables"])
+        "circular_jump_lift", "reach_tables", "linear-letter", "circular-letter",
+        "linear-non-ascii", "lift-non-ascii", "linear-blank", "reach_tables-letter",
+        "reach_tables-past-end", "reach_tables-end-plus-one", "reach_tables-negative"])
 def test_argument_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -561,6 +561,10 @@ class TestPseudoOrbit:
     (lambda: ZSft(("ab",), 1, frozenset()), ValueError,
      "alphabet symbols must be single characters: 'ab'"),
     (lambda: ZSft(("a", "b"), 2, frozenset({"a"})), ValueError, "bad admissible block 'a'"),
+    # the rank order of an alphabet with a repeated symbol is ill-defined
+    (lambda: ZSft.from_forbidden(("0", "1", "1"), ["11"]), ValueError,
+     "alphabet symbol '1' repeats"),
+    (lambda: ZSft.from_blocks("aba", 1, {"a"}), ValueError, "alphabet symbol 'a' repeats"),
     (lambda: ZSft.from_forbidden("ab", [""]), ValueError, "cannot forbid the empty word"),
     (lambda: sm.sft_approximation(3).words(-1), ValueError, "length must be non-negative"),
     (lambda: sm.sft_approximation(0), ValueError, "order must be positive"),
@@ -569,7 +573,8 @@ class TestPseudoOrbit:
     (lambda: WangTile("_", "x", "x"), ValueError, "tile names are single characters"),
     (lambda: sm.comb_sft([WangTile("T", "x", "x"), WangTile("T", "y", "y")], 2), ValueError,
      "tile names must be distinct"),
-], ids=["order", "symbol", "block", "from_forbidden", "words", "sft_approximation",
+], ids=["order", "symbol", "block", "repeated-symbol", "repeated-block-symbol",
+        "from_forbidden", "words", "sft_approximation",
         "periodic_points", "pseudo_orbit_demo", "WangTile", "comb_sft"])
 def test_argument_refusals(call, error, message):
     with pytest.raises(error, match=message):
