@@ -281,10 +281,10 @@ def cmd_sft(args: argparse.Namespace) -> int:
         )
         return 0 if agree else 1
     tile = subshift.WangTile("T", "x", "x")
-    comb = subshift.comb_sft([tile], args.k)
     if 4 * args.k > subshift.PERIOD_CAP:
         raise SizeLimitError(f"--k {args.k} checks the periods up to 4k = {4 * args.k}, "
                              f"beyond the cap {subshift.PERIOD_CAP}")
+    comb = subshift.comb_sft([tile], args.k)
     points = {p: subshift.periodic_points(comb, p) for p in range(1, 4 * args.k + 1)}
     counts = {p: len(ws) for p, ws in points.items()}
     if args.points_out is not None:

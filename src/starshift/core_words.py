@@ -36,29 +36,35 @@ WORD_CAP = 24
 # about 3 * 2^n words of length L, so its memory grows with L^2.
 LISTING_CAP = 12
 
-_LETTER_SET = frozenset(LETTERS)
-_GENERATOR_SET = frozenset(GENERATORS)
-
 # b, c, d -> B: a group word is freely reduced iff the image alternates
 _KLEIN_TO_B = str.maketrans("bcd", "BBB")
 
 # the substitution kappa, letter by letter; the relator check applies it to tables
 KAPPA = {"a": "aca", "b": "d", "c": "b", "d": "c"}
+_KAPPA_TABLE = str.maketrans(KAPPA)
+
+# translations deleting the package's alphabets: letters, generators, tree bits
+_DELETIONS = {a: str.maketrans("", "", a) for a in (LETTERS, GENERATORS, "01")}
 
 
-def _check_symbols(word: str, kind: str, alphabet: str, allowed: frozenset[str]) -> None:
-    if not allowed >= set(word):
-        ch = next(ch for ch in word if ch not in allowed)
-        raise ValueError(f"invalid {kind} {ch!r}; expected one of {alphabet}")
+def check_symbols(word: str, alphabet: str, kind: str) -> None:
+    """Raise ValueError at the first character of ``word`` outside
+    ``alphabet``, naming it as a ``kind``: one pass deleting the
+    alphabet's characters.  The one symbol check of the package."""
+    table = _DELETIONS.get(alphabet) or str.maketrans("", "", alphabet)
+    stray = word.translate(table)
+    if stray:
+        raise ValueError(f"invalid {kind} {stray[0]!r}; expected one of {alphabet}")
 
 
-def _check_letters(word: str) -> None:
-    _check_symbols(word, "letter", LETTERS, _LETTER_SET)
+def check_letters(word: str) -> None:
+    """Raise ValueError at the first character of a word that is not a letter."""
+    check_symbols(word, LETTERS, "letter")
 
 
 def check_generators(word: str) -> None:
     """Raise ValueError at the first character of a group word that is not a generator."""
-    _check_symbols(word, "generator", GENERATORS, _GENERATOR_SET)
+    check_symbols(word, GENERATORS, "generator")
 
 
 def check_generator(g: str) -> None:
@@ -124,7 +130,7 @@ def _alternates(word: str) -> bool:
 
 def is_alternating(word: str) -> bool:
     """True iff in every adjacent pair exactly one letter is `a`."""
-    _check_letters(word)
+    check_letters(word)
     return _alternates(word)
 
 
@@ -153,8 +159,7 @@ def free_reduce(word: str) -> str:
 
 def kappa(word: str) -> str:
     """Substitution a -> aca, b -> d, c -> b, d -> c, then free reduction."""
-    check_generators(word)
-    return free_reduce("".join(KAPPA[g] for g in word))
+    return free_reduce(word.translate(_KAPPA_TABLE))  # a stray character is refused there
 
 
 def _adequate_n(length: int, cap: int = WORD_CAP) -> int:
@@ -179,7 +184,7 @@ def phase(word: str) -> tuple[int, int] | None:
     sit at any higher level; with more, the first class is the odd one,
     as two letters 2^{m+1} apart cannot both sit higher.
     """
-    _check_letters(word)
+    check_letters(word)
     if not word:
         return 0, 0
     if not _alternates(word):

@@ -22,7 +22,8 @@ rings are checked to be circular words when they enter, so kappa maps
 their tables within a finite set, and the check stops where it repeats
 a ring's tables, keyed by k mod 3 and the ring's a-table, deciding the
 whole presentation.  Words are validated once, when they enter; moves
-skip the check, and a table refuses any letter but a, B, C, D.
+skip the check, and a table checks its letters through
+:func:`core_words.check_letters`, refusing any but a, B, C, D.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from typing import Iterable
 import numpy as np
 
 from . import core_words
-from .core_words import GENERATORS, KAPPA, check_generator, check_generators, is_alternating, kappa
+from .core_words import (
+    GENERATORS, KAPPA, check_generator, check_generators, check_letters, is_alternating, kappa,
+)
 from .errors import MarginExhaustedError, SizeLimitError
 
 JUMP_SETS = {"a": "a", "b": "CD", "c": "BD", "d": "BC"}
@@ -106,17 +109,6 @@ def jump_word(word: str, s: StarredWord) -> StarredWord:
 
 # byte translation tables: 1 for the letters of the jump set, 0 otherwise
 _JUMP_MASKS = {g: bytes(chr(i) in js for i in range(256)) for g, js in JUMP_SETS.items()}
-_LETTER_BYTES = core_words.LETTERS.encode("ascii")
-
-
-def _letter_bytes(letters: str) -> bytes:
-    """The letters as ASCII bytes; a character other than a, B, C, D
-    raises the invalid-letter ValueError.  Deleting the four letters is
-    the one pass that checks them."""
-    raw = letters.encode("ascii", "replace")  # a non-ASCII character becomes "?"
-    if raw.translate(None, _LETTER_BYTES):
-        core_words._check_letters(letters)
-    return raw
 
 
 def _jump_table(padded: bytes, g: str) -> np.ndarray:
@@ -132,7 +124,8 @@ def _jump_table(padded: bytes, g: str) -> np.ndarray:
 def linear_jump_permutation(letters: str, g: str) -> np.ndarray:
     """Permutation of star positions [0, len] under one generator; a
     character other than a, B, C, D raises ValueError."""
-    return _jump_table(b" " + _letter_bytes(letters) + b" ", g)  # no generator jumps a blank
+    check_letters(letters)
+    return _jump_table(f" {letters} ".encode("ascii"), g)  # no generator jumps a blank
 
 
 def reach_tables(letters: str, at: int, reach: int,
@@ -175,8 +168,8 @@ def circular_jump_lift(letters: str, g: str) -> np.ndarray:
     position x of the Z-cover goes to ``T[x % len] + (x - x % len)``."""
     if not letters:
         check_circular(letters)  # the empty word has no cover: refused as no circular word
-    raw = _letter_bytes(letters)
-    return _jump_table(raw[-1:] + raw, g)
+    check_letters(letters)
+    return _jump_table((letters[-1:] + letters).encode("ascii"), g)
 
 
 def circular_jump_permutation(letters: str, g: str) -> np.ndarray:

@@ -27,7 +27,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import core_words
-from .core_words import language_contains, language_words, rank_table
+from .core_words import check_symbols, language_contains, language_words, rank_table
 from .errors import DisjointnessError, EmptySftError, SizeLimitError
 from .jump_action import moving_relator
 
@@ -57,12 +57,10 @@ class ZSft:
                 raise ValueError(f"alphabet symbols must be single characters: {sym!r}")
             if sym in self.alphabet[:i]:
                 raise ValueError(f"alphabet symbol {sym!r} repeats")
-        # one pass for the lengths, one count per letter for the letters
-        letters, joined = set(self.alphabet), "".join(self.blocks)
-        lengths_bad = set(map(len, self.blocks)) - {self.order}
-        if lengths_bad or sum(map(joined.count, letters)) != len(joined):
-            bad = next(w for w in self.blocks if len(w) != self.order or set(w) - letters)
+        if set(map(len, self.blocks)) - {self.order}:
+            bad = next(w for w in self.blocks if len(w) != self.order)
             raise ValueError(f"bad admissible block {bad!r}")
+        check_symbols("".join(self.blocks), "".join(self.alphabet), "symbol")
 
     @classmethod
     def from_forbidden(
@@ -76,6 +74,7 @@ class ZSft:
         for w in bad:
             if not w:
                 raise ValueError("cannot forbid the empty word")
+        check_symbols("".join(bad), "".join(alphabet), "symbol")
         order = max((len(w) for w in bad), default=1)
         blocks = frozenset(
             u for u in _order_words(alphabet, order) if not any(b in u for b in bad)

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core_words import check_generator, free_reduce
+from .core_words import check_generator, check_symbols, free_reduce
 from .errors import NotLevelTwoTrivialError, SizeLimitError
 
 # The sections of b, c, d below a first bit 0 and 1; "" is the identity.
@@ -32,12 +32,6 @@ from .errors import NotLevelTwoTrivialError, SizeLimitError
 SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
 
 DEPTH_CAP = 20
-
-
-def _check_bits(v: str) -> None:
-    for ch in v:
-        if ch not in "01":
-            raise ValueError(f"invalid bit {ch!r}")
 
 
 def _step(word: str) -> tuple[bool, tuple[str, str]]:
@@ -60,7 +54,7 @@ def act_word(word: str, v: str) -> str:
     preserved.  Each bit is flipped if the current section swaps the
     subtrees, and the walk goes on with the section below that bit,
     until the section is the identity."""
-    _check_bits(v)
+    check_symbols(v, "01", "bit")
     word = free_reduce(word)
     out = []
     for i, bit in enumerate(v):

@@ -393,7 +393,8 @@ class TestSft:
             words = periodic_points_by_product(union, line["period"])
             assert line["words"] == words and line["count"] == len(words)
 
-    @pytest.mark.parametrize("k", ["17", "21"])
+    # from 22 on the comb alone would pass the enumeration cap: --k is refused first
+    @pytest.mark.parametrize("k", ["17", "21", "22", "40"])
     def test_comb_demo_beyond_the_period_cap_names_k(self, capsys, k):
         code, _, err = run(capsys, "sft", "comb-demo", "--k", k)
         assert code == 2

@@ -309,7 +309,23 @@ class TestPhase:
 @pytest.mark.parametrize("call, error, message", [
     (lambda: cw.alpha_choice(0), ValueError, "n must be positive"),
     (lambda: cw.language_words(-1), ValueError, "length must be non-negative"),
-], ids=["alpha_choice", "language_words"])
+    # kappa substitutes first, and free reduction refuses the stray character
+    (lambda: cw.kappa("ax"), ValueError, "invalid generator 'x'; expected one of abcd"),
+], ids=["alpha_choice", "language_words", "kappa"])
 def test_argument_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@given(
+    st.text(alphabet="aBCDabcd01 xé\x00\ud800", max_size=30),
+    st.sampled_from([cw.LETTERS, cw.GENERATORS, "01", "xé", ""]),
+)
+def test_check_symbols_names_the_first_stray_character(word, alphabet):
+    stray = next((c for c in word if c not in alphabet), None)
+    if stray is None:
+        cw.check_symbols(word, alphabet, "symbol")
+    else:
+        with pytest.raises(ValueError) as refusal:
+            cw.check_symbols(word, alphabet, "symbol")
+        assert str(refusal.value) == f"invalid symbol {stray!r}; expected one of {alphabet}"

@@ -566,6 +566,11 @@ class TestPseudoOrbit:
      "alphabet symbol '1' repeats"),
     (lambda: ZSft.from_blocks("aba", 1, {"a"}), ValueError, "alphabet symbol 'a' repeats"),
     (lambda: ZSft.from_forbidden("ab", [""]), ValueError, "cannot forbid the empty word"),
+    (lambda: ZSft.from_blocks("01", 2, ["0x"]), ValueError,
+     "invalid symbol 'x'; expected one of 01"),
+    # refused before the order is read: 2^30 words would be too many to enumerate
+    (lambda: ZSft.from_forbidden("01", ["x"]), ValueError, "invalid symbol 'x'"),
+    (lambda: ZSft.from_forbidden("01", ["x" * 30]), ValueError, "invalid symbol 'x'"),
     (lambda: sm.sft_approximation(3).words(-1), ValueError, "length must be non-negative"),
     (lambda: sm.sft_approximation(0), ValueError, "order must be positive"),
     (lambda: sm.periodic_points(sm.sft_approximation(3), 0), ValueError, "p must be positive"),
@@ -574,8 +579,8 @@ class TestPseudoOrbit:
     (lambda: sm.comb_sft([WangTile("T", "x", "x"), WangTile("T", "y", "y")], 2), ValueError,
      "tile names must be distinct"),
 ], ids=["order", "symbol", "block", "repeated-symbol", "repeated-block-symbol",
-        "from_forbidden", "words", "sft_approximation",
-        "periodic_points", "pseudo_orbit_demo", "WangTile", "comb_sft"])
+        "from_forbidden", "block-symbol", "forbidden-symbol", "forbidden-symbol-long",
+        "words", "sft_approximation", "periodic_points", "pseudo_orbit_demo", "WangTile", "comb_sft"])
 def test_argument_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -325,7 +325,8 @@ class TestWordsAgainstTheOracles:
     (lambda: ta.is_trivial_up_to_depth("aa", 0), ValueError, "depth must be positive"),
     (lambda: ta.word_permutation("ab", -1), ValueError, "level must be non-negative"),
     (lambda: ta.word_permutation("", -1), ValueError, "level must be non-negative"),
-], ids=["is_trivial_up_to_depth", "word_permutation", "word_permutation-identity"])
+    (lambda: ta.act_word("a", "0x"), ValueError, "invalid bit 'x'; expected one of 01"),
+], ids=["is_trivial_up_to_depth", "word_permutation", "word_permutation-identity", "act_word"])
 def test_argument_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
