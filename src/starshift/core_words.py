@@ -22,6 +22,7 @@ reduced form by :func:`free_reduce`.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 
 from .errors import SizeLimitError
 
@@ -84,7 +85,9 @@ _LETTER_RANKS = rank_table(LETTERS)
 
 
 def lex_key(word: str) -> str:
-    """Sort key realizing the letter order a < B < C < D on valid words."""
+    """Sort key realizing the letter order a < B < C < D; a character that
+    is not a letter is refused by :func:`check_letters`."""
+    check_letters(word)
     return word.translate(_LETTER_RANKS)
 
 
@@ -229,12 +232,27 @@ def ring(n: int) -> str:
     return build_w(n) + alpha_choice(n)
 
 
-def language_words(length: int) -> list[str]:
-    """All language words of the given length, sorted with a < B < C < D:
-    the factors of :func:`pairs` at the least n with length <= 2^n - 1,
-    refused with SizeLimitError past n = LISTING_CAP."""
+def language_set(length: int) -> frozenset[str]:
+    """All language words of the given length, unordered, refused with
+    SizeLimitError past n = LISTING_CAP.  With n the least such that
+    length <= 2^n - 1, they are the factors of w_n and the windows of
+    each of :func:`pairs` that cover its middle letter: the windows of
+    one pair that start in its first half, and the middle windows of the
+    two others."""
     if length < 0:
         raise ValueError("length must be non-negative")
     n = _adequate_n(length, LISTING_CAP)
-    found = {p[i : i + length] for p in pairs(n) for i in range(len(p) - length + 1)}
-    return sorted(found, key=lex_key)
+    half = 2**n  # the middle letter of a pair sits at index half - 1
+    first, *others = pairs(n)
+    return frozenset(
+        chain(
+            (first[i : i + length] for i in range(half)),
+            (p[i : i + length] for p in others for i in range(half - length, half)),
+        )
+    )
+
+
+def language_words(length: int) -> list[str]:
+    """All language words of the given length, :func:`language_set` sorted
+    with a < B < C < D."""
+    return sorted(language_set(length), key=lex_key)

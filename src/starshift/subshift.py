@@ -8,10 +8,11 @@ order-blocks as edges.  After trimming states without incoming or
 outgoing edges, bi-infinite paths through the automaton are exactly the
 configurations, so language queries reduce to path enumeration, and
 periodic points to the closed paths that spell a necklace, walked once
-per orbit from its origin state.  The trimmed automaton, its prenecklace
-states and the gcd of its cycle lengths are functions of the blocks
-alone, built once per distinct block set and shared, in a bounded cache,
-by every ZSft with those blocks.
+per orbit from its origin state.  The trimmed automaton, kept in rank
+space (each symbol written as the character of its rank), its
+prenecklace states and the gcd of its cycle lengths are functions of the
+blocks alone, built once per distinct block set and shared, in a bounded
+cache, by every ZSft with those blocks.
 
 Alphabet symbols are single characters and words are strings, matching
 the rest of the package.
@@ -27,7 +28,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import core_words
-from .core_words import check_symbols, language_contains, language_words, rank_table
+from .core_words import check_symbols, language_contains, language_set, rank_table
 from .errors import DisjointnessError, EmptySftError, SizeLimitError
 from .jump_action import moving_relator
 
@@ -52,11 +53,7 @@ class ZSft:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be positive")
-        for i, sym in enumerate(self.alphabet):
-            if len(sym) != 1:
-                raise ValueError(f"alphabet symbols must be single characters: {sym!r}")
-            if sym in self.alphabet[:i]:
-                raise ValueError(f"alphabet symbol {sym!r} repeats")
+        _check_alphabet(self.alphabet)
         if set(map(len, self.blocks)) - {self.order}:
             bad = next(w for w in self.blocks if len(w) != self.order)
             raise ValueError(f"bad admissible block {bad!r}")
@@ -68,8 +65,10 @@ class ZSft:
     ) -> "ZSft":
         """SFT avoiding the given words (lengths may be mixed), kept as its
         admissible blocks: the words of the longest forbidden length that
-        contain none of them, from the one enumeration of order-words."""
+        contain none of them, from the one enumeration of order-words.  The
+        alphabet is checked first, before the order sets what to enumerate."""
         alphabet = tuple(alphabet)
+        _check_alphabet(alphabet)
         bad = tuple(sorted(set(forbidden)))
         for w in bad:
             if not w:
@@ -93,6 +92,7 @@ class ZSft:
 
     @property
     def _automaton(self) -> dict[str, dict[str, str]]:
+        """The trimmed follower automaton, in rank space."""
         return self._graph.trans
 
     @property
@@ -115,24 +115,34 @@ class ZSft:
         return word.translate(self._rank_table)
 
     def words(self, length: int) -> set[str]:
-        """Words of the given length appearing in some configuration."""
+        """Words of the given length appearing in some configuration: the
+        paths of the automaton, read in rank space and translated back."""
         if length < 0:
             raise ValueError("length must be non-negative")
-        trans = self._automaton
-        if not trans:
-            return set()
+        trans, symbols = self._automaton, self._graph.symbols
         m = self.order - 1
         if length <= m:
-            return {s[i : i + length] for s in trans for i in range(m - length + 1)}
-        frontier = {s: {s} for s in trans}  # suffix state -> words read so far
-        out: dict[str, set[str]] = frontier
-        for _ in range(length - m):
-            nxt: dict[str, set[str]] = {}
-            for state, words in out.items():
-                for c, t in trans[state].items():
-                    nxt.setdefault(t, set()).update(w + c for w in words)
-            out = nxt
-        return set().union(*out.values()) if out else set()
+            found = {s[i : i + length] for s in trans for i in range(m - length + 1)}
+        else:
+            out = {s: {s} for s in trans}  # suffix state -> words read so far
+            for _ in range(length - m):
+                nxt: dict[str, set[str]] = {}
+                for state, words in out.items():
+                    for c, t in trans[state].items():
+                        nxt.setdefault(t, set()).update(w + c for w in words)
+                out = nxt
+            found = set().union(*out.values())
+        return {w.translate(symbols) for w in found}
+
+
+def _check_alphabet(alphabet: tuple[str, ...]) -> None:
+    """Raise ValueError unless the alphabet's symbols are distinct single
+    characters."""
+    for i, sym in enumerate(alphabet):
+        if len(sym) != 1:
+            raise ValueError(f"alphabet symbols must be single characters: {sym!r}")
+        if sym in alphabet[:i]:
+            raise ValueError(f"alphabet symbol {sym!r} repeats")
 
 
 def _order_words(alphabet: tuple[str, ...], order: int):
@@ -147,51 +157,60 @@ def _order_words(alphabet: tuple[str, ...], order: int):
 
 class _FollowerGraph(NamedTuple):
     """What the searches read of a ZSft, all of it a function of the
-    blocks: the trimmed follower automaton, its prenecklace states, and
-    the gcd of its cycle lengths.  Shared by every ZSft with the same
-    blocks, so nothing may change it."""
+    blocks and the alphabet: the trimmed follower automaton, its
+    prenecklace states, and the gcd of its cycle lengths.  The automaton
+    is in rank space: every symbol is written as the character of its
+    rank in the alphabet (:func:`~starshift.core_words.rank_table`), so
+    words compare in the alphabet's order as plain strings.  Shared by
+    every ZSft with the same blocks, so nothing may change it."""
 
+    # states in ascending order, and each state's edges in ascending order
+    # of their letter
     trans: dict[str, dict[str, str]]
-    # the states that are prenecklaces in the alphabet's order, each with
-    # the period of its longest Lyndon prefix: the origin states of the
+    # the states that are prenecklaces, in ascending order, each with the
+    # period of its longest Lyndon prefix: the origin states of the
     # periodic points, where their necklace search starts
     seeds: dict[str, int]
     cycle_gcd: int  # divides the length of every closed walk; 0 when empty
+    symbols: dict[int, str]  # translation from rank space back to the alphabet
 
 
 @lru_cache(maxsize=_GRAPH_CACHE)
 def _follower_graph(alphabet: tuple[str, ...], blocks: frozenset[str]) -> _FollowerGraph:
     # the blocks fix the order, save when there are none and the graph is empty
-    trans = _trimmed_automaton(blocks)
-    seeds = _prenecklace_seeds(trans, rank_table(alphabet))
-    return _FollowerGraph(trans, seeds, _cycle_gcd(trans))
+    ranks = rank_table(alphabet)
+    trans = _trimmed_automaton(sorted(w.translate(ranks) for w in blocks))
+    return _FollowerGraph(
+        trans, _prenecklace_seeds(trans), _cycle_gcd(trans), dict(enumerate(alphabet))
+    )
 
 
-def _trimmed_automaton(blocks: frozenset[str]) -> dict[str, dict[str, str]]:
+def _trimmed_automaton(blocks: list[str]) -> dict[str, dict[str, str]]:
+    # read in ascending order, the blocks put the states and their edges
+    # in ascending order, and deletions keep it
     trans: dict[str, dict[str, str]] = {}
     for w in blocks:
         trans.setdefault(w[:-1], {})[w[-1]] = w[1:]
-        trans.setdefault(w[1:], {})
     # keep only states on bi-infinite paths
     while True:
+        for edges in trans.values():
+            for c in [c for c, t in edges.items() if t not in trans]:
+                del edges[c]
         with_in = {t for edges in trans.values() for t in edges.values()}
         dead = [s for s, edges in trans.items() if not edges or s not in with_in]
         if not dead:
             return trans
         for s in dead:
             del trans[s]
-        for edges in trans.values():
-            for c in [c for c, t in edges.items() if t not in trans]:
-                del edges[c]
 
 
-def _prenecklace_seeds(trans: dict[str, dict[str, str]], ranks: dict[int, str]):
+def _prenecklace_seeds(trans: dict[str, dict[str, str]]) -> dict[str, int]:
     seeds = {}
     for state in trans:
-        key, lyn = state.translate(ranks), 1
-        for i in range(1, len(key)):
-            if key[i] != key[i - lyn]:
-                if key[i] < key[i - lyn]:
+        lyn = 1
+        for i in range(1, len(state)):
+            if state[i] != state[i - lyn]:
+                if state[i] < state[i - lyn]:
                     break
                 lyn = i + 1
         else:
@@ -203,45 +222,52 @@ def _cycle_gcd(trans: dict[str, dict[str, str]]) -> int:
     """The gcd over all edges u -> v of level(u) + 1 - level(v), the
     levels set by a search of each weakly connected component over its
     edges taken both ways.  Along a closed walk the levels cancel, so its
-    length is a sum of these terms, and a multiple of their gcd."""
+    length is a sum of these terms, and a multiple of their gcd.  Each
+    edge is read once, from its source, when both levels are set."""
     back: dict[str, list[str]] = {s: [] for s in trans}
     for s, edges in trans.items():
         for t in edges.values():
             back[t].append(s)
     level: dict[str, int] = {}
+    d = 0
     for root in trans:
         if root in level:
             continue
         level[root] = 0
         queue = [root]
         for u in queue:
+            up = level[u] + 1
             for v in trans[u].values():
-                if v not in level:
-                    level[v] = level[u] + 1
+                if v in level:
+                    d = gcd(d, up - level[v])
+                else:
+                    level[v] = up  # a term 0
                     queue.append(v)
             for v in back[u]:
                 if v not in level:
-                    level[v] = level[u] - 1
+                    level[v] = up - 2
                     queue.append(v)
-    return gcd(*(level[u] + 1 - level[v] for u, edges in trans.items() for v in edges.values()))
+    return d
 
 
 def sft_approximation(order: int) -> ZSft:
     """The SFT whose forbidden words are the non-language words of one length.
 
     For large orders the forbidden set is astronomical, so the SFT is
-    built from the admissible side; ``forbidden`` stays available for
-    small orders.
+    built from the admissible side, the unordered listing
+    :func:`~starshift.core_words.language_set` taken as its blocks;
+    ``forbidden`` stays available for small orders.
     """
     if order < 1:
         raise ValueError("order must be positive")
     if order > APPROXIMATION_CAP:
         raise SizeLimitError(f"approximation order {order} exceeds the cap {APPROXIMATION_CAP}")
-    return ZSft.from_blocks("aBCD", order, language_words(order))
+    return ZSft.from_blocks("aBCD", order, language_set(order))
 
 
 def periodic_points(sft: ZSft, p: int) -> list[str]:
-    """All period-p orbits, each as the least rotation of its repeating word.
+    """All period-p orbits, each as the least rotation of its repeating
+    word, in the alphabet's order.
 
     A period-p orbit is that of ``w^Z`` for one necklace ``w`` of length
     p, its least rotation in the alphabet's order.  Its walk through the
@@ -254,8 +280,13 @@ def periodic_points(sft: ZSft, p: int) -> list[str]:
     one ``lyn`` places back is pruned.  Once the word holds i >= p letters it stops:
     it is p-periodic iff ``lyn`` divides p, and then ``word[:p]`` is kept
     when the automaton reads, from the end state, the m letters that
-    follow it in ``w^Z``.  The list is sorted in the alphabet's order and
-    empty when no such point exists.
+    follow it in ``w^Z``.  The list is empty when no such point exists.
+
+    The walk runs in rank space, where letters compare as characters.
+    It is depth-first, with the seeds and each state's edges stacked in
+    descending order, so the points come out already sorted; a state with
+    one edge extends the word in place.  Each point is translated back to
+    the alphabet once.
 
     A periodic point is a closed walk of length p, and the length of
     every closed walk is a multiple of the automaton's cycle gcd d
@@ -266,28 +297,38 @@ def periodic_points(sft: ZSft, p: int) -> list[str]:
         raise ValueError("p must be positive")
     if p > PERIOD_CAP:
         raise SizeLimitError(f"period {p} exceeds the cap {PERIOD_CAP}")
-    trans, seeds, cycle_gcd = sft._graph
+    trans, seeds, cycle_gcd, symbols = sft._graph
     if not trans or p % cycle_gcd:
         return []
     m = sft.order - 1
-    rank = {c: i for i, c in enumerate(sft.alphabet)}
     found = []
-    stack = [(s, s, lyn) for s, lyn in seeds.items()]
+    stack = [(s, s, lyn) for s, lyn in reversed(seeds.items())]
     while stack:
         state, word, lyn = stack.pop()
         i = len(word)
-        if i >= p:
+        while i < p:
+            edges = trans[state]
+            back = word[i - lyn] if i else ""  # an order-1 SFT's empty state
+            if len(edges) > 1:
+                for c, t in reversed(edges.items()):
+                    if c > back:
+                        stack.append((t, word + c, i + 1))
+                    elif c == back:
+                        stack.append((t, word + c, lyn))
+                    else:
+                        break
+                break
+            [(c, state)] = edges.items()  # a forced letter, read in place
+            if c < back:
+                break
+            if c > back:
+                lyn = i + 1
+            word += c
+            i += 1
+        else:
             if p % lyn == 0 and _reads(trans, state, word[i - p : i - p + m]):
-                found.append(word[:p])
-            continue
-        back = rank[word[i - lyn]] if i else -1  # an order-1 SFT's empty state
-        for c, t in trans[state].items():
-            r = rank[c]
-            if r > back:
-                stack.append((t, word + c, i + 1))
-            elif r == back:
-                stack.append((t, word + c, lyn))
-    return sorted(found, key=sft._key)
+                found.append(word[:p].translate(symbols))
+    return found
 
 
 def _reads(trans: dict[str, dict[str, str]], state: str, letters: str) -> bool:

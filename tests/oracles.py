@@ -11,8 +11,10 @@ their expanded form, letter by letter against the jump tables, which the
 library never does, and a circular repetition (w_n alpha)^p on its own
 tables, where the library reads every p off one lift to the Z-cover.  Membership in
 the shift's own language is a substring search in a host w_{n+3}, the
-words of one length are that host's factors, where the library lists
-the factors of the three pairs w_n alpha w_n, and the factor map is
+words of one length are that host's factors, or every window of the
+three pairs w_n alpha w_n, where the library lists the windows of one
+pair that start in its first half and the middle windows of the other
+two, and the factor map is
 read from where a window's letters occur in w_16, where the library
 parses the letters near the origin instead; the natural blocks are
 listed from a parse of the whole window, where the library places the
@@ -251,6 +253,21 @@ def language_words_by_host(length: int) -> list[str]:
     return sorted(found, key=lambda w: tuple(map(rank.__getitem__, w)))
 
 
+_LETTER_DIGITS = str.maketrans("aBCD", "0123")
+
+
+def language_words_by_slices(length: int) -> list[str]:
+    """The language words of one length as every window of the three
+    pairs w_n alpha w_n, n the least with length <= 2^n - 1, sorted with
+    each letter written as the digit of its rank (a tuple of ranks per
+    word would hold 8 bytes a letter, some 300 MB at 4095 letters)."""
+    n = max(1, length.bit_length())
+    w = build_w(n)
+    doubles = [w + alpha + w for alpha in "BCD"]
+    found = {d[i : i + length] for d in doubles for i in range(len(d) - length + 1)}
+    return sorted(found, key=lambda w: w.translate(_LETTER_DIGITS))
+
+
 def canonical_rotation_by_tuples(word: str, alphabet) -> str:
     """Least rotation of a word, every rotation built and compared by its
     tuple of ranks in the alphabet."""
@@ -416,8 +433,9 @@ def pseudo_orbit_by_bisection(n: int, t: int | None = None) -> PseudoOrbitReport
 def periodic_points_by_dfs(sft: ZSft, p: int) -> list[str]:
     """Every closed length-p path of the follower automaton from every
     state, each reduced to its canonical rotation, so an orbit is found
-    once per closed walk through it; sorted by the tuple of ranks."""
-    trans = sft._automaton
+    once per closed walk through it; sorted by the tuple of ranks.  The
+    automaton is in rank space, and each path is translated back."""
+    trans, symbols = sft._automaton, dict(enumerate(sft.alphabet))
     found: set[str] = set()
     for start in trans:
         stack = [(start, "")]
@@ -425,7 +443,7 @@ def periodic_points_by_dfs(sft: ZSft, p: int) -> list[str]:
             state, word = stack.pop()
             if len(word) == p:
                 if state == start:
-                    found.add(canonical_rotation_by_tuples(word, sft.alphabet))
+                    found.add(canonical_rotation_by_tuples(word.translate(symbols), sft.alphabet))
                 continue
             for c, t in trans[state].items():
                 stack.append((t, word + c))

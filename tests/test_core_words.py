@@ -9,6 +9,7 @@ from oracles import (
     free_reduce_by_stack,
     host_language_contains,
     language_words_by_host,
+    language_words_by_slices,
     placements,
     PLACEMENT_BITS,
     tau_fixed_point_prefix,
@@ -198,6 +199,12 @@ class TestLanguage:
         for length in sorted(powers.union(range(301))):
             assert cw.language_words(length) == language_words_by_host(length), length
 
+    def test_words_match_every_window_of_the_pairs(self):
+        # the listing reads one pair's first half and the middle windows of
+        # the two others, 2^n + 2L windows instead of 3 * (2^(n+1) - L)
+        for length in [*range(301), 511, 1023, 2047, 4095]:
+            assert cw.language_words(length) == language_words_by_slices(length), length
+
     def test_words_read_no_host(self, monkeypatch):
         built = []
         build = cw.build_w
@@ -311,7 +318,10 @@ class TestPhase:
     (lambda: cw.language_words(-1), ValueError, "length must be non-negative"),
     # kappa substitutes first, and free reduction refuses the stray character
     (lambda: cw.kappa("ax"), ValueError, "invalid generator 'x'; expected one of abcd"),
-], ids=["alpha_choice", "language_words", "kappa"])
+    # a sort key for letters only: a stray character is not ranked
+    (lambda: cw.lex_key("x"), ValueError, "invalid letter 'x'; expected one of aBCD"),
+    (lambda: cw.lex_key("aDxC"), ValueError, "invalid letter 'x'; expected one of aBCD"),
+], ids=["alpha_choice", "language_words", "kappa", "lex_key", "lex_key-inside"])
 def test_argument_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -260,6 +260,20 @@ class TestPeriodicPoints:
                 expected = periodic_points_by_product(x, p)
                 assert sm.periodic_points(x, p) == expected, (family, x.order, p)
 
+    def test_points_come_out_in_order_without_a_sort(self, monkeypatch):
+        # the graph, built once per block set, is built before the patch
+        # (by ``is_empty``): the search stacks its branches in descending
+        # order, and sorts nothing
+        x = sm.sft_approximation(2)
+        assert not x.is_empty
+        expected = periodic_points_by_product(x, 16)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("periodic_points sorted")
+
+        monkeypatch.setattr(sm, "sorted", refuse, raising=False)
+        assert sm.periodic_points(sm.sft_approximation(2), 16) == expected
+
     def test_alternating_count_at_order_two(self):
         # the necklaces of the eight letters between the `a`s, over BCD
         x = sm.sft_approximation(2)
@@ -578,9 +592,16 @@ class TestPseudoOrbit:
     (lambda: WangTile("_", "x", "x"), ValueError, "tile names are single characters"),
     (lambda: sm.comb_sft([WangTile("T", "x", "x"), WangTile("T", "y", "y")], 2), ValueError,
      "tile names must be distinct"),
+    # the alphabet is checked before the order: 3^30 and 3^40 words would
+    # be too many to enumerate
+    (lambda: ZSft.from_forbidden(("0", "1", "1"), ["1" * 30]), ValueError,
+     "alphabet symbol '1' repeats"),
+    (lambda: ZSft.from_forbidden(("ab", "cd", "ef"), ["ab" * 20]), ValueError,
+     "alphabet symbols must be single characters: 'ab'"),
 ], ids=["order", "symbol", "block", "repeated-symbol", "repeated-block-symbol",
         "from_forbidden", "block-symbol", "forbidden-symbol", "forbidden-symbol-long",
-        "words", "sft_approximation", "periodic_points", "pseudo_orbit_demo", "WangTile", "comb_sft"])
+        "words", "sft_approximation", "periodic_points", "pseudo_orbit_demo", "WangTile", "comb_sft",
+        "repeated-symbol-long", "multi-character-symbol-long"])
 def test_argument_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
