@@ -1,10 +1,12 @@
 """The Gray-code conjugacy and the factor map onto the tree boundary.
 
 Star positions of the word w_n correspond to level-n tree vertices
-through a reflected-Gray-code-like table phi_n: position 0 maps to 1^n,
-position 2^n - 1 to 1^{n-1}0, and the second half of phi_{n+1} replays
-phi_n backwards with a 0 appended, mirroring the palindrome structure
-of w_{n+1} = w_n alpha w_n.
+through a table phi_n given by the reflected Gray code: star position j
+maps to the n-bit string whose letter i (the first being i = 0) is
+1 minus bit i of j ^ (j >> 1).  Position 0 maps to 1^n and position
+2^n - 1 to 1^{n-1}0, and the mirror image 2^n - 1 - j of a position
+differs from it in the last letter only, as the palindrome
+w_{n+1} = w_n alpha w_n demands.
 
 In the fixed point the natural w_n blocks start at the indices that are
 1 mod 2^n, so on windows the factor map is a sliding block code: the
@@ -18,7 +20,6 @@ is not fully visible, the operations raise MarginExhaustedError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,32 +42,26 @@ class GrayTable:
     n: int
     codes: np.ndarray = field(repr=False)
 
-    def bits(self, j: int) -> str:
-        if not 0 <= j < len(self.codes):
-            raise ValueError(f"star position {j} out of range")
-        return format(int(self.codes[j]), f"0{self.n}b")
 
-
-@lru_cache(maxsize=None)
-def _phi_codes(n: int) -> np.ndarray:
-    if n == 1:
-        codes = np.array([1, 0], dtype=np.int64)
-    else:
-        prev = _phi_codes(n - 1)
-        # first half appends 1, second half replays the table backwards
-        # and appends 0
-        codes = np.concatenate([prev * 2 + 1, (prev * 2)[::-1]])
-    codes.setflags(write=False)
-    return codes
+def _check_gray_cap(n: int) -> None:
+    if n > GRAY_CAP:
+        raise SizeLimitError(f"gray table for n={n} exceeds the cap {GRAY_CAP}")
 
 
 def phi(n: int) -> GrayTable:
-    """The conjugacy table for star positions of w_n."""
+    """The conjugacy table for star positions of w_n: the n-bit reversal
+    of the complemented Gray code ~(j ^ (j >> 1)), that is ~(r ^ r << 1)
+    for the n-bit reversal r of j."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > GRAY_CAP:
-        raise SizeLimitError(f"gray table for n={n} exceeds the cap {GRAY_CAP}")
-    return GrayTable(n=n, codes=_phi_codes(n))
+    _check_gray_cap(n)
+    reversal = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        # the reversal of j < 2^n is twice that of j mod 2^(n-1), plus its top bit
+        reversal = np.concatenate([reversal * 2, reversal * 2 + 1])
+    codes = ~(reversal ^ reversal << 1) & (2**n - 1)
+    codes.setflags(write=False)
+    return GrayTable(n=n, codes=codes)
 
 
 def natural_decomposition(x: Window, n: int) -> int:
@@ -96,30 +91,29 @@ def natural_decomposition(x: Window, n: int) -> int:
 
 
 def psi_tower(k_max: int, x: Window) -> list[str]:
-    """``[psi(k, x) for k in 1..k_max]`` from the natural w_{k_max+1}
-    block of :func:`natural_decomposition`: the origin at its star
-    position ``at`` sits at position ``at mod 2^{k+1}`` of the w_{k+1}
-    block inside it, so the tower raises exactly when ``psi(k_max, x)``
-    does.
+    """``[psi(k, x) for k in 1..k_max]``: the prefixes of
+    ``psi(k_max, x)``, since letter i of psi reads bits i and i + 1 of
+    the star position only, which the w_{k+1} blocks inside the natural
+    w_{k_max+1} block share.  The tower raises exactly when
+    ``psi(k_max, x)`` does.
     """
-    if k_max < 1:
-        raise ValueError("k must be positive")
-    at = x.origin - natural_decomposition(x, k_max + 1)
-    return [phi(k + 1).bits(at % 2 ** (k + 1))[:k] for k in range(1, k_max + 1)]
+    top = psi(k_max, x)
+    return [top[:k] for k in range(1, k_max + 1)]
 
 
 def psi(k: int, x: Window) -> str:
-    """First k coordinates of the tree vertex underneath a window: the
-    first k bits of the Gray code of the origin's star position in the
-    natural w_{k+1} block that holds it, the last value of
-    :func:`psi_tower`, read from that one Gray code.  A margin of
-    2^{k+2} letters on each side of the origin always suffices; smaller
-    windows may raise MarginExhaustedError.
+    """First k coordinates of the tree vertex underneath a window, the
+    first k letters of phi_{k+1} at the origin's star position ``at`` in
+    the natural w_{k+1} block that holds it: letter i is 1 minus bit i
+    of at ^ (at >> 1).  A margin of 2^{k+2} letters on each side of the
+    origin always suffices; smaller windows may raise
+    MarginExhaustedError.
     """
     if k < 1:
         raise ValueError("k must be positive")
     at = x.origin - natural_decomposition(x, k + 1)
-    return phi(k + 1).bits(at)[:k]
+    _check_gray_cap(k + 1)
+    return format(~(at ^ at >> 1) & (2**k - 1), f"0{k}b")[::-1]
 
 
 def six_fiber_witnesses(m: int) -> list[Window]:

@@ -57,7 +57,6 @@ from starshift.core_words import (
 )
 from starshift.errors import MarginExhaustedError, SizeLimitError
 from starshift.full_group import CocyclePiece
-from starshift.gray_factor import phi
 from starshift.jump_action import (
     JUMP_SETS,
     check_circular,
@@ -348,7 +347,8 @@ def central_block_by_listing(x, n: int) -> int:
 def psi_by_offsets(k: int, x) -> str:
     """First k Gray bits of the vertex below the window's origin, read
     from the listed natural w_{k+1} block that holds the origin."""
-    return phi(k + 1).bits(x.origin - central_block_by_listing(x, k + 1))[:k]
+    code = _gray_codes(k + 1)[x.origin - central_block_by_listing(x, k + 1)]
+    return format(code, f"0{k + 1}b")[:k]
 
 
 def blocks_by_placement(x, n: int) -> set[tuple[int, ...]]:

@@ -5,26 +5,33 @@ import numpy as np
 import pytest
 
 from oracles import (
-    PLACEMENT_BITS, blocks_by_placement, central_block_by_listing, natural_blocks_by_listing,
-    psi_by_offsets, psi_by_placement,
+    PLACEMENT_BITS, _gray_codes, blocks_by_placement, central_block_by_listing,
+    natural_blocks_by_listing, psi_by_offsets, psi_by_placement,
 )
 from starshift import gray_factor as gf, jump_action as ja, tree_action as ta
 from starshift.core_words import build_w
 from starshift.errors import MarginExhaustedError, SizeLimitError
-from starshift.full_group import Window, reverse_window
+from starshift.full_group import Window, apply_word, reverse_window
 
 
 class TestPhi:
     def test_level_one(self):
-        table = gf.phi(1)
-        assert table.bits(0) == "1" and table.bits(1) == "0"
+        assert gf.phi(1).codes.tolist() == [0b1, 0b0]
 
     def test_level_two(self):
-        assert [gf.phi(2).bits(j) for j in range(4)] == ["11", "01", "00", "10"]
+        assert gf.phi(2).codes.tolist() == [0b11, 0b01, 0b00, 0b10]
 
     def test_level_three_endpoint(self):
         # phi_3(7) = phi_2(flip(0...)) with a 0 appended
-        assert gf.phi(3).bits(7) == "110"
+        assert gf.phi(3).codes[7] == 0b110
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_formula_matches_the_recursion(self, n):
+        # the tables by formula against phi_1 = (1, 0) and phi_{n+1}
+        # appending 1 to phi_n, then 0 to phi_n reversed
+        codes = gf.phi(n).codes
+        assert codes.tolist() == list(_gray_codes(n))
+        assert not codes.flags.writeable
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_table_invariants(self, n):
@@ -211,11 +218,36 @@ class TestPsi:
         # when the window is a starring of w_m with the central block
         # visible, psi reads off a prefix of the phi code of that block;
         # the natural blocks of w_m start at the multiples of 2^(k+1)
-        m, k = 6, 3
+        m, k = 10, 5
         letters = build_w(m)
-        for origin in range(2 ** (k + 2), len(letters) - 2 ** (k + 2)):
-            expected = gf.phi(k + 1).bits(origin % 2 ** (k + 1))[:k]
+        origins = range(2 ** (k + 2), len(letters) - 2 ** (k + 2))
+        for origin in origins:
+            expected = format(gf.phi(k + 1).codes[origin % 2 ** (k + 1)], f"0{k + 1}b")[:k]
             assert gf.psi(k, Window(letters, origin)) == expected
+        assert len(origins) == 767
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_psi_is_a_g_map(seed):
+    # psi(k, g.x) = g.psi(k, x) wherever both sides are defined, on seeded
+    # windows of w_14, depths k <= 8 and words of 1-6 letters; the word
+    # read left to right instead fails on some cases.  Either side may
+    # run out of margin while the other does not, so the refusals are not
+    # compared.
+    rng = random.Random(100 + seed)
+    compared = reversed_fails = 0
+    for x in _seeded_slices_of_w14(seed, 3000):
+        k = rng.randint(1, 8)
+        word = "".join(rng.choice("abcd") for _ in range(rng.randint(1, 6)))
+        try:
+            below = gf.psi(k, x)
+            image = gf.psi(k, apply_word(word, x))
+        except MarginExhaustedError:
+            continue
+        assert image == ta.act_word(word, below), (x, k, word)
+        compared += 1
+        reversed_fails += image != ta.act_word(word[::-1], below)
+    assert compared >= 1000 and reversed_fails >= 150, (compared, reversed_fails)
 
 
 class TestPsiTower:
@@ -302,9 +334,7 @@ class TestSixFiberWitnesses:
     (lambda: gf.natural_decomposition(Window(build_w(5), 10), 0), ValueError,
      "n must be positive"),
     (lambda: gf.six_fiber_witnesses(0), ValueError, "m must be positive"),
-    (lambda: gf.phi(2).bits(4), ValueError, "star position 4 out of range"),
-    (lambda: gf.phi(2).bits(-1), ValueError, "star position -1 out of range"),
-], ids=["phi", "natural_decomposition", "six_fiber_witnesses", "bits-past-end", "bits-negative"])
+], ids=["phi", "natural_decomposition", "six_fiber_witnesses"])
 def test_argument_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -116,12 +116,12 @@ def test_the_guard_sees_a_dead_method(tmp_path):
     copy.mkdir()
     for path in SRC.glob("*.py"):
         (copy / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
-    source = (copy / "gray_factor.py").read_text(encoding="utf-8")
-    bits = "    def bits(self, j: int) -> str:\n"
+    source = (copy / "full_group.py").read_text(encoding="utf-8")
+    to_dot = "    def to_dot(self) -> str:\n"
     dead = "    def as_strings(self) -> list[str]:\n        return []\n\n"
-    assert bits in source
-    (copy / "gray_factor.py").write_text(source.replace(bits, dead + bits), encoding="utf-8")
-    assert unused_public_names(copy) == ["gray_factor.GrayTable.as_strings"]
+    assert source.count(to_dot) == 1
+    (copy / "full_group.py").write_text(source.replace(to_dot, dead + to_dot), encoding="utf-8")
+    assert unused_public_names(copy) == ["full_group.SchreierGraph.as_strings"]
 
 
 def test_paper_facing_names_exist():
