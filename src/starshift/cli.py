@@ -142,7 +142,7 @@ def _check_language_equivalence(max_n: int) -> bool:
         n = max(1, length.bit_length())
         hosts = core_words.build_w(n + 3), core_words.build_w(min(n + 6, 16))
         found = [{w[i : i + length] for i in range(len(w) - length + 1)} for w in hosts]
-        if not (set(core_words.language_words(length)) == found[0] == found[1]):
+        if not (core_words.language_set(length) == found[0] == found[1]):
             return False
     return True
 
@@ -150,7 +150,7 @@ def _check_language_equivalence(max_n: int) -> bool:
 def _check_minimality(max_n: int) -> bool:
     for n in range(1, min(max_n, 6) + 1):
         w = core_words.build_w(n)
-        for u in core_words.language_words(2 ** (n + 1) - 1):
+        for u in core_words.language_set(2 ** (n + 1) - 1):
             if w not in u:
                 return False
     return True

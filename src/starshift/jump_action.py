@@ -47,6 +47,9 @@ JUMP_SETS = {"a": "a", "b": "CD", "c": "BD", "d": "BC"}
 STAR = "*"
 
 TABLE_CAPS = (12, 64)  # n_max, p_max
+# largest t that relation_set expands: its letters grow as about 2^(t + 6),
+# 4.2 million at t = 16
+RELATION_SET_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -237,9 +240,12 @@ _SEED_ROOTS = ("ad", "adacac")
 @lru_cache(maxsize=None)
 def relation_set(t: int) -> tuple[str, ...]:
     """Relators a^2, b^2, c^2, d^2, bcd and the kappa-iterates of
-    (ad)^4 and (adacac)^4 up to exponent t, all fully expanded."""
+    (ad)^4 and (adacac)^4 up to exponent t, all fully expanded;
+    SizeLimitError, before any expansion, for t past RELATION_SET_CAP."""
     if t < 0:
         raise ValueError("t must be non-negative")
+    if t > RELATION_SET_CAP:
+        raise SizeLimitError(f"relator exponent {t} exceeds the cap {RELATION_SET_CAP}")
     relators, seeds = _KLEIN_RELATORS, tuple(root * 4 for root in _SEED_ROOTS)
     for _ in range(t + 1):
         relators, seeds = relators + seeds, tuple(map(kappa, seeds))

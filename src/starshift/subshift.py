@@ -3,16 +3,18 @@
 An SFT is its admissible blocks of one fixed length (the order), and
 nothing else: :meth:`ZSft.from_forbidden` turns forbidden words into
 blocks once, and ``forbidden`` is read back as their complement.  The
-follower automaton has the (order-1)-blocks as states and the
-order-blocks as edges.  After trimming states without incoming or
-outgoing edges, bi-infinite paths through the automaton are exactly the
-configurations, so language queries reduce to path enumeration, and
-periodic points to the closed paths that spell a necklace, walked once
-per orbit from its origin state.  The trimmed automaton, kept in rank
-space (each symbol written as the character of its rank), its
-prenecklace states and the gcd of its cycle lengths are functions of the
-blocks alone, built once per distinct block set and shared, in a bounded
-cache, by every ZSft with those blocks.
+one view a ZSft derives from its blocks is its follower graph: the
+follower automaton, with the (order-1)-blocks as states and the
+order-blocks as edges, trimmed to the states on bi-infinite paths.  Its
+states are then exactly the language words of length order-1, so
+shorter words are their prefixes; its bi-infinite paths are exactly the
+configurations, so longer words are its paths, and periodic points the
+closed paths that spell a necklace, walked once per orbit from its
+origin state.  The graph, kept in rank space (each symbol written as
+the character of its rank), with its prenecklace states and the gcd of
+its cycle lengths, is a function of the blocks alone, built once per
+distinct block set and shared, in a bounded cache, by every ZSft with
+those blocks.
 
 Alphabet symbols are single characters and words are strings, matching
 the rest of the package.
@@ -70,9 +72,8 @@ class ZSft:
         alphabet = tuple(alphabet)
         _check_alphabet(alphabet)
         bad = tuple(sorted(set(forbidden)))
-        for w in bad:
-            if not w:
-                raise ValueError("cannot forbid the empty word")
+        if "" in bad:
+            raise ValueError("cannot forbid the empty word")
         check_symbols("".join(bad), "".join(alphabet), "symbol")
         order = max((len(w) for w in bad), default=1)
         blocks = frozenset(
@@ -91,13 +92,8 @@ class ZSft:
         return _follower_graph(self.alphabet, self.blocks)
 
     @property
-    def _automaton(self) -> dict[str, dict[str, str]]:
-        """The trimmed follower automaton, in rank space."""
-        return self._graph.trans
-
-    @property
     def is_empty(self) -> bool:
-        return not self._automaton
+        return not self._graph.trans
 
     @property
     def forbidden(self) -> tuple[str, ...]:
@@ -106,23 +102,16 @@ class ZSft:
         words = _order_words(self.alphabet, self.order)
         return tuple(sorted(u for u in words if u not in self.blocks))
 
-    @cached_property
-    def _rank_table(self) -> dict[int, str]:
-        return rank_table(self.alphabet)
-
-    def _key(self, word: str) -> str:
-        """Sort key realizing the alphabet's order, for words over it."""
-        return word.translate(self._rank_table)
-
     def words(self, length: int) -> set[str]:
-        """Words of the given length appearing in some configuration: the
-        paths of the automaton, read in rank space and translated back."""
+        """Words of the given length appearing in some configuration, read
+        off the follower graph in rank space and translated back: up to
+        length order-1 the prefixes of its states, beyond that its paths."""
         if length < 0:
             raise ValueError("length must be non-negative")
-        trans, symbols = self._automaton, self._graph.symbols
+        trans, symbols = self._graph.trans, self._graph.symbols
         m = self.order - 1
         if length <= m:
-            found = {s[i : i + length] for s in trans for i in range(m - length + 1)}
+            found = {s[:length] for s in trans}
         else:
             out = {s: {s} for s in trans}  # suffix state -> words read so far
             for _ in range(length - m):
@@ -156,8 +145,8 @@ def _order_words(alphabet: tuple[str, ...], order: int):
 
 
 class _FollowerGraph(NamedTuple):
-    """What the searches read of a ZSft, all of it a function of the
-    blocks and the alphabet: the trimmed follower automaton, its
+    """The one view a ZSft derives from its blocks, all of it a function
+    of the blocks and the alphabet: the trimmed follower automaton, its
     prenecklace states, and the gcd of its cycle lengths.  The automaton
     is in rank space: every symbol is written as the character of its
     rank in the alphabet (:func:`~starshift.core_words.rank_table`), so
@@ -179,13 +168,13 @@ class _FollowerGraph(NamedTuple):
 def _follower_graph(alphabet: tuple[str, ...], blocks: frozenset[str]) -> _FollowerGraph:
     # the blocks fix the order, save when there are none and the graph is empty
     ranks = rank_table(alphabet)
-    trans = _trimmed_automaton(sorted(w.translate(ranks) for w in blocks))
+    trans = _trimmed_transitions(sorted(w.translate(ranks) for w in blocks))
     return _FollowerGraph(
         trans, _prenecklace_seeds(trans), _cycle_gcd(trans), dict(enumerate(alphabet))
     )
 
 
-def _trimmed_automaton(blocks: list[str]) -> dict[str, dict[str, str]]:
+def _trimmed_transitions(blocks: list[str]) -> dict[str, dict[str, str]]:
     # read in ascending order, the blocks put the states and their edges
     # in ascending order, and deletions keep it
     trans: dict[str, dict[str, str]] = {}
@@ -362,7 +351,7 @@ def union_sft(x1: ZSft, x2: ZSft) -> ZSft:
     if tuple(x1.alphabet) != tuple(x2.alphabet):
         raise ValueError("union requires a shared alphabet")
     lo = max(x1.order, x2.order)
-    hi = lo + len(x1._automaton) * len(x2._automaton) + 1
+    hi = lo + len(x1._graph.trans) * len(x2._graph.trans) + 1
     m = lo
     while True:
         w1, w2 = x1.words(m), x2.words(m)
@@ -370,7 +359,8 @@ def union_sft(x1: ZSft, x2: ZSft) -> ZSft:
         if not shared:
             break
         if m >= hi:
-            witness = sorted(shared, key=x1._key)[0]
+            ranks = rank_table(x1.alphabet)
+            witness = min(shared, key=lambda w: w.translate(ranks))
             raise DisjointnessError(
                 f"subshifts share arbitrarily long words, e.g. {witness!r}",
                 witness=witness,

@@ -435,7 +435,7 @@ def periodic_points_by_dfs(sft: ZSft, p: int) -> list[str]:
     state, each reduced to its canonical rotation, so an orbit is found
     once per closed walk through it; sorted by the tuple of ranks.  The
     automaton is in rank space, and each path is translated back."""
-    trans, symbols = sft._automaton, dict(enumerate(sft.alphabet))
+    trans, symbols = sft._graph.trans, dict(enumerate(sft.alphabet))
     found: set[str] = set()
     for start in trans:
         stack = [(start, "")]

@@ -129,8 +129,10 @@ def test_criterion_06_factor_map_suite():
         ok &= bool(codes[0] == 2**n - 1 and codes[-1] == 2**n - 2)
         ok &= bool(np.all(diffs != 0) and np.all(diffs & (diffs - 1) == 0))
         ok &= bool(np.array_equal(np.sort(codes), np.arange(2**n)))
-    # tower consistency and reversal invariance on >= 10,000 windows
+    # tower consistency and reversal invariance on >= 10,000 windows, and
+    # psi(g.x) = g.psi(x) for one seeded word g of 1-6 letters per window
     letters = cw.build_w(12)
+    rng = random.Random(6)
     windows = 0
     for width, depth in ((129, 4), (257, 5), (513, 6)):
         for start in range(len(letters) - width + 1):
@@ -139,6 +141,8 @@ def test_criterion_06_factor_map_suite():
             ok &= all(b.startswith(a) for a, b in zip(values, values[1:]))
             ok &= gf.psi_tower(depth, fg.reverse_window(win)) == values
             windows += 1
+            g = "".join(rng.choice("abcd") for _ in range(rng.randint(1, 6)))
+            ok &= gf.psi(depth, fg.apply_word(g, win)) == ta.act_word(g, values[-1])
     ok &= windows >= 10000
     # six-witness fibers agree to all visible depths
     for m in range(1, 11):
@@ -146,7 +150,7 @@ def test_criterion_06_factor_map_suite():
         ok &= len(wins) == 6
         for k in range(1, m - 1):
             ok &= len({gf.psi(k, w) for w in wins}) == 1
-    crit.finish(ok, f"{windows} windows from w_12")
+    crit.finish(ok, f"{windows} windows from w_12, G-map compared on all {windows}")
 
 
 def test_criterion_07_tfg_shift():

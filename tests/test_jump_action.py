@@ -649,6 +649,9 @@ class TestOrbits:
 @pytest.mark.parametrize("call, error, message", [
     (lambda: StarredWord("aDa", 4), ValueError, "star 4 out of range for 'aDa'"),
     (lambda: ja.relation_set(-1), ValueError, "t must be non-negative"),
+    # refused before the expansion, which would hold about 2^23 letters at t = 17
+    (lambda: ja.relation_set(ja.RELATION_SET_CAP + 1), SizeLimitError,
+     "relator exponent 17 exceeds the cap 16"),
     (lambda: ja.relator_name(-1), ValueError, "relator index must be non-negative"),
     (lambda: ja.word_star_permutation("", {}), ValueError, "no tables given"),
     (lambda: ja.circular_jump_lift("", "a"), ValueError, "circular word must be nonempty"),
@@ -665,8 +668,8 @@ class TestOrbits:
      r"position 10 out of range \[0, 3\]"),
     (lambda: ja.reach_tables("aDa", 4, 0, "a"), ValueError, r"position 4 out of range"),
     (lambda: ja.reach_tables("aDa", -1, 2, "a"), ValueError, r"position -1 out of range"),
-], ids=["StarredWord", "relation_set", "relator_name", "word_star_permutation",
-        "circular_jump_lift", "reach_tables", "linear-letter", "circular-letter",
+], ids=["StarredWord", "relation_set", "relation_set-cap", "relator_name",
+        "word_star_permutation", "circular_jump_lift", "reach_tables", "linear-letter", "circular-letter",
         "linear-non-ascii", "lift-non-ascii", "linear-blank", "reach_tables-letter",
         "reach_tables-past-end", "reach_tables-end-plus-one", "reach_tables-negative"])
 def test_argument_refusals(call, error, message):

@@ -338,7 +338,7 @@ class TestFollowerGraph:
     def test_approximations_share_one_graph(self):
         first, second = sm.sft_approximation(12), sm.sft_approximation(12)
         assert first is not second
-        assert first._automaton is second._automaton
+        assert first._graph is second._graph
 
     def test_a_scan_builds_one_graph_per_order(self):
         sm._follower_graph.cache_clear()
@@ -416,6 +416,14 @@ class TestUnion:
         with pytest.raises(DisjointnessError) as err:
             sm.union_sft(full, ZSft.from_forbidden("01", ["11"]))
         assert err.value.witness in full.words(len(err.value.witness))
+
+    def test_witness_is_least_in_the_alphabets_order(self):
+        # with b < a, the least shared word is all b; by code point it
+        # would be 'ababa'
+        full = ZSft.from_forbidden(("b", "a"), [])
+        with pytest.raises(DisjointnessError) as err:
+            sm.union_sft(full, ZSft.from_forbidden(("b", "a"), ["aa"]))
+        assert err.value.witness == "bbbbb"
 
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError):
