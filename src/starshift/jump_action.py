@@ -12,17 +12,18 @@ and window origins move by one walk over them.  The Schreier graphs
 read their edges from the tables, and the relator family is checked on
 them through kappa, never expanded, on the lift of a
 circular word to the Z-cover, which serves every p-fold repetition of
-it at once.  Several circular words are checked in one pass, their
-lifts read from one jump table per generator on the words joined and
-kept side by side in one table that stores each value as its residue
-plus the total length times its winding, so one composition step, read
-from a table and a step, serves one ring and many alike; each level
-composes its roots once, and seeds are powers of them by squaring.  The
-rings are checked to be circular words when they enter, so kappa maps
-their tables within a finite set, and the check stops where it repeats
-a ring's tables, keyed by k mod 3 and the ring's a-table, deciding the
-whole presentation.  Words are validated once, when they enter; moves
-skip the check, and a table checks its letters through
+it at once.  Several circular words are checked in one pass, the lifts
+of all four generators read from one jump-table build on the words
+joined and kept side by side in one table that stores each value as its
+residue plus the total length times its winding, so one composition
+step, read from a table and a step, serves one ring and many alike;
+each level composes its roots once, reusing the last level's (ac)^2 as
+its ad, and seeds are powers of them by squaring, composed as steps
+only.  The rings are checked to be circular words when they enter, so
+kappa maps their tables within a finite set, and the check stops where
+it repeats a ring's tables, keyed by k mod 3 and the ring's a-table,
+deciding the whole presentation.  Words are validated once, when they
+enter; moves skip the check, and a table checks its letters through
 :func:`core_words.check_letters`, refusing any but a, B, C, D.
 """
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import core_words
 from .core_words import (
-    GENERATORS, KAPPA, check_generator, check_generators, check_letters, is_alternating, kappa,
+    GENERATORS, check_generator, check_generators, check_letters, is_alternating, kappa,
 )
 from .errors import MarginExhaustedError, SizeLimitError
 
@@ -114,21 +115,27 @@ def jump_word(word: str, s: StarredWord) -> StarredWord:
 _JUMP_MASKS = {g: bytes(chr(i) in js for i in range(256)) for g, js in JUMP_SETS.items()}
 
 
-def _jump_table(padded: bytes, g: str) -> np.ndarray:
-    """The jump rule of ``g`` at every position j, between ``padded[j]``
-    and ``padded[j + 1]``: the star jumps right across its right letter if
-    that is in the jump set of ``g``, else left if its left one is."""
-    check_generator(g)
-    hit = np.frombuffer(padded.translate(_JUMP_MASKS[g]), dtype=np.int8)
-    left, right = hit[:-1], hit[1:]
-    return np.arange(len(right), dtype=np.int64) + (right - (left > right))
+def _jump_table(padded: bytes, generators: str) -> np.ndarray:
+    """The jump rule of each of ``generators``, one row each, at every
+    position j, between ``padded[j]`` and ``padded[j + 1]``: the star
+    jumps right across its right letter if that is in the jump set of the
+    row's generator, else left if its left one is.
+
+    One build serves several generators: their hit masks are read from
+    ``padded`` into one array and the rule is applied to all rows at once.
+    The callers pass generators only."""
+    masks = b"".join(padded.translate(_JUMP_MASKS[g]) for g in generators)
+    hit = np.frombuffer(masks, dtype=np.int8).reshape(len(generators), len(padded))
+    left, right = hit[:, :-1], hit[:, 1:]
+    return np.arange(len(padded) - 1, dtype=np.int64) + (right - (left > right))
 
 
 def linear_jump_permutation(letters: str, g: str) -> np.ndarray:
     """Permutation of star positions [0, len] under one generator; a
     character other than a, B, C, D raises ValueError."""
     check_letters(letters)
-    return _jump_table(f" {letters} ".encode("ascii"), g)  # no generator jumps a blank
+    check_generator(g)
+    return _jump_table(f" {letters} ".encode("ascii"), g)[0]  # no generator jumps a blank
 
 
 def reach_tables(letters: str, at: int, reach: int,
@@ -172,7 +179,8 @@ def circular_jump_lift(letters: str, g: str) -> np.ndarray:
     if not letters:
         check_circular(letters)  # the empty word has no cover: refused as no circular word
     check_letters(letters)
-    return _jump_table((letters[-1:] + letters).encode("ascii"), g)
+    check_generator(g)
+    return _jump_table((letters[-1:] + letters).encode("ascii"), g)[0]
 
 
 def circular_jump_permutation(letters: str, g: str) -> np.ndarray:
@@ -180,11 +188,16 @@ def circular_jump_permutation(letters: str, g: str) -> np.ndarray:
     return circular_jump_lift(letters, g) % len(letters)
 
 
-def _after(step: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _after(step: np.ndarray, table: np.ndarray, base: np.ndarray | None = None,
+           out: np.ndarray | None = None) -> np.ndarray:
     """The table of X after Y, from the step ``S_X = T_X - identity`` of
     X and the table ``T_Y`` of Y: x goes to ``T_Y[x] + S_X[T_Y[x] mod N]``
-    on tables of size N.  This is the one composition rule of the package."""
-    return table + step.take(table, mode="wrap")  # take's wrap mode is cheaper than %
+    on tables of size N.  Given the step ``S_Y`` of Y as ``base``, the
+    step ``S_Y + S_X[T_Y mod N]`` of X after Y instead, and its table is
+    never built; the result is written into ``out`` if given.  This is
+    the one composition rule of the package."""
+    # take's wrap mode is cheaper than %
+    return np.add(table if base is None else base, step.take(table, mode="wrap"), out)
 
 
 def word_star_permutation(word: str, gen_perms: dict[str, np.ndarray]) -> np.ndarray:
@@ -218,17 +231,18 @@ def _side_by_side_lifts(rings: list[str], starts: list[int], sizes: list[int]) -
     (:func:`circular_jump_lift`), with r in [0, L_i), is stored at its
     offset o_i as ``o_i + r + N q``.
 
-    All rings are lifted by one jump table per generator: each ring is
-    padded with its own last letter, so ring i sits at the padded offset
-    o_i + i of the joined table, and the one position at each seam
-    between two rings is dropped."""
+    All four lifts of all rings come from one jump-table build
+    (:func:`_jump_table`) on the rings joined: each ring is padded with
+    its own last letter, so ring i sits at the padded offset o_i + i of
+    the joined table, and the one position at each seam between two
+    rings is dropped."""
     padded = "".join(ring[-1] + ring for ring in rings).encode("ascii")
-    ring_of = np.repeat(np.arange(len(rings)), sizes)
-    offsets, lengths = np.repeat(starts, sizes), np.repeat(sizes, sizes)
-    padded_offsets = offsets + ring_of
+    ring_of, offsets, lengths = np.repeat([range(len(rings)), starts, sizes], sizes, axis=1)
     at = np.arange(len(ring_of)) + ring_of  # the joined table without its seams
-    lifts = np.array([_jump_table(padded, g) for g in GENERATORS])[:, at] - padded_offsets
-    return lifts + offsets + lifts // lengths * (len(ring_of) - lengths)
+    moved = _jump_table(padded, GENERATORS).take(at, axis=1) - ring_of  # o_i + q L_i + r
+    # q is -1 below the ring's offset, 1 past its end, and 0 in it
+    wound = (moved >= offsets + lengths).view(np.int8) - (moved < offsets)
+    return moved + wound * (len(ring_of) - lengths)
 
 
 # the Lysenok relators: the Klein relators, then the seeds of the
@@ -279,22 +293,26 @@ def side_by_side_windings(rings: list[str], t: int | None = None) -> list[list[i
     Z2 * Z2^2 and the Klein relators, checked first, hold there.
 
     kappa^k(r) is never expanded: its table under the tables P is that
-    of r under the images of :data:`KAPPA`, P'_a = P_a P_c P_a, P'_b = P_d,
-    P'_c = P_b, P'_d = P_c.  Each level composes its roots once: ad, ac,
-    then adacac as ad after (ac)^2; a seed is the square of the square of
-    its root, and the next level's P'_a is this level's ac after a.  All
-    are exact, by associativity of the composition.
+    of r under the images of :data:`core_words.KAPPA`, P'_a = P_a P_c P_a,
+    P'_b = P_d, P'_c = P_b, P'_d = P_c.  A level composes seven steps:
+    ac, (ac)^2, adacac as ad after (ac)^2, and the square and fourth
+    power of each root ad and adacac; before them, the kappa-image P'_a
+    as ac after a.  Level 0 composes ad = a after d; every later level
+    reuses the previous level's (ac)^2 as its ad, since kappa(ad) =
+    aca c = (ac)^2.  All are exact, by associativity of the composition.
 
     The rings sit side by side in one table of size N, their total
     length.  Ring i at offset o_i has the lift T_i of length L_i
     (:func:`circular_jump_lift`); its value T_i[j] = q L_i + r, with r
     in [0, L_i), is stored as o_i + r + N q: the residue plus N times
-    the winding.  All four lifts of all rings come from one jump table
-    per generator on the rings joined, each padded with its last letter.
-    On size N the one composition step, X after Y read from the table of
-    Y and the step T_X - identity of X, composes on the disjoint union
-    of the rings' covers; each table is kept with its step, and the
-    windings are read from the relators' steps.
+    the winding.  All four lifts of all rings come from one jump-table
+    build on the rings joined, each padded with its last letter
+    (:func:`_side_by_side_lifts`).  On size N the one composition step,
+    X after Y read from the table of Y and the step T_X - identity of X,
+    composes on the disjoint union of the rings' covers; each table that
+    a later step reads is kept with its step.  The relators are composed
+    as steps only, S_XY = S_Y + S_X[T_Y], written into one relator
+    buffer whose rows give the windings: no relator's table is built.
 
     Every ring passes :func:`check_circular`, so its lifts are bijections
     of its cover and kappa maps its tables within a finite set.  Each
@@ -303,7 +321,8 @@ def side_by_side_windings(rings: list[str], t: int | None = None) -> list[list[i
     ring repeat an earlier level's, as its ring alone does.  The pass
     ends when no row is live.  Kappa only rotates the tables of b, c
     and d, which differ on every such ring, so (k mod 3, the ring's
-    a-table) keys a level's four tables exactly.
+    a-table) keys a level's four tables exactly; each ring's key is a
+    slice of the bytes of the a-table.
     """
     if t is not None and t < 0:
         raise ValueError("t must be non-negative")
@@ -322,17 +341,25 @@ def side_by_side_windings(rings: list[str], t: int | None = None) -> list[list[i
         return table, table - identity
 
     lifts = _side_by_side_lifts(rings, starts, sizes)
-    perms = dict(zip(GENERATORS, zip(lifts, lifts - identity)))
+    a, b, c, d = zip(lifts, lifts - identity)
     rows: list[list[int | None]] = [[] for _ in rings]
     live = set(range(len(rings)))  # the rows still reading
     seen = [set() for _ in rings]  # the repeat keys of each row's levels
-    # the steps of the Klein relators aa, bb, cc, dd and bcd = b after cd
-    a, b, c, d = perms.values()
-    relators = [after(x, x)[1] for x in (a, b, c, d)] + [after(b, after(c, d))[1]]
+    width = identity.itemsize  # each ring's key is a slice of the a-table's bytes
+    spans = [slice(width * start, width * (start + size)) for start, size in zip(starts, sizes)]
+    # the relator buffer, whose rows are written in place: first the steps
+    # of the Klein relators aa, bb, cc, dd and bcd = b after cd, then at
+    # each level those of its seeds, in its first rows
+    relators = np.empty((len(_KLEIN_RELATORS), total), dtype=np.int64)
+    slots, seeds = list(relators), relators[: len(_SEED_ROOTS)]
+    for slot, (table, step) in zip(slots, (a, b, c, d)):
+        _after(step, table, step, slot)
+    cd = after(c, d)
+    _after(b[1], cd[0], cd[1], slots[4])
     for k in count():
         # the windings of a row are all integers iff the gcd of its shifts
         # is a multiple of N, and their gcd is then that gcd over N
-        shifts = np.gcd.reduceat(np.array(relators), starts, axis=1).T.tolist()
+        shifts = np.gcd.reduceat(relators, starts, axis=1).T.tolist()
         for i in list(live):
             for shift in shifts[i]:
                 if shift % total:
@@ -342,24 +369,25 @@ def side_by_side_windings(rings: list[str], t: int | None = None) -> list[list[i
                 rows[i].append(shift // total)
         if not live or k - 1 == t:  # or the kappa^t seeds were the last
             break
-        if k:  # replace the tables by their kappa-images; aca is the last ac after a
-            perms = {g: perms[image] if image in perms
-                     else after(perms[image[:-1]], perms[image[-1]])
-                     for g, image in KAPPA.items()}
+        if k:  # the kappa-images: aca is the last ac after a, and ad the last (ac)^2
+            a, b, c, d, ad = after(ac, a), d, b, c, acac
+        else:
+            ad = after(a, d)
+        keys = a[0].tobytes()
         for i in list(live):
-            key = (k % 3, perms["a"][0][starts[i] : starts[i] + sizes[i]].tobytes())
+            key = (k % 3, keys[spans[i]])
             if key in seen[i]:
                 live.remove(i)
             seen[i].add(key)
         if not live:
             break
         # the seeds of _SEED_ROOTS: (ad)^4 and (adacac)^4, adacac = ad after (ac)^2
-        ad = after(perms["a"], perms["d"])
-        perms["ac"] = ac = after(perms["a"], perms["c"])  # kappa's next image reads it
-        relators = []
-        for root in (ad, after(ad, after(ac, ac))):
+        ac = after(a, c)
+        acac = after(ac, ac)
+        relators = seeds
+        for slot, root in zip(slots, (ad, after(ad, acac))):
             square = after(root, root)
-            relators.append(after(square, square)[1])
+            _after(square[1], square[0], square[1], slot)
     return rows
 
 

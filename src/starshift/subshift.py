@@ -37,6 +37,12 @@ from .jump_action import moving_relator
 APPROXIMATION_CAP = 256
 PERIOD_CAP = 64
 _ENUM_CAP = 1 << 22  # largest alphabet**order we are willing to enumerate
+# most words of one length that union_sft lists from either input: inputs
+# that share a configuration are listed up to a length past the product of
+# their graphs' sizes, and their counts grow with it unless each input is
+# a finite set of periodic orbits.  The binary SFTs forbidding 0110 and 111
+# are refused at length 18, after 0.2 s of listing on a 2.1 GHz Xeon core
+UNION_WORD_CAP = 1 << 16
 # distinct block sets whose follower graph stays cached: a round of the
 # aperiodicity scans for p <= 16 visits 18 orders
 _GRAPH_CACHE = 32
@@ -347,6 +353,9 @@ def union_sft(x1: ZSft, x2: ZSft) -> ZSft:
     appearing in neither and the (m+1)-words whose prefix and suffix
     belong to different inputs.  Equivalently: an (m+1)-block is
     admissible iff both of its m-subwords come from the same input.
+
+    Before the m-words are listed they are counted, and more than
+    :data:`UNION_WORD_CAP` of either input raise SizeLimitError.
     """
     if tuple(x1.alphabet) != tuple(x2.alphabet):
         raise ValueError("union requires a shared alphabet")
@@ -354,6 +363,13 @@ def union_sft(x1: ZSft, x2: ZSft) -> ZSft:
     hi = lo + len(x1._graph.trans) * len(x2._graph.trans) + 1
     m = lo
     while True:
+        for x in (x1, x2):
+            found = _word_count(x, m)
+            if found > UNION_WORD_CAP:
+                raise SizeLimitError(
+                    f"an input of the union has {found} words of length {m}, "
+                    f"past the cap {UNION_WORD_CAP}"
+                )
         w1, w2 = x1.words(m), x2.words(m)
         shared = w1 & w2
         if not shared:
@@ -373,6 +389,21 @@ def union_sft(x1: ZSft, x2: ZSft) -> ZSft:
                 if (w + c)[1:] in words:
                     blocks.add(w + c)
     return ZSft.from_blocks(x1.alphabet, m + 1, blocks)
+
+
+def _word_count(sft: ZSft, length: int) -> int:
+    """The number of words that ``sft.words(length)`` lists, for a length
+    of at least order - 1: its walks of length - order + 1 edges on the
+    follower graph, one per word, counted in Python ints."""
+    trans = sft._graph.trans
+    walks = dict.fromkeys(trans, 1)  # the walks ending at each state
+    for _ in range(length - sft.order + 1):
+        longer = dict.fromkeys(trans, 0)
+        for state, n in walks.items():
+            for target in trans[state].values():
+                longer[target] += n
+        walks = longer
+    return sum(walks.values())
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ automaton; a second listing walks every closed path of that automaton
 and reduces it to its least rotation.  Relators are checked here in
 their expanded form, letter by letter against the jump tables, which the
 library never does, and a circular repetition (w_n alpha)^p on its own
-tables, where the library reads every p off one lift to the Z-cover.  Membership in
+tables, where the library reads every p off one lift to the Z-cover, and
+the relator pass composes each level's ad and every relator's table anew,
+where the library reuses (ac)^2 as the next ad and composes relators as
+steps only.  Membership in
 the shift's own language is a substring search in a host w_{n+3}, the
 words of one length are that host's factors, or every window of the
 three pairs w_n alpha w_n, where the library lists the windows of one
@@ -45,20 +48,22 @@ tests read and the library does not need.
 import json
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, count, product
 from math import gcd
 from typing import Sequence
 
 import numpy as np
 
 from starshift.core_words import (
-    GENERATORS, WORD_CAP, alpha_choice, build_w, free_reduce, is_alternating, kappa,
+    GENERATORS, KAPPA, WORD_CAP, alpha_choice, build_w, free_reduce, is_alternating, kappa,
     language_contains, lex_key, phase, ring,
 )
 from starshift.errors import MarginExhaustedError, SizeLimitError
 from starshift.full_group import CocyclePiece
 from starshift.jump_action import (
     JUMP_SETS,
+    _after,
+    _side_by_side_lifts,
     check_circular,
     circular_jump_permutation,
     linear_jump_permutation,
@@ -184,6 +189,70 @@ def moving_relator_by_cover(letters: str, t: int) -> int | None:
         if not np.array_equal(_compose(relator, perms), identity):
             return index
     return None
+
+
+def windings_by_levels(rings: list[str], t: int | None = None) -> list[list[int | None]]:
+    """The relator pass of :func:`side_by_side_windings` level by level:
+    every level composes its own ad from its a- and d-tables, every
+    relator's table is composed with its step, the relators' steps are
+    stacked into a new array at each level, and each ring's repeat key
+    is read by its own ``tobytes``."""
+    if t is not None and t < 0:
+        raise ValueError("t must be non-negative")
+    if not rings:
+        raise ValueError("no circular words given")
+    for ring in rings:
+        check_circular(ring)
+    sizes = [len(ring) for ring in rings]
+    total = sum(sizes)
+    starts = list(accumulate(sizes[:-1], initial=0))
+    identity = np.arange(total, dtype=np.int64)
+
+    def after(x, y):
+        # x after y, each a (table, step) pair
+        table = _after(x[1], y[0])
+        return table, table - identity
+
+    lifts = _side_by_side_lifts(rings, starts, sizes)
+    perms = dict(zip(GENERATORS, zip(lifts, lifts - identity)))
+    rows: list[list[int | None]] = [[] for _ in rings]
+    live = set(range(len(rings)))  # the rows still reading
+    seen = [set() for _ in rings]  # the repeat keys of each row's levels
+    # the steps of the Klein relators aa, bb, cc, dd and bcd = b after cd
+    a, b, c, d = perms.values()
+    relators = [after(x, x)[1] for x in (a, b, c, d)] + [after(b, after(c, d))[1]]
+    for k in count():
+        # the windings of a row are all integers iff the gcd of its shifts
+        # is a multiple of N, and their gcd is then that gcd over N
+        shifts = np.gcd.reduceat(np.array(relators), starts, axis=1).T.tolist()
+        for i in list(live):
+            for shift in shifts[i]:
+                if shift % total:
+                    rows[i].append(None)
+                    live.remove(i)
+                    break
+                rows[i].append(shift // total)
+        if not live or k - 1 == t:  # or the kappa^t seeds were the last
+            break
+        if k:  # replace the tables by their kappa-images; aca is the last ac after a
+            perms = {g: perms[image] if image in perms
+                     else after(perms[image[:-1]], perms[image[-1]])
+                     for g, image in KAPPA.items()}
+        for i in list(live):
+            key = (k % 3, perms["a"][0][starts[i] : starts[i] + sizes[i]].tobytes())
+            if key in seen[i]:
+                live.remove(i)
+            seen[i].add(key)
+        if not live:
+            break
+        # the seeds of _SEED_ROOTS: (ad)^4 and (adacac)^4, adacac = ad after (ac)^2
+        ad = after(perms["a"], perms["d"])
+        perms["ac"] = ac = after(perms["a"], perms["c"])  # kappa's next image reads it
+        relators = []
+        for root in (ad, after(ad, after(ac, ac))):
+            square = after(root, root)
+            relators.append(after(square, square)[1])
+    return rows
 
 
 def kappa_iter(word: str, k: int) -> str:

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from oracles import (
     evaluate_cocycle, kappa_iter, moving_relator_by_cover, relator_fixes_all_starrings,
-    star_step,
+    star_step, windings_by_levels,
 )
 from starshift import full_group as fg, jump_action as ja, subshift
 from starshift.cli import main
@@ -340,11 +340,12 @@ def _random_rings(rng: random.Random, count: int) -> list[str]:
 
 @pytest.fixture
 def composed(monkeypatch):
-    # the size of each table the one composition step builds, in order
+    # the size of each table or step the one composition step builds, in order
     calls = []
     step = ja._after
     monkeypatch.setattr(ja, "_after",
-                        lambda steps, table: calls.append(len(table)) or step(steps, table))
+                        lambda steps, table, *rest: calls.append(len(table))
+                        or step(steps, table, *rest))
     return calls
 
 
@@ -420,9 +421,28 @@ class TestMovingRelator:
                 ja.moving_relator(letters)
 
 
+def _rotated_random_rings(seed: int, count: int) -> list[str]:
+    # the rings of _random_rings, each rotated to start with any letter
+    rng = random.Random(seed)
+    return [letters[k:] + letters[:k]
+            for letters in _random_rings(rng, count) for k in [rng.randrange(len(letters))]]
+
+
 class TestSideBySide:
     """Rings evaluated side by side in one table against each ring on
-    its own, and table1 against every cover on its own tables."""
+    its own, table1 against every cover on its own tables, and the pass
+    against its level-by-level oracle."""
+
+    @pytest.mark.parametrize("rings, exponents", [
+        ([ring(n) for n in range(1, ja.TABLE_CAPS[0] + 1)], [*range(14), None]),
+        (["aBaBaB", "aDaDaD"], [*range(14), None]),
+        (["aD", "aB", "aC"], [*range(14), None]),
+        (_rotated_random_rings(300, 300), [2, 8, None]),
+    ], ids=["w_n-alpha", "stops-early", "two-letter", "random-rotated"])
+    def test_matches_the_pass_by_levels(self, rings, exponents):
+        # each level's ad composed afresh, and every relator's table built
+        for t in exponents:
+            assert ja.side_by_side_windings(rings, t) == windings_by_levels(rings, t), t
 
     @pytest.mark.parametrize("n_max", range(1, ORACLE_N + 1))
     def test_table1_matches_the_covers_row_by_row(self, n_max):
@@ -479,28 +499,31 @@ class TestSideBySide:
         windings = ja.side_by_side_windings(["aBaBaB", "aDaDaD"], 8)
         assert windings == [[0] * 5 + [None], [0] * 7 + [None]]
         # the Klein relators (6 steps, bcd in two), then the seeds of k = 0
-        # and k = 1 only (ad, ac, (ac)^2, adacac and two squares of each
-        # root: 8 steps a level) and the kappa-image aca between them, all
-        # on the 12 positions of the two rings side by side
-        assert composed == [12] * (6 + 8 + 1 + 8)
+        # and k = 1 only (ac, (ac)^2, adacac and two squares of each root:
+        # 7 steps a level, and ad at k = 0, which k = 1 reads from (ac)^2)
+        # and the kappa-image aca between them, all on the 12 positions of
+        # the two rings side by side
+        assert composed == [12] * (6 + 1 + 7 + 1 + 7)
 
 
 class TestRelatorFamilyCost:
-    """Four jump tables serve every ring side by side and every p, and
-    the kappa-iterates are never expanded."""
+    """Four jump tables, from one build, serve every ring side by side and
+    every p, and the kappa-iterates are never expanded."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        counts = {"tables": 0, "compositions": 0}
+        # a build is one call of the jump rule, a table one generator's row
+        counts = {"builds": 0, "tables": 0, "compositions": 0}
         build, step = ja._jump_table, ja._after
 
-        def counting_build(padded, g):
-            counts["tables"] += 1
-            return build(padded, g)
+        def counting_build(padded, generators):
+            counts["builds"] += 1
+            counts["tables"] += len(generators)
+            return build(padded, generators)
 
-        def counting_step(steps, table):
+        def counting_step(steps, table, *rest):
             counts["compositions"] += 1
-            return step(steps, table)
+            return step(steps, table, *rest)
 
         monkeypatch.setattr(ja, "_jump_table", counting_build)
         monkeypatch.setattr(ja, "_after", counting_step)
@@ -508,35 +531,36 @@ class TestRelatorFamilyCost:
 
     def test_moving_relator_builds_four_tables(self, counted):
         assert ja.moving_relator(ring(2), p=2) is None
-        assert counted["tables"] == 4
+        assert counted["tables"] == 4 and counted["builds"] == 1
 
     def test_schreier_require_action_builds_eight_tables(self, counted, capsys):
-        # four lifts of the ring for the relators, four of ring * 2 for the graph
+        # four lifts of the ring for the relators from one build, four of
+        # ring * 2 for the graph from one build each
         assert main(["schreier", "--n", "2", "--circular", "--p", "2",
                      "--require-action"]) == 0
-        assert counted["tables"] == 8
+        assert counted["tables"] == 8 and counted["builds"] == 5
 
     def test_pseudo_orbit_builds_four_tables(self, counted):
         assert subshift.pseudo_orbit_demo(3, t=8).action_well_defined
-        assert counted["tables"] == 4
+        assert counted["tables"] == 4 and counted["builds"] == 1
 
     def test_table1_letters_linear_in_t(self, counted):
         ja.table1(1, 1, 8)
         one_column = dict(counted)
         ja.table1(1, ja.TABLE_CAPS[1], 8)
         assert counted == {key: 2 * value for key, value in one_column.items()}
-        assert one_column["tables"] == 4
+        assert one_column["tables"] == 4 and one_column["builds"] == 1
         # one row, which repeats its tables at k = 6 before t = 8 cuts it:
-        # the Klein relators (6 steps), the seeds (8 steps) for each of
-        # k = 0..5, and the kappa-image aca of the a-table (1 step) for
-        # each of k = 1..6
-        assert one_column["compositions"] == 6 + 6 * 8 + 6
+        # the Klein relators (6 steps), ad at k = 0 (1 step), the seeds
+        # (7 steps) for each of k = 0..5, and the kappa-image aca of the
+        # a-table (1 step) for each of k = 1..6
+        assert one_column["compositions"] == 6 + 1 + 6 * 7 + 6
 
     @pytest.mark.parametrize("t", [8, None])
     def test_table1_builds_four_tables(self, counted, t):
-        # one jump table per generator for all twelve rings
+        # one jump table per generator for all twelve rings, in one build
         ja.table1(ja.TABLE_CAPS[0], ja.TABLE_CAPS[1], t)
-        assert counted["tables"] == 4
+        assert counted["tables"] == 4 and counted["builds"] == 1
 
     def test_table1_composes_as_often_as_one_ring(self, composed):
         # exact, ring 6 reads the levels k = 0..10 and stops at k = 11,
@@ -549,10 +573,11 @@ class TestRelatorFamilyCost:
             ja.table1(6, ja.TABLE_CAPS[1], t)
             # every step on the joined table of rings 1..6, as many as ring 6's
             assert composed == [126] * len(alone) and alone == [64] * len(alone), t
-            # the Klein relators (6 steps); for each level ad, ac, (ac)^2,
-            # adacac and two squares of each root (8 steps); for each of
-            # k = 1..8 (or 1..11) the kappa-image aca of the a-table (1 step)
-            assert len(alone) == 6 + levels * 8 + images, t
+            # the Klein relators (6 steps); ad at k = 0 (1 step), which each
+            # later level reads from the last (ac)^2; for each level ac,
+            # (ac)^2, adacac and two squares of each root (7 steps); for each
+            # of k = 1..8 (or 1..11) the kappa-image aca of the a-table (1 step)
+            assert len(alone) == 6 + 1 + levels * 7 + images, t
 
 
 class TestRepeatingLevels:
@@ -564,9 +589,10 @@ class TestRepeatingLevels:
         # on w_n alpha the tables have pre-period n + 2 and period 3, so
         # levels 0..n+4 are distinct and level n+5 repeats level n+2
         windings = ja.side_by_side_windings([ring(n)])[0]
-        # the Klein relators take 6 steps, and each level 8 for its seeds
-        # and 1 for its kappa-image, which the level that repeats still takes
-        levels, rest = divmod(len(composed) - 6, 9)
+        # the Klein relators take 6 steps and ad at k = 0 one, and each
+        # level 7 for its seeds and 1 for its kappa-image, which the level
+        # that repeats still takes
+        levels, rest = divmod(len(composed) - 6 - 1, 8)
         assert (levels, rest) == (n + 5, 0)
         assert len(windings) == 5 + 2 * levels
         exact = list(composed)

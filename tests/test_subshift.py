@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -428,6 +429,22 @@ class TestUnion:
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError):
             sm.union_sft(ZSft.from_forbidden("01", []), ZSft.from_forbidden("ab", []))
+
+    def test_word_counts_are_the_listings(self):
+        # the count the cap reads, against the words the union lists
+        for x in _random_sfts():
+            for length in range(max(x.order - 1, 0), x.order + 4):
+                assert sm._word_count(x, length) == len(x.words(length)), (x.blocks, length)
+
+    def test_inputs_sharing_a_configuration_are_refused_in_time(self):
+        # both contain 0^Z, so no window length separates them, and the
+        # 0110-free words pass the cap at length 18, long before the bound
+        # hi = 37 where the disjointness check would give up
+        x1, x2 = ZSft.from_forbidden("01", ["0110"]), ZSft.from_forbidden("01", ["111"])
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match="has 93058 words of length 18, past the cap 65536"):
+            sm.union_sft(x1, x2)
+        assert time.perf_counter() - start < 1
 
 
 class TestComb:
