@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, count
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -115,7 +115,7 @@ def jump_word(word: str, s: StarredWord) -> StarredWord:
 _JUMP_MASKS = {g: bytes(chr(i) in js for i in range(256)) for g, js in JUMP_SETS.items()}
 
 
-def _jump_table(padded: bytes, generators: str) -> np.ndarray:
+def _jump_table(padded: bytes, generators: Sequence[str]) -> np.ndarray:
     """The jump rule of each of ``generators``, one row each, at every
     position j, between ``padded[j]`` and ``padded[j + 1]``: the star
     jumps right across its right letter if that is in the jump set of the
@@ -143,14 +143,20 @@ def reach_tables(letters: str, at: int, reach: int,
     """The start of the excerpt of ``letters`` within ``reach`` of ``at``,
     and the jump tables of ``generators`` on it.  The excerpt is cut at
     the ends of the letters, which no generator jumps across; ``at``
-    must be a position of the letters, in [0, len]."""
+    must be a position of the letters, in [0, len].  All the tables come
+    from one build."""
     if reach < 0:
         raise ValueError("reach must be non-negative")
     if not 0 <= at <= len(letters):
         raise ValueError(f"position {at} out of range [0, {len(letters)}]")
     start = max(at - reach, 0)
     excerpt = letters[start : at + reach]
-    return start, {g: linear_jump_permutation(excerpt, g).tolist() for g in generators}
+    generators = list(generators)
+    check_letters(excerpt)
+    for g in generators:
+        check_generator(g)
+    rows = _jump_table(f" {excerpt} ".encode("ascii"), generators).tolist()
+    return start, dict(zip(generators, rows))
 
 
 def walk(tables: dict[str, list[int]], word: str, at: int, margin: int) -> tuple[int, int]:

@@ -253,6 +253,13 @@ STABILIZER_SHA256 = {
     (15, 48): "52760971e80f580d6b2e2caadbcefa4c73c14132dfff8f6b556837bc97d06ffa",
 }
 
+# sha256 of `stabilizer --seed 0` stdout at the budget cap and at the
+# source-word cap
+STABILIZER_AT_CAP_SHA256 = {
+    (15, 4096): "dec167959348a487f118a374f23ca795e49af7cc9f41231bad9127ca3baeb841",
+    (24, 32): "a24a5ea9b487d6b49a27f29dcc8d3703f26364cd4ecdc884c188daa7630e7616",
+}
+
 
 class TestSchreier:
     def test_linear_dot(self, capsys):
@@ -355,6 +362,14 @@ class TestStabilizer:
             if STABILIZER_SHA256[source_n, budget] is not None:
                 digest = hashlib.sha256("".join(outs).encode()).hexdigest()
                 assert digest == STABILIZER_SHA256[source_n, budget], budget
+
+    @pytest.mark.parametrize("source_n, budget", sorted(STABILIZER_AT_CAP_SHA256))
+    def test_stdout_at_the_caps_is_pinned(self, capsys, source_n, budget):
+        code, out, _ = run(capsys, "stabilizer", "--source-n", str(source_n),
+                           "--budget", str(budget), "--seed", "0")
+        assert code == 0 and json.loads(out)["verified"] is True
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == STABILIZER_AT_CAP_SHA256[source_n, budget]
 
 
 class TestSft:

@@ -9,10 +9,26 @@ from oracles import (
     schreier_json_by_dumps,
 )
 from starshift import full_group as fg, jump_action as ja
-from starshift.core_words import build_w, free_reduce, language_words, ring
+from starshift.core_words import (
+    build_w, check_generators, free_reduce, language_words, ring,
+)
 from starshift.errors import MarginExhaustedError, ReconstructionError
 from starshift.full_group import Window, reverse_window
 from starshift.jump_action import StarredWord
+
+
+def _count_table_builds(monkeypatch) -> list[list[str]]:
+    """Record the generators of the rows of every jump-table build."""
+    built = []
+    build = ja._jump_table
+
+    def counting_build(padded, generators):
+        built.append(list(generators))
+        return build(padded, generators)
+
+    for module in (ja, fg):
+        monkeypatch.setattr(module, "_jump_table", counting_build)
+    return built
 
 
 class TestWindow:
@@ -160,16 +176,12 @@ class TestApplyWord:
     def test_one_table_per_letter_of_the_word(self, monkeypatch):
         letters = build_w(12)
         win = Window(letters, len(letters) // 2)
-        built = []
-        table = ja.linear_jump_permutation
-        monkeypatch.setattr(
-            ja, "linear_jump_permutation", lambda *args: built.append(args) or table(*args)
-        )
+        built = _count_table_builds(monkeypatch)
         assert fg.apply_generator("b", win).origin == apply_word_by_steps("b", win)[1]
-        assert [g for _, g in built] == ["b"]
+        assert built == [["b"]]
         built.clear()
         fg.apply_word("abab", win)
-        assert sorted(g for _, g in built) == ["a", "b"]
+        assert [sorted(rows) for rows in built] == [["a", "b"]]
 
     @pytest.mark.parametrize("word, margin", [("x", 0), ("x", 3), ("abXa", 3), ("B", 3)])
     def test_a_letter_outside_the_generators_is_refused(self, word, margin):
@@ -238,16 +250,12 @@ class TestReconstruction:
     def test_oracle_builds_its_tables_once(self, monkeypatch):
         letters = build_w(12)
         oracle = fg.window_stabilizer_oracle(Window(letters, len(letters) // 2))
-        built = []
-        table = ja.linear_jump_permutation
-        monkeypatch.setattr(
-            ja, "linear_jump_permutation", lambda *args: built.append(args) or table(*args)
-        )
+        built = _count_table_builds(monkeypatch)
         assert len(fg.reconstruct_from_stabilizer(oracle, 32)) == 32
         assert built == []  # the oracle built its four tables when it was made
         oracle = fg.window_stabilizer_oracle(Window(letters, len(letters) // 3))
         fg.reconstruct_from_stabilizer(oracle, 32)
-        assert sorted(g for _, g in built) == list("abcd")
+        assert [sorted(rows) for rows in built] == [list("abcd")]
 
     @pytest.mark.parametrize("word", ["ax", "x", "abBa", "é"])
     def test_oracle_refuses_a_letter_outside_the_generators(self, word):
@@ -274,14 +282,7 @@ class TestReconstruction:
             for _ in range(20):
                 length = rng.randrange(2 * win.margin + 4)
                 word = "".join(rng.choice("abcd") for _ in range(length))
-                try:
-                    expected = apply_word_by_steps(word, win)[1] == win.origin
-                except MarginExhaustedError as exc:
-                    with pytest.raises(MarginExhaustedError) as got:
-                        oracle(word)
-                    assert str(got.value) == str(exc)
-                    continue
-                assert oracle(word) == expected, (word, win)
+                _answers_as_single_steps(oracle, win, word)
 
     @pytest.mark.parametrize("budget", [1, 2, 7, 32])
     def test_queries_are_reduced(self, budget):
@@ -311,6 +312,127 @@ class TestReconstruction:
         rightward = letters[j : j + budget]
         leftward = letters[j - budget : j][::-1]
         assert got == (rightward if letters[j] != "a" else leftward)
+
+
+def _answers_as_single_steps(oracle, win: Window, word: str) -> None:
+    """The oracle's answer to ``word`` is the walk by single steps: the
+    same verdict, or the same MarginExhaustedError text."""
+    try:
+        expected = apply_word_by_steps(word, win)[1] == win.origin
+    except MarginExhaustedError as exc:
+        with pytest.raises(MarginExhaustedError) as got:
+            oracle(word)
+        assert str(got.value) == str(exc), (word, win)
+        return
+    assert oracle(word) == expected, (word, win)
+
+
+def _conjugate(u: str, t: str) -> str:
+    return u[::-1] + t + u
+
+
+class TestConjugateQueries:
+    """The oracle answers an odd palindrome within the margin by walking
+    its right half, resumed from the last one it walked; the walk by
+    single steps of the whole word is the check."""
+
+    @staticmethod
+    def _windows(rng: random.Random, margins) -> list[Window]:
+        host = build_w(12)
+        windows = []
+        for margin in margins:
+            width = rng.randrange(2 * margin, 2 * margin + 12)
+            start = rng.randrange(len(host) - width + 1)
+            origin = rng.randrange(margin, width - margin + 1)
+            windows.append(Window(host[start : start + width], origin, margin))
+        return windows
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_palindromes_at_and_past_the_margin(self, seed):
+        # odd lengths margin - 1 .. margin + 2 and the even lengths between
+        rng = random.Random(seed)
+        for win in self._windows(rng, [m for m in range(16) for _ in range(6)]):
+            oracle = fg.window_stabilizer_oracle(win)
+            for _ in range(30):
+                length = max(0, win.margin + rng.randrange(-1, 3))
+                u = "".join(rng.choice("abcd") for _ in range(length // 2))
+                if length % 2:
+                    word = _conjugate(u, rng.choice("abcd"))
+                else:
+                    word = u[::-1] + u
+                _answers_as_single_steps(oracle, win, word)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_growing_and_unrelated_conjugators(self, seed):
+        # each query extends the last conjugator on the left, starts a new
+        # one, or takes a suffix of it, so the walk resumes or restarts
+        rng = random.Random(seed)
+        for win in self._windows(rng, [m for m in range(3, 24) for _ in range(3)]):
+            oracle = fg.window_stabilizer_oracle(win)
+            u = ""
+            for _ in range(60):
+                step = rng.randrange(4)
+                if step < 2:
+                    u = "".join(rng.choice("abcd") for _ in range(rng.randrange(1, 4))) + u
+                elif step == 2:
+                    u = "".join(rng.choice("abcd") for _ in range(rng.randrange(win.margin)))
+                else:
+                    u = u[rng.randrange(len(u) + 1) :]
+                for t in rng.sample("abcd", rng.randrange(1, 5)):
+                    _answers_as_single_steps(oracle, win, _conjugate(u, t))
+
+    def test_reconstruction_queries_at_every_margin(self):
+        # the queries of a reconstruction, whose conjugators move the
+        # point at every letter, replayed within and past each margin:
+        # past it by one letter, the non-fixing ones exhaust the margin
+        letters = build_w(10)
+        hidden = Window(letters, 301)
+        inner = fg.window_stabilizer_oracle(hidden)
+        queries = []
+        fg.reconstruct_from_stabilizer(lambda q: queries.append(q) or inner(q), 12)
+        assert {len(q) for q in queries} == {1, 5, 9, 13, 17, 21}
+        for margin in range(24):
+            win = Window(letters, hidden.origin, margin)
+            oracle = fg.window_stabilizer_oracle(win)
+            for word in queries:
+                _answers_as_single_steps(oracle, win, word)
+
+    @pytest.mark.parametrize("queries", [
+        ["baXab"],  # a bad letter at the centre
+        ["bXacaXb"],  # and in the arms
+        ["aba", _conjugate("éba", "c")],  # in the letters of a resumed walk
+        ["b" * 9 + "X" + "b" * 9],  # past the margin, walked in full
+    ], ids=["centre", "arms", "resumed", "past-the-margin"])
+    def test_a_bad_letter_is_the_generator_check(self, queries):
+        win = Window(build_w(8), 120, 12)
+        oracle = fg.window_stabilizer_oracle(win)
+        for word in queries[:-1]:
+            _answers_as_single_steps(oracle, win, word)
+        word = queries[-1]
+        with pytest.raises(ValueError) as expected:
+            check_generators(word)
+        with pytest.raises(ValueError) as got:
+            oracle(word)
+        assert str(got.value) == str(expected.value)
+        # a refused query leaves the oracle as it found it
+        for t in "abcd":
+            _answers_as_single_steps(oracle, win, _conjugate("dba", t))
+
+    def test_letters_walked_grow_linearly_in_the_budget(self, monkeypatch):
+        # the queries hold about 1.5 budget^2 letters, and a walk of each
+        # in full would read four times as many at twice the budget
+        letters = build_w(12)
+        walked = []
+        real = fg.walk
+        monkeypatch.setattr(fg, "walk", lambda tables, word, *rest:
+                            walked.append(len(word)) or real(tables, word, *rest))
+        counts = {}
+        for budget in (256, 512):
+            walked.clear()
+            oracle = fg.window_stabilizer_oracle(Window(letters, len(letters) // 2))
+            assert len(fg.reconstruct_from_stabilizer(oracle, budget)) == budget
+            counts[budget] = sum(walked)
+        assert counts[256] <= 256 and counts[512] <= 2 * counts[256] + 2
 
 
 def _orbit_graph_inputs(kind: str) -> list[tuple[str, bool]]:
