@@ -251,13 +251,27 @@ def sft_approximation(order: int) -> ZSft:
     For large orders the forbidden set is astronomical, so the SFT is
     built from the admissible side, the unordered listing
     :func:`~starshift.core_words.language_set` taken as its blocks;
-    ``forbidden`` stays available for small orders.
+    ``forbidden`` stays available for small orders.  The listing holds
+    only language words of length ``order`` over aBCD, so the blocks
+    skip the checks of ``ZSft.__post_init__``: a scan builds one
+    approximation per step, and reading every block again would take
+    about a third of that.
     """
     if order < 1:
         raise ValueError("order must be positive")
     if order > APPROXIMATION_CAP:
         raise SizeLimitError(f"approximation order {order} exceeds the cap {APPROXIMATION_CAP}")
-    return ZSft.from_blocks("aBCD", order, language_set(order))
+    return _valid_sft(tuple(core_words.LETTERS), order, language_set(order))
+
+
+def _valid_sft(alphabet: tuple[str, ...], order: int, blocks: frozenset[str]) -> ZSft:
+    """A ZSft from arguments already known to be valid, without the
+    checks of ``ZSft.__post_init__``."""
+    x = object.__new__(ZSft)
+    object.__setattr__(x, "alphabet", alphabet)
+    object.__setattr__(x, "order", order)
+    object.__setattr__(x, "blocks", blocks)
+    return x
 
 
 def periodic_points(sft: ZSft, p: int) -> list[str]:
@@ -272,16 +286,22 @@ def periodic_points(sft: ZSft, p: int) -> list[str]:
     orbit is walked once.  A walk extends its word by prenecklaces only
     (the rule of Fredricksen, Kessler and Maiorana): ``lyn`` is the
     period of the word's longest Lyndon prefix, and a letter below the
-    one ``lyn`` places back is pruned.  Once the word holds i >= p letters it stops:
-    it is p-periodic iff ``lyn`` divides p, and then ``word[:p]`` is kept
-    when the automaton reads, from the end state, the m letters that
-    follow it in ``w^Z``.  The list is empty when no such point exists.
+    one ``lyn`` places back is pruned.  Once the word holds p - 1
+    letters, the last letter is read in place: the state's edges are
+    tried in ascending order, a letter above the one ``lyn`` places back
+    is kept (the word is then a Lyndon word), one equal to it only when
+    ``lyn`` divides p, and either only when the automaton reads, from the
+    edge's target, the m letters that follow in ``w^Z``, which are the
+    origin state.  A seed of p letters or more (p <= m) is itself the
+    whole period: it is kept when ``lyn`` divides p and the automaton
+    reads the m letters that follow ``word[:p]`` in ``w^Z``.  The list is
+    empty when no such point exists.
 
     The walk runs in rank space, where letters compare as characters.
     It is depth-first, with the seeds and each state's edges stacked in
-    descending order, so the points come out already sorted; a state with
-    one edge extends the word in place.  Each point is translated back to
-    the alphabet once.
+    descending order and the last letter read in ascending order, so the
+    points come out already sorted; a state with one edge extends the
+    word in place.  Each point is translated back to the alphabet once.
 
     A periodic point is a closed walk of length p, and the length of
     every closed walk is a multiple of the automaton's cycle gcd d
@@ -301,7 +321,7 @@ def periodic_points(sft: ZSft, p: int) -> list[str]:
     while stack:
         state, word, lyn = stack.pop()
         i = len(word)
-        while i < p:
+        while i < p - 1:
             edges = trans[state]
             back = word[i - lyn] if i else ""  # an order-1 SFT's empty state
             if len(edges) > 1:
@@ -321,7 +341,13 @@ def periodic_points(sft: ZSft, p: int) -> list[str]:
             word += c
             i += 1
         else:
-            if p % lyn == 0 and _reads(trans, state, word[i - p : i - p + m]):
+            if i == p - 1:  # the last letter, read in place
+                back = word[i - lyn] if i else ""
+                origin = word[:m]
+                for c, t in trans[state].items():
+                    if (c > back or c == back and p % lyn == 0) and _reads(trans, t, origin):
+                        found.append((word + c).translate(symbols))
+            elif p % lyn == 0 and _reads(trans, state, word[i - p : i - p + m]):
                 found.append(word[:p].translate(symbols))
     return found
 

@@ -261,6 +261,76 @@ STABILIZER_AT_CAP_SHA256 = {
 }
 
 
+# sha256 of (stdout, points file) of `sft union-demo --points-out F` and of
+# `sft comb-demo --k K --points-out F`, keyed by K
+SFT_SHA256 = {
+    "union-demo": (
+        "f356fbf0f2fae5b4e9b798c1022dca6fc9591ca374522d9b4bcb9f132dbe2b1a",
+        "d99c0392cd471b4f9c5501cbb316ccd534e7bef4dfe3e6535b1e1233ba1c9541",
+    ),
+    2: (
+        "08623382c277a4ed2907e9b2e8e8fb351aa1f22e5311267ba0cf7aead43bef2f",
+        "5a257d1b427f2c3b40ef18fff783c2d21fce138ca1766ef4301debb531bc124f",
+    ),
+    3: (
+        "d7a6adc842cdf3aa51cd0af260172196d70cbab306eac8e81208735aaf5defc6",
+        "deb732a7d73d99f28f32b221b6bac3c70218e97510e2131f6876eedbe1b360dd",
+    ),
+    4: (
+        "40f5bd6d6d4b4e69ba07eb9f17b2a09df2c5c89d0342f38f6a93ed49b6daa003",
+        "1267f74fc6b41ccac2f094516cc865686d5a02f1e277adde74076f48ce15b206",
+    ),
+    5: (
+        "51f753b9943e840908c47e123bb7bea094f0f369b9f95fe75fe79cd6bb44d2e2",
+        "73eca50986b1f0ec615931ee096a130e1744031556c663d2c79a745587a28e2c",
+    ),
+    6: (
+        "b120693e261f8019c15153fa317910f41e6d8a712ad0a0a0260aa72d0d358c14",
+        "39c78041319048581ac2dc763635b7fe701efed5cd522015451f9db2cd71c2a3",
+    ),
+    7: (
+        "998fdff7f37b3f20372dd056c55cad6ffef9db2da4b5c455f119ed07097f29e3",
+        "3f708882a6e28f900b8bb3a14f3d6c789b40de3ea5e9a90baccc44078d17f43c",
+    ),
+    8: (
+        "1182ffdd398c9dc978c1aff5422169f77dec33b03ad087addab048232867dde7",
+        "e3cb5c63e4ac455aeafff646542cb02d37a6ae16ddb1339fde8056f4b8e51f7c",
+    ),
+    9: (
+        "b2abf53afd73d2479f61629f89087ea9cbd60de6bd4ed781f52027a76a987be6",
+        "ea9b1401cd03e7e44a69c14e845e5d29ddd8ed3c65e372577feaa1b313bdb3ad",
+    ),
+    10: (
+        "01b601b5e28ed53bc9354044e6f00f4b6f18bd4371ec8868c882e3eac083f9db",
+        "846e4dd5f461dd71301fced41ed4f115b291886f66660396a96d8340456ff286",
+    ),
+    11: (
+        "6eca1d2ee16624f7ff8ac810a56e6304c0fcd56237e5103440c868ea315e1915",
+        "0e0d730a9baea5f1ceff2e7047bf7d1fd1208941298a78cc4cf31163cef6c361",
+    ),
+    12: (
+        "53da2226b095dc5c97d9c02ecd9e162807c8c0b3d0a32dd20d5f38673251bebe",
+        "bf5b4e04d00c011a1670b16e7f6ca8a9da9265e9ffaebb21aaf8f9259a078f6c",
+    ),
+    13: (
+        "8f350a47590548cdff69e5ce0a4e1ddd7184eb92cefb33f8f6226e1cd084cdb7",
+        "eb332a8b59000dd9374de50d1ea7b08b0dbc457287cd423594375d32b5816be9",
+    ),
+    14: (
+        "81ce832239fbc6ba1c8f13a688240db361b9e447f8df26e977bedce43c00f8d0",
+        "ab567a3676b235f49ae76c359abee2121a57281ed680dfaf49557d6d4c30b8d7",
+    ),
+    15: (
+        "2f82225dc544996fa5cc9874d04156599635927a387cd5d08a3b31e415ec252e",
+        "6b4dffe2ad3783fe9d428c36450d964414bc1f6db536305b9ad5d064ed43cccf",
+    ),
+    16: (
+        "addbea4347112146b6d7f0301184688ecde900c59c779e16c9c781a1183ae30f",
+        "d06e82ab9d09f0b0c5580ddce99ca2e6f0f1c491090dbd1b42c2160bceb5f26d",
+    ),
+}
+
+
 class TestSchreier:
     def test_linear_dot(self, capsys):
         code, out, _ = run(capsys, "schreier", "--n", "3", "--format", "dot")
@@ -407,6 +477,15 @@ class TestSft:
         for line in lines:
             words = periodic_points_by_product(union, line["period"])
             assert line["words"] == words and line["count"] == len(words)
+
+    @pytest.mark.parametrize("demo", sorted(SFT_SHA256, key=str))
+    def test_outputs_are_pinned(self, capsys, tmp_path, demo):
+        argv = ["union-demo"] if demo == "union-demo" else ["comb-demo", "--k", str(demo)]
+        report = tmp_path / "points.jsonl"
+        code, out, _ = run(capsys, "sft", *argv, "--points-out", str(report))
+        assert code == 0
+        digests = tuple(hashlib.sha256(b).hexdigest() for b in (out.encode(), report.read_bytes()))
+        assert digests == SFT_SHA256[demo]
 
     # from 22 on the comb alone would pass the enumeration cap: --k is refused first
     @pytest.mark.parametrize("k", ["17", "21", "22", "40"])

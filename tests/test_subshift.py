@@ -23,7 +23,9 @@ from oracles import (
     pseudo_orbit_by_scan,
 )
 from starshift import subshift as sm
-from starshift.core_words import build_w, language_contains, language_words, lex_key, ring
+from starshift.core_words import (
+    build_w, language_contains, language_set, language_words, lex_key, ring,
+)
 from starshift.errors import DisjointnessError, EmptySftError, SizeLimitError
 from starshift.subshift import WangTile, ZSft
 
@@ -114,8 +116,24 @@ class TestApproximation:
         assert coarse.words(5) - fine.words(5) == {"BaDaB", "BaDaD", "DaDaB"}
 
     def test_cap(self):
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError, match="approximation order 257 exceeds the cap 256"):
             sm.sft_approximation(257)
+
+    def test_matches_the_checked_constructor(self):
+        for order in [*range(1, 65), sm.APPROXIMATION_CAP]:
+            x = sm.sft_approximation(order)
+            checked = ZSft.from_blocks("aBCD", order, language_set(order))
+            assert (x.alphabet, x.order, x.blocks) == (
+                checked.alphabet, checked.order, checked.blocks), order
+            assert x._graph == checked._graph, order
+
+    def test_blocks_are_not_checked_again(self, monkeypatch):
+        # the listing holds only language words over aBCD: no symbol check
+        def refuse(*args, **kwargs):
+            raise AssertionError("sft_approximation checked its blocks")
+
+        monkeypatch.setattr(sm, "check_symbols", refuse)
+        assert sm.sft_approximation(12).blocks == language_set(12)
 
 
 def _criterion_05_orders(top):
@@ -141,6 +159,23 @@ def _comb_cases():
     for k in (2, 3, 4):
         comb = sm.comb_sft([WangTile("T", "x", "x")], k)
         yield from ((comb, p) for p in range(1, 4 * k + 1))
+
+
+def _order_one_sfts():
+    # an order-1 SFT's origin state is empty, so its p = 1 points are read
+    # in place at once; ("b", "a") ranks its letters against code points
+    return (
+        ZSft.from_forbidden("012", []),
+        ZSft.from_forbidden("012", ["1"]),
+        ZSft.from_forbidden(("b", "a"), []),
+        ZSft.from_blocks("ab", 1, ["a"]),
+        sm.sft_approximation(1),
+    )
+
+
+def _order_one_cases():
+    for x in _order_one_sfts():
+        yield from ((x, p) for p in range(1, 7))
 
 
 def _union():
@@ -171,6 +206,7 @@ def _random_cases():
 _POINT_CASES = {
     "scan": _scan_cases,
     "comb": _comb_cases,
+    "order-1": _order_one_cases,
     "union": _union_cases,
     "random": _random_cases,
 }
@@ -179,6 +215,7 @@ _POINT_CASES = {
 _REGIME_SFTS = {
     "approximation": lambda: (sm.sft_approximation(order) for order in range(3, 11)),
     "comb": lambda: (sm.comb_sft([WangTile("T", "x", "x")], k) for k in (2, 3, 4)),
+    "order-1": _order_one_sfts,
     "random": _random_sfts,
 }
 
@@ -264,7 +301,7 @@ class TestPeriodicPoints:
     def test_points_come_out_in_order_without_a_sort(self, monkeypatch):
         # the graph, built once per block set, is built before the patch
         # (by ``is_empty``): the search stacks its branches in descending
-        # order, and sorts nothing
+        # order, reads the last letter in ascending order, and sorts nothing
         x = sm.sft_approximation(2)
         assert not x.is_empty
         expected = periodic_points_by_product(x, 16)
