@@ -22,9 +22,10 @@ from .full_group import SCHREIER_LOG2_CAP, Window
 
 EXPECTED_POWERS = (1, 2, 4, 8)
 
-# at most this many letters recovered by `stabilizer`: its queries hold
-# about 1.5 budget^2 letters in all, but the oracle answers them by
-# walking about budget letters, 0.05-0.06 s at the cap on two CPUs
+# at most this many letters recovered by `stabilizer`: each letter is one
+# walk of its conjugator, on from the last, on tables grown to the reach
+# the conjugators need, so the oracle walks about budget letters and
+# builds no query word
 STABILIZER_BUDGET_CAP = 4096
 
 

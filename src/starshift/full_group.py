@@ -7,10 +7,12 @@ Generators act by moving the origin like the star of the jump action;
 every move burns one unit of margin, and operations never fabricate
 letters beyond the window.  A word walks the origin by the walk of the
 starred words, on the jump tables of the excerpt within its reach of
-the origin, and a stabilizer oracle builds them once for all of its
-queries.  It answers a conjugate by walking the conjugator alone, on
-from the last one it walked: the queries of a reconstruction of budget
-letters hold about 1.5 budget^2 letters, and it walks about budget.
+the origin.  A stabilizer oracle builds them for the reach its queries
+need, growing them only when a query could read past them.  It answers
+a conjugate by walking the conjugator alone, on from the last one it
+walked, and a reconstruction asks it the conjugates of one conjugator
+at once: one walk per recovered letter, about budget letters walked,
+and no query word built.
 
 Origin-motion convention: "origin moves right" is the positive
 direction.  Under the dictionary to shift notation sigma(x)_i = x_{i+1}
@@ -53,6 +55,11 @@ _MOVER = {x: min(g for g in GENERATORS if x in JUMP_SETS[g]) for x in LETTERS}
 # vertex is named by its whole word, so the output grows with the square
 # of the positions (2^11 write 24 MiB in 0.6 s, 2^12 already 96 MiB)
 SCHREIER_LOG2_CAP = 11
+
+# letters either side that a stabilizer oracle first builds its tables for:
+# a build costs about 13 us here, against 9 us at 8 letters and 1.3 ms at
+# 8,000, and it serves the conjugators of budgets up to 32 unchanged
+_ORACLE_REACH = 64
 
 
 @dataclass(frozen=True)
@@ -168,38 +175,75 @@ def window_stabilizer_oracle(x: Window) -> Callable[[str], bool]:
     """Oracle answering whether a group word fixes the window's point.
 
     A jump element fixes the point iff the origin returns to its start;
-    queries walking outside the margin raise MarginExhaustedError.  The
-    jump tables of the margin's reach are built once, and every query
-    walks them; a letter other than a, b, c, d raises ValueError.
+    queries walking outside the margin raise MarginExhaustedError, and a
+    letter other than a, b, c, d raises ValueError.  The jump tables of
+    all four generators come from one build, of the excerpt within
+    min(margin, 64) letters of the origin, and are built again only when
+    a query could read past them: a word of length l reads min(l, margin)
+    letters either side.  A rebuild at least doubles the reach, up to the
+    margin.
 
     A conjugate is answered by half a walk.  Every table is an
     involution, so the reversal of a word is its inverse, and an odd
     palindrome ``reversed(u) + t + u`` fixes the point iff ``t`` fixes
     ``u`` applied to it.  No longer than the margin, it cannot exhaust
-    it, so only ``u`` is walked, resumed from the last ``u`` walked when
-    it ends with that one.  Any other word is walked in full.
+    it, so only ``u`` is walked, reading |u| + 1 letters, resumed from
+    the last ``u`` walked when it ends with that one.  Any other word is
+    walked in full.
+
+    ``oracle.conjugates(u, tested)`` lists the generators ``t`` of
+    ``tested`` for which ``reversed(u) + t + u`` fixes the point, with
+    one walk of ``u`` and one table read per ``t``, no word built.  Past
+    the margin, or on a letter other than a, b, c, d, it asks the oracle
+    each whole word, so its answers and errors are theirs.
     """
-    start, tables = reach_tables(x.letters, x.origin, x.margin, GENERATORS)
-    home, margin = x.origin - start, x.margin
-    last = ("", home)  # the last conjugator walked, and where it ends
+    margin = x.margin
+    reach = min(margin, _ORACLE_REACH)
+    start, tables = reach_tables(x.letters, x.origin, reach, GENERATORS)
+    last = ("", x.origin - start)  # the last conjugator walked, and where it ends
+
+    def cover(need: int) -> None:
+        # rebuild the tables, and move the saved end with the excerpt,
+        # when a query reads more than ``reach`` letters either side
+        nonlocal reach, start, tables, last
+        if need > reach:
+            reach = min(margin, max(need, 2 * reach))
+            old = start
+            start, tables = reach_tables(x.letters, x.origin, reach, GENERATORS)
+            last = (last[0], last[1] + old - start)
+
+    def end_of(u: str) -> int:
+        # where u takes the origin, walked on from the last conjugator
+        nonlocal last
+        cover(len(u) + 1)
+        walked, at = last if u.endswith(last[0]) else ("", x.origin - start)
+        new = u[: len(u) - len(walked)]
+        last = (u, walk(tables, new, at, len(new))[0])
+        return last[1]
 
     def oracle(word: str) -> bool:
-        nonlocal last
         try:
             if len(word) > margin or not len(word) % 2 or word != word[::-1]:
+                cover(min(len(word), margin))
+                home = x.origin - start
                 return walk(tables, word, home, margin)[0] == home
             half = len(word) // 2
-            u = word[half + 1 :]
-            walked, at = last if u.endswith(last[0]) else ("", home)
-            new = u[: len(u) - len(walked)]
-            at = walk(tables, new, at, len(new))[0]
-            fixed = tables[word[half]][at] == at
+            at = end_of(word[half + 1 :])
+            return tables[word[half]][at] == at
         except KeyError:
             check_generators(word)
             raise
-        last = (u, at)
-        return fixed
 
+    def conjugates(u: str, tested: str) -> list[str]:
+        if 2 * len(u) + 1 <= margin:
+            try:
+                at = end_of(u)
+                return [t for t in tested if tables[t][at] == at]
+            except KeyError:
+                pass  # a letter outside the generators: the whole words refuse it
+        return [t for t in tested if oracle(u[::-1] + t + u)]
+
+    oracle.conjugates = conjugates
     return oracle
 
 
@@ -213,19 +257,22 @@ def reconstruct_from_stabilizer(oracle: Callable[[str], bool], budget: int) -> s
     conjugate of the known one.  Which side of the origin carries the
     non-`a` letter is invisible to the oracle, hence the global
     reversal ambiguity.
+
+    The three conjugates of a letter go to the oracle's ``conjugates``
+    entry in one call, which walks the conjugator once; an oracle
+    without one, a plain callable, is asked the three whole words
+    ``reversed(conj) + t + conj``, in the order b, c, d.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
     letters: list[str] = []
     conj = ""  # current point = conj applied to the hidden point
-
-    def fixes(test: str) -> bool:
-        # reduced as it stands: conj alternates `a` with one of b, c, d
-        # and starts with `a`, and test is one of b, c, d
-        return oracle(conj[::-1] + test + conj)
-
+    # each word asked is reduced as it stands: conj alternates `a` with one
+    # of b, c, d and starts with `a`, and the tested letter is one of b, c, d
+    conjugates = getattr(oracle, "conjugates",
+                         lambda u, tested: [t for t in tested if oracle(u[::-1] + t + u)])
     while len(letters) < budget:
-        fixers = [g for g in "bcd" if fixes(g)]
+        fixers = conjugates(conj, "bcd")
         if len(fixers) != 1:
             raise ReconstructionError(
                 f"expected exactly one of b, c, d to fix, got {fixers!r}"

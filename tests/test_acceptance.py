@@ -12,7 +12,9 @@ from collections import deque
 
 import numpy as np
 
-from oracles import comb_forbidden_by_rules, naive_words, orbit_sft_forbidden
+from oracles import (
+    comb_forbidden_by_rules, naive_words, orbit_sft_forbidden, periodic_orbit_count,
+)
 from starshift import (
     cli,
     core_words as cw,
@@ -105,14 +107,22 @@ def test_criterion_04_minimality_bound():
 def test_criterion_05_aperiodicity():
     crit = Criterion(5, "aperiodicity via approximations", 120)
     witnessed = {}
+    ok = True
     for p in range(1, 17):
         order = 2
         while order <= 8 * p:
-            if not sm.periodic_points(sm.sft_approximation(order), p):
+            sft = sm.sft_approximation(order)
+            points = sm.periodic_points(sft, p)
+            # every step checks the points it reads: one per orbit, counted
+            # by the traces of the adjacency powers, in the alphabet's order
+            ok &= len(points) == periodic_orbit_count(sft, p)
+            ranks = [[sft.alphabet.index(c) for c in point] for point in points]
+            ok &= all(a < b for a, b in zip(ranks, ranks[1:]))
+            if not points:
                 witnessed[p] = order
                 break
             order = order + 1 if order < 8 else order + 4
-    ok = all(p in witnessed and witnessed[p] <= 8 * p for p in range(1, 17))
+    ok &= all(p in witnessed and witnessed[p] <= 8 * p for p in range(1, 17))
     detail = "witnessed L: " + ", ".join(
         f"p{p}:L{witnessed.get(p, '-')}" for p in range(1, 17)
     )

@@ -17,13 +17,16 @@ from starshift.full_group import Window, reverse_window
 from starshift.jump_action import StarredWord
 
 
-def _count_table_builds(monkeypatch) -> list[list[str]]:
-    """Record the generators of the rows of every jump-table build."""
+def _count_table_builds(monkeypatch, widths: list[int] | None = None) -> list[list[str]]:
+    """Record the generators of the rows of every jump-table build, and
+    the length of its padded letters into ``widths`` if given."""
     built = []
     build = ja._jump_table
 
     def counting_build(padded, generators):
         built.append(list(generators))
+        if widths is not None:
+            widths.append(len(padded))
         return build(padded, generators)
 
     for module in (ja, fg):
@@ -331,9 +334,33 @@ def _conjugate(u: str, t: str) -> str:
     return u[::-1] + t + u
 
 
+def _whole_words(oracle, u: str, tested: str) -> list[str]:
+    return [t for t in tested if oracle(_conjugate(u, t))]
+
+
+def _conjugates_as_single_steps(oracle, twin, win: Window, u: str, tested: str) -> None:
+    """``oracle.conjugates(u, tested)`` lists the generators whose
+    conjugates by ``u`` fix the point, as the whole words asked of
+    ``twin``, an oracle of the same window, and as their walks by single
+    steps; or all three raise the same MarginExhaustedError text at the
+    first word that exhausts the margin."""
+    expected = []
+    for t in tested:
+        try:
+            expected += [t] * (apply_word_by_steps(_conjugate(u, t), win)[1] == win.origin)
+        except MarginExhaustedError as exc:
+            for ask in (oracle.conjugates, lambda *query: _whole_words(twin, *query)):
+                with pytest.raises(MarginExhaustedError) as got:
+                    ask(u, tested)
+                assert str(got.value) == str(exc), (u, tested, win)
+            return
+    assert oracle.conjugates(u, tested) == expected == _whole_words(twin, u, tested), (u, win)
+
+
 class TestConjugateQueries:
     """The oracle answers an odd palindrome within the margin by walking
-    its right half, resumed from the last one it walked; the walk by
+    its right half, resumed from the last one it walked, and so does its
+    ``conjugates`` entry for several generators at once; the walk by
     single steps of the whole word is the check."""
 
     @staticmethod
@@ -349,37 +376,98 @@ class TestConjugateQueries:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_palindromes_at_and_past_the_margin(self, seed):
-        # odd lengths margin - 1 .. margin + 2 and the even lengths between
+        # odd lengths margin - 1 .. margin + 2 and the even lengths between;
+        # past the margin the entry asks the whole words, and the ones
+        # that do not fix exhaust it
         rng = random.Random(seed)
-        for win in self._windows(rng, [m for m in range(16) for _ in range(6)]):
-            oracle = fg.window_stabilizer_oracle(win)
+        for win in self._windows(rng, [m for m in range(25) for _ in range(6)]):
+            oracle, twin = fg.window_stabilizer_oracle(win), fg.window_stabilizer_oracle(win)
             for _ in range(30):
                 length = max(0, win.margin + rng.randrange(-1, 3))
                 u = "".join(rng.choice("abcd") for _ in range(length // 2))
                 if length % 2:
-                    word = _conjugate(u, rng.choice("abcd"))
+                    _answers_as_single_steps(oracle, win, _conjugate(u, rng.choice("abcd")))
+                    _conjugates_as_single_steps(oracle, twin, win, u, "bcd")
                 else:
-                    word = u[::-1] + u
-                _answers_as_single_steps(oracle, win, word)
+                    _answers_as_single_steps(oracle, win, u[::-1] + u)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_growing_and_unrelated_conjugators(self, seed):
         # each query extends the last conjugator on the left, starts a new
-        # one, or takes a suffix of it, so the walk resumes or restarts
+        # one, or takes a suffix of it, so the walk resumes or restarts;
+        # whole words and the entry are asked in turn, and the full
+        # margins of w_12 take words past the first tables
         rng = random.Random(seed)
-        for win in self._windows(rng, [m for m in range(3, 24) for _ in range(3)]):
-            oracle = fg.window_stabilizer_oracle(win)
+        letters = build_w(12)
+        windows = self._windows(rng, [m for m in range(25) for _ in range(3)])
+        windows += [Window(letters, rng.randrange(len(letters) + 1)) for _ in range(4)]
+        for win in windows:
+            oracle, twin = fg.window_stabilizer_oracle(win), fg.window_stabilizer_oracle(win)
             u = ""
             for _ in range(60):
                 step = rng.randrange(4)
                 if step < 2:
                     u = "".join(rng.choice("abcd") for _ in range(rng.randrange(1, 4))) + u
                 elif step == 2:
-                    u = "".join(rng.choice("abcd") for _ in range(rng.randrange(win.margin)))
+                    u = "".join(rng.choice("abcd")
+                                for _ in range(rng.randrange(min(win.margin, 40) + 1)))
                 else:
                     u = u[rng.randrange(len(u) + 1) :]
-                for t in rng.sample("abcd", rng.randrange(1, 5)):
+                tested = rng.sample("abcd", rng.randrange(1, 5))
+                for t in tested:
                     _answers_as_single_steps(oracle, win, _conjugate(u, t))
+                _conjugates_as_single_steps(oracle, twin, win, u, "".join(tested))
+                if rng.randrange(3) == 0:
+                    word = "".join(rng.choice("abcd") for _ in range(rng.randrange(160)))
+                    _answers_as_single_steps(oracle, win, word)
+
+    @pytest.mark.parametrize("margin", [63, 64, 65, 127, 128, 129, 255, 256, 257])
+    def test_grown_tables_match_single_steps(self, margin):
+        # around the first reach and its doublings: conjugators grown on
+        # the left resume across each rebuild, and whole words around the
+        # reach rebuild the tables under a saved conjugator
+        rng = random.Random(margin)
+        letters = build_w(12)
+        for _ in range(8):
+            win = Window(letters, rng.randrange(600, len(letters) - 600), margin)
+            oracle, twin = fg.window_stabilizer_oracle(win), fg.window_stabilizer_oracle(win)
+            u = ""
+            while 2 * len(u) + 1 <= margin + 2:
+                if rng.randrange(8):
+                    u = "".join(rng.choice("abcd") for _ in range(rng.randrange(1, 4))) + u
+                else:
+                    u = u[rng.randrange(min(len(u), 3) + 1) :]
+                _conjugates_as_single_steps(oracle, twin, win, u, "abcd")
+                if rng.randrange(2):
+                    length = rng.choice([r + d for r in (64, 128, 256, margin)
+                                         for d in (-1, 0, 1, 2)])
+                    _answers_as_single_steps(oracle, win, "".join(rng.choice("abcd")
+                                                                  for _ in range(length)))
+
+    @pytest.mark.parametrize("u, tested", [
+        ("bXa", "bcd"),  # in the conjugator
+        ("ab", "bXd"),  # in the generators tested, after one that fixes or not
+        ("éba", "c"),  # in the letters of a resumed walk
+        ("é", ""),  # nothing tested, nothing asked
+        ("b" * 9 + "X", "bc"),  # past the margin
+    ], ids=["conjugator", "tested", "resumed", "nothing-tested", "past-the-margin"])
+    def test_entry_refuses_a_bad_letter_as_the_whole_word(self, u, tested):
+        win = Window(build_w(8), 120, 12)
+        oracle, twin = fg.window_stabilizer_oracle(win), fg.window_stabilizer_oracle(win)
+        _conjugates_as_single_steps(oracle, twin, win, "ba", "bcd")
+        if not tested:
+            assert oracle.conjugates(u, tested) == []
+        else:
+            with pytest.raises(ValueError) as expected:
+                for t in tested:
+                    check_generators(_conjugate(u, t))
+            with pytest.raises(ValueError) as got:
+                oracle.conjugates(u, tested)
+            assert str(got.value) == str(expected.value)
+        # a refused query leaves the oracle answering as before
+        for v in ("ba", "dba", "cd"):
+            _conjugates_as_single_steps(oracle, twin, win, v, "abcd")
+            _answers_as_single_steps(oracle, win, _conjugate(v, "b"))
 
     def test_reconstruction_queries_at_every_margin(self):
         # the queries of a reconstruction, whose conjugators move the
@@ -433,6 +521,72 @@ class TestConjugateQueries:
             assert len(fg.reconstruct_from_stabilizer(oracle, budget)) == budget
             counts[budget] = sum(walked)
         assert counts[256] <= 256 and counts[512] <= 2 * counts[256] + 2
+
+
+class TestOracleEntryAndPlainCallables:
+    """A reconstruction asks the oracle's ``conjugates`` entry, and a
+    plain callable the three whole words per letter: the same letters,
+    or the same error, either way."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_letters_with_and_without_the_entry(self, seed):
+        rng = random.Random(seed)
+        host = build_w(12)
+        for budget in range(65):
+            margin = rng.randrange(2 * budget + 4)
+            width = rng.randrange(2 * margin, 2 * margin + 12)
+            start = rng.randrange(len(host) - width + 1)
+            win = Window(host[start : start + width], rng.randrange(margin, width - margin + 1),
+                         margin)
+            outcomes = []
+            for plain in (False, True):
+                oracle = fg.window_stabilizer_oracle(win)
+                try:
+                    outcomes.append(fg.reconstruct_from_stabilizer(
+                        (lambda q: oracle(q)) if plain else oracle, budget))
+                except MarginExhaustedError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (budget, win)
+
+    def test_same_letters_at_the_cap(self):
+        letters = build_w(14)
+        win = Window(letters, len(letters) // 2)
+        oracle = fg.window_stabilizer_oracle(win)
+        got = fg.reconstruct_from_stabilizer(oracle, 4096)
+        assert got == fg.reconstruct_from_stabilizer(lambda q: oracle(q), 4096)
+        assert got == letters[win.origin : win.origin + 4096]  # the middle letter is not `a`
+
+    @pytest.mark.parametrize("budget", [1, 2, 7, 32, 64])
+    def test_the_entry_path_asks_no_whole_word(self, budget):
+        letters = build_w(12)
+        hidden = Window(letters, len(letters) // 2 + 5, 2 * budget + 1)
+        inner = fg.window_stabilizer_oracle(hidden)
+
+        def refusing(word: str) -> bool:
+            raise AssertionError(f"whole word asked: {word!r}")
+
+        refusing.conjugates = inner.conjugates
+        got = fg.reconstruct_from_stabilizer(refusing, budget)
+        assert got == fg.reconstruct_from_stabilizer(lambda q: inner(q), budget)
+
+    def test_tables_grow_by_doubling_at_budget_4096(self, monkeypatch):
+        letters = build_w(14)
+        widths = []
+        built = _count_table_builds(monkeypatch, widths)
+        oracle = fg.window_stabilizer_oracle(Window(letters, len(letters) // 2))
+        assert len(built) == 1  # when the oracle is made
+        entry, longest = oracle.conjugates, [0]
+
+        def measuring(u: str, tested: str) -> list[str]:
+            longest[0] = max(longest[0], len(u))
+            return entry(u, tested)
+
+        oracle.conjugates = measuring
+        assert len(fg.reconstruct_from_stabilizer(oracle, 4096)) == 4096
+        # a build of reach r pads the 2r letters within it with two blanks
+        needed = longest[0] + 1
+        assert [sorted(rows) for rows in built] == [list("abcd")] * len(built)
+        assert len(built) <= 8 and max(widths) - 2 <= 2 * (2 * needed)
 
 
 def _orbit_graph_inputs(kind: str) -> list[tuple[str, bool]]:
