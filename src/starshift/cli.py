@@ -261,6 +261,8 @@ def cmd_stabilizer(args: argparse.Namespace) -> int:
 
 def cmd_sft(args: argparse.Namespace) -> int:
     if args.demo == "union-demo":
+        if args.k is not None:
+            raise StarshiftError("--k sets the comb's period: it needs comb-demo")
         x1 = subshift.ZSft.from_forbidden("01", ["11"])  # no two adjacent ones
         x2 = subshift.ZSft.from_forbidden("01", ["0"])  # the all-ones point
         union = subshift.union_sft(x1, x2)
@@ -284,28 +286,29 @@ def cmd_sft(args: argparse.Namespace) -> int:
         )
         return 0 if agree else 1
     tile = subshift.WangTile("T", "x", "x")
-    if 4 * args.k > subshift.PERIOD_CAP:
-        raise SizeLimitError(f"--k {args.k} checks the periods up to 4k = {4 * args.k}, "
+    k = 2 if args.k is None else args.k
+    if 4 * k > subshift.PERIOD_CAP:
+        raise SizeLimitError(f"--k {k} checks the periods up to 4k = {4 * k}, "
                              f"beyond the cap {subshift.PERIOD_CAP}")
-    comb = subshift.comb_sft([tile], args.k)
-    points = {p: subshift.periodic_points(comb, p) for p in range(1, 4 * args.k + 1)}
+    comb = subshift.comb_sft([tile], k)
+    points = {p: subshift.periodic_points(comb, p) for p in range(1, 4 * k + 1)}
     counts = {p: len(ws) for p, ws in points.items()}
     if args.points_out is not None:
         _write(args.points_out, subshift.periodic_points_jsonl(points))
 
     def single_phase(word: str) -> bool:
-        residues = {i % args.k for i, c in enumerate(word + word) if c != subshift.BLANK}
+        residues = {i % k for i, c in enumerate(word + word) if c != subshift.BLANK}
         return len(residues) == 1
 
     phase_ok = all(single_phase(w) for ws in points.values() for w in ws)
     expected = all(
-        (counts[p] > 0) == (p % args.k == 0) for p in range(1, 4 * args.k + 1)
+        (counts[p] > 0) == (p % k == 0) for p in range(1, 4 * k + 1)
     )
     _emit_json(
         args.out,
         {
             "demo": "comb",
-            "k": args.k,
+            "k": k,
             "alphabet": list(comb.alphabet),
             "order": comb.order,
             "periodic_point_counts": {str(p): c for p, c in counts.items()},
@@ -330,7 +333,8 @@ def _at_least(low: int):
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process."""
+    """The parser of every subcommand, built once per process; its
+    ``subcommands`` maps each subcommand name to that subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="starshift",
         description="Starred-word actions, their tree factor, and SFT experiments.",
@@ -384,17 +388,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sft", help="union and comb construction demos")
     p.add_argument("demo", choices=("union-demo", "comb-demo"))
-    p.add_argument("--k", type=_at_least(2), default=2)
+    p.add_argument("--k", type=_at_least(2), default=None)
     p.add_argument("--points-out", default=None,
                    help="also write a periodic-point report as JSON lines")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sft)
 
+    parser.subcommands = sub.choices
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand; ``argv`` defaults to ``sys.argv[1:]``.
+
+    Returns 0 when the run verified, 1 when a verification failed and 2
+    on a refused input or an I/O error, which is written to stderr as one
+    ``error:`` or ``i/o error:`` line.  argparse raises ``SystemExit(0)``
+    after help and ``SystemExit(2)`` on a usage error, which it words on
+    stderr under a usage line.
+
+    An argv that starts with a subcommand name is parsed by that
+    subcommand's parser alone, and leftover arguments are reported by the
+    top-level parser, in the words of its ``parse_args``.  Every other
+    argv (empty, ``-h``, an unknown name) goes through the top-level
+    parser.  Help and usage errors read the same on both routes.
+    """
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.subcommands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except StarshiftError as exc:

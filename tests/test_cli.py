@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -531,10 +532,106 @@ def test_caps_come_before_any_word_is_built(capsys, monkeypatch, argv):
     assert built == []
 
 
-def test_unknown_arguments_exit_two(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["table1", "--frobnicate"])
-    assert err.value.code == 2
+def run_to_exit(capsys, *argv):
+    """``run`` for an argv that argparse ends: its exit code, stdout and stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+TOP_USAGE = "usage: starshift [-h] {table1,verify,schreier,pseudo-orbit,stabilizer,sft} ...\n"
+
+TOP_HELP = TOP_USAGE + """
+Starred-word actions, their tree factor, and SFT experiments.
+
+positional arguments:
+  {table1,verify,schreier,pseudo-orbit,stabilizer,sft}
+    table1              relator survival table for circular words
+    verify              run the invariant checks
+    schreier            export an orbit graph
+    pseudo-orbit        periodic pseudo-point checks
+    stabilizer          reconstruct a hidden window from its stabilizer
+    sft                 union and comb construction demos
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+TABLE1_HELP = """\
+usage: starshift table1 [-h] [--n-max N_MAX] [--p-max P_MAX] [--t T]
+                        [--paper-layout] [--out OUT]
+
+Survival of the relator family on the circular words (w_n alpha)^p. Each row
+is read off one lift to the Z-cover: p survives iff it divides the gcd of the
+relators' winding numbers, 8 on the whole family, so the ones sit at p in {1,
+2, 4, 8}. --t T stops the family at the kappa^T seeds.
+
+options:
+  -h, --help      show this help message and exit
+  --n-max N_MAX
+  --p-max P_MAX
+  --t T
+  --paper-layout  group columns 10..p-max into one
+  --out OUT
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [(["--help"], TOP_HELP), (["-h"], TOP_HELP),
+     (["table1", "--help"], TABLE1_HELP), (["table1", "--he"], TABLE1_HELP)],
+    ids=["--help", "-h", "table1 --help", "table1 --he"],
+)
+def test_help_is_pinned(capsys, monkeypatch, argv, text):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    assert run_to_exit(capsys, *argv) == (0, text, "")
+
+
+# usage errors read as the top-level parser's parse_args words them, also
+# when the subcommand's parser took only part of the argv
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'table1', "
+                    "'verify', 'schreier', 'pseudo-orbit', 'stabilizer', 'sft')"),
+        (["table1", "extra"], "unrecognized arguments: extra"),
+        (["table1", "--", "--n-max"], "unrecognized arguments: -- --n-max"),
+        (["sft", "comb-demo", "x", "--k", "3", "-y"], "unrecognized arguments: x -y"),
+    ],
+    ids=["empty", "bogus", "table1 extra", "table1 -- --n-max", "sft comb-demo x --k 3 -y"],
+)
+def test_usage_errors_are_pinned(capsys, monkeypatch, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_to_exit(capsys, *argv) == (2, "", f"{TOP_USAGE}starshift: error: {message}\n")
+
+
+def test_unknown_arguments_exit_two(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_to_exit(capsys, "table1", "--frobnicate") == (
+        2, "", f"{TOP_USAGE}starshift: error: unrecognized arguments: --frobnicate\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--n-max", "1", "--p-max", "1"],
+        ["verify", "--max-n", "1"],
+        ["schreier", "--n", "1"],
+        ["pseudo-orbit", "--n", "1"],
+        ["stabilizer", "--budget", "1", "--source-n", "6"],
+        ["sft", "comb-demo"],
+    ],
+    ids=" ".join,
+)
+def test_one_parse_per_call(capsys, monkeypatch, argv):
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda self, *a, **kw: calls.append(self.prog) or parse(self, *a, **kw))
+    assert run(capsys, *argv)[0] == 0
+    assert calls == [f"starshift {argv[0]}"]
 
 
 def test_io_error_exit_two(capsys, tmp_path):
@@ -565,6 +662,7 @@ def test_io_error_exit_two(capsys, tmp_path):
         ["sft", "comb-demo", "--k", "1"],
         ["sft", "comb-demo", "--k", "17"],  # cap: periods up to 4k pass 64
         ["sft", "comb-demo", "--k", "21"],
+        ["sft", "union-demo", "--k", "99"],  # would ignore --k
         ["verify", "--max-n", "-5"],
         ["verify", "--max-n", "0"],  # would PASS every check having checked nothing
         ["verify", "--max-n", "25"],  # cap: w_24
@@ -596,8 +694,10 @@ def test_bad_input_exits_two(capsys, argv):
          "source word too short for the requested budget"),
         (["stabilizer", "--source-n", "24", "--budget", "4097"],
          "--budget 4097 exceeds the cap 4096"),
+        (["sft", "union-demo", "--k", "99"],
+         "--k sets the comb's period: it needs comb-demo"),
     ],
-    ids=["schreier", "schreier-p", "stabilizer", "stabilizer-cap"],
+    ids=["schreier", "schreier-p", "stabilizer", "stabilizer-cap", "sft-union-k"],
 )
 def test_refusals_are_error_lines(capsys, argv, line):
     assert run(capsys, *argv) == (2, "", f"error: {line}\n")

@@ -20,7 +20,6 @@ synopsis of each subcommand lists exactly the options its parser takes,
 hidden ones included.
 """
 
-import argparse
 import ast
 import importlib
 import re
@@ -179,12 +178,10 @@ def test_the_readme_check_sees_a_stale_name():
 
 def subcommand_options() -> dict[str, set[str]]:
     """The ``--`` options of each subcommand of the CLI parser, but ``--help``."""
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {
         name: {o for a in p._actions for o in a.option_strings if o.startswith("--")}
         - {"--help"}
-        for name, p in sub.choices.items()
+        for name, p in cli.build_parser().subcommands.items()
     }
 
 
