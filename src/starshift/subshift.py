@@ -37,11 +37,8 @@ from .jump_action import moving_relator
 APPROXIMATION_CAP = 256
 PERIOD_CAP = 64
 _ENUM_CAP = 1 << 22  # largest alphabet**order we are willing to enumerate
-# most words of one length that union_sft lists from either input: inputs
-# that share a configuration are listed up to a length past the product of
-# their graphs' sizes, and their counts grow with it unless each input is
-# a finite set of periodic orbits.  The binary SFTs forbidding 0110 and 111
-# are refused at length 18, after 0.2 s of listing on a 2.1 GHz Xeon core
+# most words of one length that union_sft lists from either input; only
+# inputs that share no configuration are listed past the larger order
 UNION_WORD_CAP = 1 << 16
 # distinct block sets whose follower graph stays cached: a round of the
 # aperiodicity scans for p <= 16 visits 18 orders
@@ -374,19 +371,21 @@ def periodic_points_jsonl(points: dict[int, list[str]]) -> str:
 def union_sft(x1: ZSft, x2: ZSft) -> ZSft:
     """SFT whose configurations are exactly those of the two inputs.
 
-    Grows a window length m until the two languages share no m-word (the
-    inputs must be disjoint subshifts), then forbids the m-words
-    appearing in neither and the (m+1)-words whose prefix and suffix
-    belong to different inputs.  Equivalently: an (m+1)-block is
-    admissible iff both of its m-subwords come from the same input.
-
-    Before the m-words are listed they are counted, and more than
-    :data:`UNION_WORD_CAP` of either input raise SizeLimitError.
+    The inputs share one iff the SFT of the lo-blocks both languages hold
+    (lo the larger order) is non-empty (Lind and Marcus, 1995, ch. 2-3),
+    as its trimmed follower graph tells.  DisjointnessError then carries
+    its least word of length hi = lo + |S1|·|S2| + 1 (S1, S2 the inputs'
+    states), read from its least state along the first edge of each,
+    since every trimmed state extends.  Otherwise m grows from lo until
+    the languages share no m-word; a shared m-word walks m - lo + 1 edges
+    of the shared blocks' graph, which has no cycle, so m stops.  An
+    (m+1)-block is admissible iff both its m-words come from one input.
+    Each input's m-words are counted before they are listed, and more
+    than :data:`UNION_WORD_CAP` raise SizeLimitError.
     """
     if tuple(x1.alphabet) != tuple(x2.alphabet):
         raise ValueError("union requires a shared alphabet")
     lo = max(x1.order, x2.order)
-    hi = lo + len(x1._graph.trans) * len(x2._graph.trans) + 1
     m = lo
     while True:
         for x in (x1, x2):
@@ -400,20 +399,20 @@ def union_sft(x1: ZSft, x2: ZSft) -> ZSft:
         shared = w1 & w2
         if not shared:
             break
-        if m >= hi:
-            ranks = rank_table(x1.alphabet)
-            witness = min(shared, key=lambda w: w.translate(ranks))
-            raise DisjointnessError(
-                f"subshifts share arbitrarily long words, e.g. {witness!r}",
-                witness=witness,
-            )
+        if m == lo:
+            trans, _, _, symbols = _valid_sft(x1.alphabet, lo, frozenset(shared))._graph
+            if trans:
+                hi = lo + len(x1._graph.trans) * len(x2._graph.trans) + 1
+                state = witness = next(iter(trans))  # the least state
+                while len(witness) < hi:
+                    c, state = next(iter(trans[state].items()))  # the first edge
+                    witness += c
+                witness = witness.translate(symbols)
+                raise DisjointnessError(
+                    f"subshifts share arbitrarily long words, e.g. {witness!r}", witness=witness
+                )
         m += 1
-    blocks = set()
-    for words in (w1, w2):
-        for w in words:
-            for c in x1.alphabet:
-                if (w + c)[1:] in words:
-                    blocks.add(w + c)
+    blocks = {w + c for ws in (w1, w2) for w in ws for c in x1.alphabet if (w + c)[1:] in ws}
     return ZSft.from_blocks(x1.alphabet, m + 1, blocks)
 
 

@@ -42,7 +42,9 @@ kappa^k, the jump rule read across the end of a circular word, the fixed
 point of the letterwise substitution tau, the cocycle
 evaluation that checks its pieces partition the neighborhoods, and the
 length-by-length comparison of two SFT languages are references the
-tests read and the library does not need.
+tests read and the library does not need.  The union of two SFTs is
+decided by listing both languages up to the pigeonhole bound, where the
+library reads the graph of their shared blocks.
 """
 
 import json
@@ -56,9 +58,9 @@ import numpy as np
 
 from starshift.core_words import (
     GENERATORS, KAPPA, WORD_CAP, alpha_choice, build_w, free_reduce, is_alternating, kappa,
-    language_contains, lex_key, phase, ring,
+    language_contains, lex_key, phase, rank_table, ring,
 )
-from starshift.errors import MarginExhaustedError, SizeLimitError
+from starshift.errors import DisjointnessError, MarginExhaustedError, SizeLimitError
 from starshift.full_group import CocyclePiece
 from starshift.jump_action import (
     JUMP_SETS,
@@ -70,7 +72,7 @@ from starshift.jump_action import (
     moving_relator,
     relation_set,
 )
-from starshift.subshift import BLANK, PseudoOrbitReport, ZSft
+from starshift.subshift import BLANK, UNION_WORD_CAP, PseudoOrbitReport, ZSft, _word_count
 
 PLACEMENT_HOST = 16  # placements are occurrences in w_16
 PLACEMENT_BITS = 8  # kept modulo 2^8, enough for blocks up to w_8
@@ -302,6 +304,52 @@ def languages_equal(x1: ZSft, x2: ZSft, up_to: int) -> bool:
     if tuple(x1.alphabet) != tuple(x2.alphabet):
         raise ValueError("languages are only compared over a shared alphabet")
     return all(x1.words(n) == x2.words(n) for n in range(up_to + 1))
+
+
+def union_by_listing(x1: ZSft, x2: ZSft, cap: int = UNION_WORD_CAP) -> ZSft:
+    """The union of two SFTs by listing alone, the reference for
+    :func:`~starshift.subshift.union_sft`, which decides whether the
+    inputs share a configuration on the graph of their shared blocks.
+
+    Grows a window length m until the two languages share no m-word, up
+    to hi = lo + |S1|·|S2| + 1, past which it raises DisjointnessError
+    with the least shared hi-word: a word of both languages, not always
+    of a shared configuration.  An (m+1)-block is admissible iff both of
+    its m-subwords come from the same input.  More than ``cap`` m-words
+    of either input raise SizeLimitError, before they are listed.
+    """
+    if tuple(x1.alphabet) != tuple(x2.alphabet):
+        raise ValueError("union requires a shared alphabet")
+    lo = max(x1.order, x2.order)
+    hi = lo + len(x1._graph.trans) * len(x2._graph.trans) + 1
+    m = lo
+    while True:
+        for x in (x1, x2):
+            found = _word_count(x, m)
+            if found > cap:
+                raise SizeLimitError(
+                    f"an input of the union has {found} words of length {m}, "
+                    f"past the cap {cap}"
+                )
+        w1, w2 = x1.words(m), x2.words(m)
+        shared = w1 & w2
+        if not shared:
+            break
+        if m >= hi:
+            ranks = rank_table(x1.alphabet)
+            witness = min(shared, key=lambda w: w.translate(ranks))
+            raise DisjointnessError(
+                f"subshifts share arbitrarily long words, e.g. {witness!r}",
+                witness=witness,
+            )
+        m += 1
+    blocks = set()
+    for words in (w1, w2):
+        for w in words:
+            for c in x1.alphabet:
+                if (w + c)[1:] in words:
+                    blocks.add(w + c)
+    return ZSft.from_blocks(x1.alphabet, m + 1, blocks)
 
 
 def alternating_by_pairs(word: str) -> bool:

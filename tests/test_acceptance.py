@@ -13,7 +13,8 @@ from collections import deque
 import numpy as np
 
 from oracles import (
-    comb_forbidden_by_rules, naive_words, orbit_sft_forbidden, periodic_orbit_count,
+    comb_forbidden_by_rules, naive_in_language, naive_words, orbit_sft_forbidden,
+    periodic_orbit_count,
 )
 from starshift import (
     cli,
@@ -261,8 +262,12 @@ def test_criterion_09_sft_constructions():
         f1, f2 = orbit_sft_forbidden(u, "01"), orbit_sft_forbidden(v, "01")
         try:
             ok &= union_matches_naive(f1, f2)
-        except sm.DisjointnessError:
-            continue  # shared orbit; draw again
+        except sm.DisjointnessError as err:
+            # shared orbit: the witness is a word of both inputs; draw again
+            ok &= all(
+                naive_in_language(err.witness, "01", f, len(w)) for f, w in ((f1, u), (f2, v))
+            )
+            continue
         accepted += 1
 
     # comb outputs against the naive oracle on the comb's three rules

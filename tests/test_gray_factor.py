@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -248,6 +249,49 @@ def test_psi_is_a_g_map(seed):
         compared += 1
         reversed_fails += image != ta.act_word(word[::-1], below)
     assert compared >= 1000 and reversed_fails >= 150, (compared, reversed_fails)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_psi_at_the_edge_of_the_margin(seed):
+    # each window is the least symmetric excerpt of w_14 around its origin
+    # on which psi(k, .) still answers, and each word may spend its margin
+    # r.  Applied right to left, the walk refuses exactly when word[1:]
+    # spends all of r; it never reaches psi.  psi(k, g.x) answers exactly while
+    # the origin stays in its natural w_{k+1} block: the least window holds
+    # that block and not the next, so past it psi refuses for want of the
+    # block.  On the whole host g.psi(k, x) is the value either way
+    rng = random.Random(200 + seed)
+    host = build_w(14)
+    outcomes = {"walk": 0, "same block": 0, "next block": 0}
+    for _ in range(400):
+        k = rng.randint(1, 7)
+        at = rng.randrange(2 ** (k + 3), len(host) - 2 ** (k + 3))
+        for r in itertools.count():
+            x = Window(host[at - r : at + r], r)
+            try:
+                below = gf.psi(k, x)
+                break
+            except MarginExhaustedError:
+                pass
+        whole = Window(host, at)
+        word = "".join(rng.choice("abcd") for _ in range(rng.randint(1, 2 * r + 2)))
+        spent = whole.margin - apply_word(word[1:], whole).margin
+        if spent >= r:
+            with pytest.raises(MarginExhaustedError, match="margin 0 too small"):
+                apply_word(word, x)
+            outcomes["walk"] += 1
+            continue
+        image, moved = apply_word(word, x), apply_word(word, whole)
+        assert gf.psi(k, moved) == ta.act_word(word, below), (at, k, word)
+        if gf.natural_decomposition(moved, k + 1) == gf.natural_decomposition(whole, k + 1):
+            assert gf.psi(k, image) == gf.psi(k, moved), (at, k, word)
+            outcomes["same block"] += 1
+        else:
+            message = f"the w_{k + 1} block at the origin is not fully inside the window"
+            with pytest.raises(MarginExhaustedError, match=message):
+                gf.psi(k, image)
+            outcomes["next block"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 class TestPsiTower:

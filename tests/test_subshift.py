@@ -1,3 +1,4 @@
+import collections
 import copy
 import hashlib
 import itertools
@@ -14,6 +15,7 @@ from oracles import (
     closed_walk_traces,
     comb_forbidden_by_rules,
     languages_equal,
+    naive_in_language,
     naive_words,
     orbit_sft_forbidden,
     periodic_orbit_count,
@@ -24,7 +26,7 @@ from oracles import (
 )
 from starshift import subshift as sm
 from starshift.core_words import (
-    build_w, language_contains, language_set, language_words, lex_key, ring,
+    build_w, language_contains, language_set, language_words, lex_key, rank_table, ring,
 )
 from starshift.errors import DisjointnessError, EmptySftError, SizeLimitError
 from starshift.subshift import WangTile, ZSft
@@ -187,15 +189,15 @@ def _union_cases():
     yield from ((union, p) for p in range(1, 2 * union.order + 1))
 
 
+def _random_forbidden(rng, alphabet):
+    return ["".join(rng.choices(alphabet, k=rng.randint(1, 4))) for _ in range(rng.randint(1, 5))]
+
+
 def _random_sfts():
     rng = random.Random(17)
     for _ in range(50):
         alphabet = rng.choice(("01", "012"))
-        forbidden = [
-            "".join(rng.choices(alphabet, k=rng.randint(1, 4)))
-            for _ in range(rng.randint(1, 5))
-        ]
-        yield ZSft.from_forbidden(alphabet, forbidden)
+        yield ZSft.from_forbidden(alphabet, _random_forbidden(rng, alphabet))
 
 
 def _random_cases():
@@ -474,14 +476,82 @@ class TestUnion:
                 assert sm._word_count(x, length) == len(x.words(length)), (x.blocks, length)
 
     def test_inputs_sharing_a_configuration_are_refused_in_time(self):
-        # both contain 0^Z, so no window length separates them, and the
-        # 0110-free words pass the cap at length 18, long before the bound
-        # hi = 37 where the disjointness check would give up
-        x1, x2 = ZSft.from_forbidden("01", ["0110"]), ZSft.from_forbidden("01", ["111"])
-        start = time.perf_counter()
-        with pytest.raises(SizeLimitError, match="has 93058 words of length 18, past the cap 65536"):
+        # both pairs share a configuration, 0^Z and (0001)^Z, so the graph of
+        # their shared 4-blocks keeps a cycle and the union is refused at
+        # once; listing up to hi (37 and 69) passed the cap at length 18.
+        # The witness is the least word of length hi of the shared blocks
+        for f1, f2, witness in (("0110", "111", "0" * 37), ("0000", "1111", ("0001" * 18)[:69])):
+            x1, x2 = ZSft.from_forbidden("01", [f1]), ZSft.from_forbidden("01", [f2])
+            start = time.perf_counter()
+            with pytest.raises(DisjointnessError) as err:
+                sm.union_sft(x1, x2)
+            assert time.perf_counter() - start < 1
+            assert err.value.witness == witness
+
+    def test_the_cap_guards_disjoint_inputs(self):
+        # the second input is 0^Z, which the first lacks, so they share no
+        # configuration; the first input's 17-words are refused before the
+        # first listing
+        x1, x2 = ZSft.from_forbidden("01", ["0" * 17]), ZSft.from_forbidden("01", ["1"])
+        with pytest.raises(SizeLimitError) as err:
             sm.union_sft(x1, x2)
-        assert time.perf_counter() - start < 1
+        assert str(err.value) == (
+            "an input of the union has 131071 words of length 17, past the cap 65536"
+        )
+
+    def test_matches_the_listing_oracle(self):
+        # 400 seeded pairs over 01 and 012, each input forbidding 1-5 words
+        # of length 1-4 or carved out as the orbit of a word of 1-4 letters,
+        # so that some disjoint pairs share words past the larger order.
+        # The oracle lists both languages up to hi, so it runs at a cap of
+        # 2^10 words; where it refuses, the answer is checked on its own.
+        # A witness of the oracle is a word of both languages, and
+        # union_sft's the least of a shared configuration: never before
+        # it, and equal when the oracle's is one too
+        rng = random.Random(40)
+        outcomes = collections.Counter()
+        for _ in range(400):
+            alphabet = rng.choice(("01", "012"))
+            f1, f2 = (
+                orbit_sft_forbidden("".join(rng.choices(alphabet, k=rng.randint(1, 4))), alphabet)
+                if rng.random() < 0.5
+                else _random_forbidden(rng, alphabet)
+                for _ in range(2)
+            )
+            x1, x2 = ZSft.from_forbidden(alphabet, f1), ZSft.from_forbidden(alphabet, f2)
+            lo = max(x1.order, x2.order)
+            hi = lo + len(x1._graph.trans) * len(x2._graph.trans) + 1
+            ranks = rank_table(x1.alphabet)
+            try:
+                expected = oracles.union_by_listing(x1, x2, cap=2**10)
+            except DisjointnessError as err:
+                outcomes["disjointness"] += 1
+                with pytest.raises(DisjointnessError) as got:
+                    sm.union_sft(x1, x2)
+                witness = got.value.witness
+                assert len(witness) == hi, (f1, f2)
+                assert witness.translate(ranks) >= err.witness.translate(ranks), (f1, f2)
+                shared = ZSft.from_blocks(alphabet, lo, x1.words(lo) & x2.words(lo))
+                if naive_in_language(err.witness, alphabet, shared.forbidden, lo):
+                    assert witness == err.witness, (f1, f2)
+            except SizeLimitError:
+                outcomes["refusal"] += 1
+                try:
+                    union = sm.union_sft(x1, x2)
+                except DisjointnessError as got:
+                    witness = got.witness
+                else:
+                    for n in range(2 * union.order + 1):
+                        assert union.words(n) == x1.words(n) | x2.words(n), (f1, f2, n)
+                    continue
+            else:
+                outcomes["union past the larger order" if expected.order > lo + 1 else "union"] += 1
+                union = sm.union_sft(x1, x2)
+                assert (union.order, union.blocks) == (expected.order, expected.blocks), (f1, f2)
+                continue
+            for x in (x1, x2):
+                assert naive_in_language(witness, alphabet, x.forbidden, x.order), (f1, f2)
+        assert min(outcomes.values()) >= 15 and len(outcomes) == 4, outcomes
 
 
 class TestComb:
