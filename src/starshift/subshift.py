@@ -37,8 +37,9 @@ from .jump_action import moving_relator
 APPROXIMATION_CAP = 256
 PERIOD_CAP = 64
 _ENUM_CAP = 1 << 22  # largest alphabet**order we are willing to enumerate
-# most words of one length that union_sft lists from either input; only
-# inputs that share no configuration are listed past the larger order
+# most words of one length that union_sft lists from either input (only
+# inputs that share no configuration are listed past the larger order),
+# and most letters of the witness it gives for inputs that share one
 UNION_WORD_CAP = 1 << 16
 # distinct block sets whose follower graph stays cached: a round of the
 # aperiodicity scans for p <= 16 visits 18 orders
@@ -380,8 +381,9 @@ def union_sft(x1: ZSft, x2: ZSft) -> ZSft:
     the languages share no m-word; a shared m-word walks m - lo + 1 edges
     of the shared blocks' graph, which has no cycle, so m stops.  An
     (m+1)-block is admissible iff both its m-words come from one input.
-    Each input's m-words are counted before they are listed, and more
-    than :data:`UNION_WORD_CAP` raise SizeLimitError.
+    Each input's m-words are counted before they are listed; more than
+    :data:`UNION_WORD_CAP` of them, or an hi past that cap, raise
+    SizeLimitError, the latter before the walk.
     """
     if tuple(x1.alphabet) != tuple(x2.alphabet):
         raise ValueError("union requires a shared alphabet")
@@ -400,9 +402,14 @@ def union_sft(x1: ZSft, x2: ZSft) -> ZSft:
         if not shared:
             break
         if m == lo:
-            trans, _, _, symbols = _valid_sft(x1.alphabet, lo, frozenset(shared))._graph
+            trans, _, _, symbols = _follower_graph(x1.alphabet, frozenset(shared))
             if trans:
                 hi = lo + len(x1._graph.trans) * len(x2._graph.trans) + 1
+                if hi > UNION_WORD_CAP:
+                    raise SizeLimitError(
+                        f"the inputs of the union share a configuration, but its witness "
+                        f"of length {hi} is past the cap {UNION_WORD_CAP}"
+                    )
                 state = witness = next(iter(trans))  # the least state
                 while len(witness) < hi:
                     c, state = next(iter(trans[state].items()))  # the first edge
@@ -412,7 +419,12 @@ def union_sft(x1: ZSft, x2: ZSft) -> ZSft:
                     f"subshifts share arbitrarily long words, e.g. {witness!r}", witness=witness
                 )
         m += 1
-    blocks = {w + c for ws in (w1, w2) for w in ws for c in x1.alphabet if (w + c)[1:] in ws}
+    blocks = set()
+    for words in (w1, w2):
+        for w in words:
+            for c in x1.alphabet:
+                if (w + c)[1:] in words:
+                    blocks.add(w + c)
     return ZSft.from_blocks(x1.alphabet, m + 1, blocks)
 
 

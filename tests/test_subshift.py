@@ -488,6 +488,32 @@ class TestUnion:
             assert time.perf_counter() - start < 1
             assert err.value.witness == witness
 
+    def test_a_witness_past_the_cap_is_refused(self):
+        # forbidding 1^n and forbidding 0^n share (0^(n-1) 1)^Z and have
+        # 2^(n-1) - 1 states each, so hi = n + (2^(n-1) - 1)^2 + 1: at
+        # n = 8 the witness has 16,393 letters, at n = 9 and n = 16 it
+        # would pass the cap of 65,536, and a billion letters at n = 16.
+        # The refusal comes before the walk; the time is the union's own,
+        # the inputs' graphs (32,767 states each at n = 16) built first
+        def pair(n):
+            x1, x2 = ZSft.from_forbidden("01", ["1" * n]), ZSft.from_forbidden("01", ["0" * n])
+            x1._graph, x2._graph
+            return x1, x2
+
+        with pytest.raises(DisjointnessError) as err:
+            sm.union_sft(*pair(8))
+        assert err.value.witness == ("0" * 7 + "1") * 2049 + "0"
+        for n, hi in ((9, 65546), (16, 1073741841)):
+            x1, x2 = pair(n)
+            start = time.perf_counter()
+            with pytest.raises(SizeLimitError) as err:
+                sm.union_sft(x1, x2)
+            assert time.perf_counter() - start < 1
+            assert str(err.value) == (
+                f"the inputs of the union share a configuration, but its witness "
+                f"of length {hi} is past the cap 65536"
+            )
+
     def test_the_cap_guards_disjoint_inputs(self):
         # the second input is 0^Z, which the first lacks, so they share no
         # configuration; the first input's 17-words are refused before the
@@ -507,21 +533,16 @@ class TestUnion:
         # 2^10 words; where it refuses, the answer is checked on its own.
         # A witness of the oracle is a word of both languages, and
         # union_sft's the least of a shared configuration: never before
-        # it, and equal when the oracle's is one too
-        rng = random.Random(40)
+        # it, and equal when the oracle's is one too.  A last, fixed pair
+        # is refused by the oracle and answered by a union: the
+        # non-decreasing words over 0123 (C(n+3, 3) of length n, 1,140 at
+        # n = 17) and the orbit of (0123)^Z given at order 17
         outcomes = collections.Counter()
-        for _ in range(400):
-            alphabet = rng.choice(("01", "012"))
-            f1, f2 = (
-                orbit_sft_forbidden("".join(rng.choices(alphabet, k=rng.randint(1, 4))), alphabet)
-                if rng.random() < 0.5
-                else _random_forbidden(rng, alphabet)
-                for _ in range(2)
-            )
-            x1, x2 = ZSft.from_forbidden(alphabet, f1), ZSft.from_forbidden(alphabet, f2)
+        for case, (x1, x2) in enumerate(_oracle_pairs()):
+            alphabet = x1.alphabet
             lo = max(x1.order, x2.order)
             hi = lo + len(x1._graph.trans) * len(x2._graph.trans) + 1
-            ranks = rank_table(x1.alphabet)
+            ranks = rank_table(alphabet)
             try:
                 expected = oracles.union_by_listing(x1, x2, cap=2**10)
             except DisjointnessError as err:
@@ -529,29 +550,50 @@ class TestUnion:
                 with pytest.raises(DisjointnessError) as got:
                     sm.union_sft(x1, x2)
                 witness = got.value.witness
-                assert len(witness) == hi, (f1, f2)
-                assert witness.translate(ranks) >= err.witness.translate(ranks), (f1, f2)
+                assert len(witness) == hi, case
+                assert witness.translate(ranks) >= err.witness.translate(ranks), case
                 shared = ZSft.from_blocks(alphabet, lo, x1.words(lo) & x2.words(lo))
                 if naive_in_language(err.witness, alphabet, shared.forbidden, lo):
-                    assert witness == err.witness, (f1, f2)
+                    assert witness == err.witness, case
             except SizeLimitError:
-                outcomes["refusal"] += 1
                 try:
                     union = sm.union_sft(x1, x2)
                 except DisjointnessError as got:
+                    outcomes["refusal, then disjointness"] += 1
                     witness = got.witness
                 else:
+                    outcomes["refusal, then a union"] += 1
                     for n in range(2 * union.order + 1):
-                        assert union.words(n) == x1.words(n) | x2.words(n), (f1, f2, n)
+                        assert union.words(n) == x1.words(n) | x2.words(n), (case, n)
                     continue
             else:
                 outcomes["union past the larger order" if expected.order > lo + 1 else "union"] += 1
                 union = sm.union_sft(x1, x2)
-                assert (union.order, union.blocks) == (expected.order, expected.blocks), (f1, f2)
+                assert (union.order, union.blocks) == (expected.order, expected.blocks), case
                 continue
             for x in (x1, x2):
-                assert naive_in_language(witness, alphabet, x.forbidden, x.order), (f1, f2)
+                assert naive_in_language(witness, alphabet, x.forbidden, x.order), case
+        assert outcomes.pop("refusal, then a union") >= 1, outcomes
         assert min(outcomes.values()) >= 15 and len(outcomes) == 4, outcomes
+
+
+def _oracle_pairs():
+    rng = random.Random(40)
+    for _ in range(400):
+        alphabet = rng.choice(("01", "012"))
+        yield tuple(
+            ZSft.from_forbidden(
+                alphabet,
+                orbit_sft_forbidden("".join(rng.choices(alphabet, k=rng.randint(1, 4))), alphabet)
+                if rng.random() < 0.5
+                else _random_forbidden(rng, alphabet),
+            )
+            for _ in range(2)
+        )
+    yield (
+        ZSft.from_forbidden("0123", ["10", "20", "21", "30", "31", "32"]),
+        ZSft.from_blocks("0123", 17, {("0123" * 5)[i : i + 17] for i in range(4)}),
+    )
 
 
 class TestComb:
